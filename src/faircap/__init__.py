@@ -53,13 +53,11 @@ from .fairlets import (
     validate,
     vanilla_decompose,
 )
-from .flow import Arc, FlowNetwork, solve_min_cost_flow
 from .ingest import DatasetSpec, dataset_balance, load_csv
 from .metrics import RunRecord, evaluate, size_dispersion
 from .synth import make_blobs, write_blobs_csv
 
 __all__ = [
-    "Arc",
     "BalanceRatio",
     "CapacityBudget",
     "Clustering",
@@ -68,7 +66,6 @@ __all__ = [
     "FAIR_CAPACITATED_METHODS",
     "Fairlet",
     "FairletDecomposition",
-    "FlowNetwork",
     "HierarchicalResult",
     "KMedoidsResult",
     "KnapsackInstance",
@@ -101,7 +98,6 @@ __all__ = [
     "pipeline",
     "rng_stream",
     "size_dispersion",
-    "solve_min_cost_flow",
     "validate",
     "vanilla_decompose",
     "write_blobs_csv",

@@ -23,10 +23,6 @@ class UnsupportedThresholdError(FaircapError):
     """Balance threshold shape not handled by the decomposition routines."""
 
 
-class FlowInfeasibleError(FaircapError):
-    """The flow network cannot route the requested supplies."""
-
-
 class IngestError(FaircapError):
     """Base class for dataset loading problems."""
 

@@ -124,39 +124,43 @@ class TestMcfDecompose:
         assert fairlet_cost(decomp, data) == 0.0
 
     def test_grouping_matches_enumeration_oracle(self):
-        # anchor-to-member cost of the flow grouping equals the brute-force
-        # optimum over all valid (1,m)-groupings
+        # anchor-to-member cost of the matching grouping equals the
+        # brute-force optimum over all valid (1,m)-groupings, for t = 1/2
+        # and t = 1/3 and for every majority size from rho = beta (all
+        # optional slots go to dummy rows) to rho = beta*m (no dummy rows)
         rng = np.random.default_rng(21)
-        for trial in range(20):
-            minority = int(rng.integers(2, 4))
-            majority = int(rng.integers(minority, 2 * minority + 1))
-            protected = np.array([1] * minority + [0] * majority)
-            features = rng.uniform(0, 1, size=(len(protected), 2))
-            data = _dataset(features, protected)
-            decomp = mcf_decompose(data, T_HALF, seed=trial)
+        trial = 0
+        for m in (2, 3):
+            t = ThresholdFM(1, m)
+            for minority in (2, 3):
+                for majority in range(minority, m * minority + 1):
+                    protected = np.array([1] * minority + [0] * majority)
+                    features = rng.uniform(0, 1, size=(len(protected), 2))
+                    data = _dataset(features, protected)
+                    decomp = mcf_decompose(data, t, seed=trial)
+                    trial += 1
+                    assert validate(decomp, data, t).ok
 
-            blues = [i for i in range(data.n) if data.protected[i] == 1]
-            reds = [i for i in range(data.n) if data.protected[i] == 0]
-            best = None
-            for combo in itertools.product(range(len(blues)), repeat=len(reds)):
-                counts = [0] * len(blues)
-                for b in combo:
-                    counts[b] += 1
-                if any(c < 1 or c > 2 for c in counts):
-                    continue
-                cost = sum(
-                    distance(data.features[blues[b]], data.features[reds[r]])
-                    for r, b in enumerate(combo)
-                )
-                if best is None or cost < best:
-                    best = cost
-            achieved = 0.0
-            for fl in decomp.fairlets:
-                blue = [m for m in fl.members if data.protected[m] == 1]
-                assert len(blue) == 1
-                for m in fl.members:
-                    achieved += distance(data.features[m], data.features[blue[0]])
-            assert achieved == pytest.approx(best, abs=1e-9)
+                    # rows 0..minority-1 are the anchors, the rest majority
+                    dists = [
+                        [distance(features[b], features[minority + r]) for r in range(majority)]
+                        for b in range(minority)
+                    ]
+                    best = None
+                    for combo in itertools.product(range(minority), repeat=majority):
+                        counts = [combo.count(b) for b in range(minority)]
+                        if any(c < 1 or c > m for c in counts):
+                            continue
+                        cost = sum(dists[b][r] for r, b in enumerate(combo))
+                        if best is None or cost < best:
+                            best = cost
+                    achieved = 0.0
+                    for fl in decomp.fairlets:
+                        blue = [i for i in fl.members if data.protected[i] == 1]
+                        assert len(blue) == 1
+                        for i in fl.members:
+                            achieved += distance(features[i], features[blue[0]])
+                    assert achieved == pytest.approx(best, abs=1e-9)
 
     def test_cost_dominates_vanilla_on_random_instances(self):
         rng = np.random.default_rng(31)
