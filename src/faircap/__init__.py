@@ -19,14 +19,10 @@ from .baselines import (
     pipeline,
 )
 from .capclust import (
-    CapacityBudget,
     HierarchicalResult,
     KMedoidsResult,
     KnapsackInstance,
-    WeightedPoint,
     capacity_threshold,
-    decay_value,
-    fairlet_points,
     hierarchical_fair_capacitated,
     kmedoids_fair_capacitated,
     knapsack_select,
@@ -59,7 +55,6 @@ from .synth import make_blobs, write_blobs_csv
 
 __all__ = [
     "BalanceRatio",
-    "CapacityBudget",
     "Clustering",
     "Dataset",
     "DatasetSpec",
@@ -75,18 +70,15 @@ __all__ = [
     "RunRecord",
     "ThresholdFM",
     "ValidationReport",
-    "WeightedPoint",
     "balance_of",
     "capacity_threshold",
     "clustering_balance",
     "clustering_cost",
     "compose_assignment",
     "dataset_balance",
-    "decay_value",
     "distance",
     "evaluate",
     "fairlet_cost",
-    "fairlet_points",
     "hierarchical_fair_capacitated",
     "kcenter_greedy",
     "kmedoids_fair_capacitated",

@@ -100,7 +100,7 @@ def kmedoids_vanilla(data: Dataset, k: int, seed: int) -> Clustering:
 
 
 def kcenter_greedy(
-    points: list[capclust.WeightedPoint], k: int, seed: int
+    positions: np.ndarray, weights: np.ndarray, k: int, seed: int
 ) -> np.ndarray:
     """Gonzalez farthest-first traversal over fairlet centers.
 
@@ -108,10 +108,10 @@ def kcenter_greedy(
     the seeded stream and each point lands with its nearest center. Returns
     the fairlet-level assignment.
     """
-    l = len(points)
+    positions, _ = capclust.check_weighted_points(positions, weights)
+    l = len(positions)
     if l < k:
         raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {l} points")
-    positions = np.stack([p.position for p in points])
     dists = pairwise_distances(positions)
     rng = rng_stream(seed, "baselines.kcenter")
     centers = [int(rng.integers(l))]
@@ -121,6 +121,22 @@ def kcenter_greedy(
         centers.append(nxt)
         nearest = np.minimum(nearest, dists[:, nxt])
     return np.argmin(dists[:, centers], axis=1)
+
+
+def fairlet_flavor(method: str) -> str | None:
+    """The decomposition a method clusters: "mcf", "vanilla", or None for
+    ``vanilla_kmedoids``, which clusters the raw rows."""
+    if method == "vanilla_kmedoids":
+        return None
+    return "mcf" if method.endswith("_mcf") or method.startswith("mcf_") else "vanilla"
+
+
+def decompose(
+    flavor: str, data: Dataset, threshold: fairlets.ThresholdFM, seed: int
+) -> FairletDecomposition:
+    """Build the fairlet decomposition named by ``flavor``."""
+    build = fairlets.mcf_decompose if flavor == "mcf" else fairlets.vanilla_decompose
+    return build(data, threshold, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,27 +166,28 @@ def pipeline(
     started = time.perf_counter()
     trace: tuple[dict, ...] = ()
 
-    if method == "vanilla_kmedoids":
+    flavor = fairlet_flavor(method)
+    if flavor is None:
         decomposition = None
         clustering = kmedoids_vanilla(data, params.k, params.seed)
     else:
         if decomposition is None:
             threshold = fairlets.ThresholdFM.from_fraction(params.t)
-            if method.endswith("_mcf") or method.startswith("mcf_"):
-                decomposition = fairlets.mcf_decompose(data, threshold, params.seed)
-            else:
-                decomposition = fairlets.vanilla_decompose(data, threshold, params.seed)
-        points = capclust.fairlet_points(decomposition, data)
+            decomposition = decompose(flavor, data, threshold, params.seed)
+        positions = data.features[[fl.center for fl in decomposition.fairlets]]
+        weights = np.bincount(decomposition.row_to_fairlet)
         if method.endswith("kcenter"):
-            delta = kcenter_greedy(points, params.k, params.seed)
+            delta = kcenter_greedy(positions, weights, params.k, params.seed)
         else:
             q = capclust.capacity_threshold(data.n, params.k, params.epsilon)
             if method.startswith("hier"):
-                hier = capclust.hierarchical_fair_capacitated(points, params.k, q)
+                hier = capclust.hierarchical_fair_capacitated(
+                    positions, weights, params.k, q
+                )
                 delta, trace = hier.assignment, hier.trace
             else:
                 kmed = capclust.kmedoids_fair_capacitated(
-                    points, params.k, q, params.lam, params.seed
+                    positions, weights, params.k, q, params.lam, params.seed
                 )
                 delta, trace = kmed.assignment, kmed.trace
         clustering = compose_assignment(delta, decomposition, data)

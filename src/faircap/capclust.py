@@ -1,7 +1,11 @@
 """Capacity-constrained clustering of weighted fairlets.
 
-Two algorithms operate on fairlets abstracted as weighted points (the
-fairlet's center position carrying its cardinality as weight):
+Two algorithms operate on fairlets abstracted as weighted points, passed as
+two arrays: ``positions`` (one row per fairlet: its center's features) and
+``weights`` (one integer per fairlet: its cardinality). For a decomposition
+``decomp`` of ``data`` these are
+``data.features[[fl.center for fl in decomp.fairlets]]`` and
+``np.bincount(decomp.row_to_fairlet)``.
 
 * :func:`hierarchical_fair_capacitated` merges the closest pair of clusters
   whose combined weight stays under the capacity, skipping gated pairs until
@@ -20,53 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, exp
+from math import ceil
 
 import numpy as np
 
-from .core import Dataset, FairletDecomposition, pairwise_distances, rng_stream
+from .core import pairwise_distances, rng_stream
 from .errors import ContractViolationError, InfeasibilityError
-
-
-@dataclass(frozen=True)
-class WeightedPoint:
-    """A fairlet reduced to its center position and cardinality."""
-
-    position: np.ndarray
-    weight: int
-    fairlet_index: int
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=np.float64)
-        if pos.ndim != 1:
-            raise ContractViolationError("position must be a 1-d vector")
-        if self.weight < 1:
-            raise ContractViolationError("weight must be a positive integer")
-        object.__setattr__(self, "position", pos)
-
-
-def fairlet_points(decomp: FairletDecomposition, data: Dataset) -> list[WeightedPoint]:
-    """Weighted points for a decomposition: center features + cardinalities."""
-    return [
-        WeightedPoint(
-            position=data.features[fl.center], weight=fl.weight, fairlet_index=j
-        )
-        for j, fl in enumerate(decomp.fairlets)
-    ]
-
-
-@dataclass(frozen=True)
-class CapacityBudget:
-    """The capacity q = ceil(n * epsilon / k) together with its inputs."""
-
-    q: int
-    epsilon: float
-    k: int
-    n: int
-
-    @classmethod
-    def for_run(cls, n: int, k: int, epsilon: float) -> "CapacityBudget":
-        return cls(q=capacity_threshold(n, k, epsilon), epsilon=epsilon, k=k, n=n)
 
 
 def capacity_threshold(n: int, k: int, epsilon: float) -> int:
@@ -81,15 +44,6 @@ def capacity_threshold(n: int, k: int, epsilon: float) -> int:
     if epsilon < 1.0:
         raise ContractViolationError(f"epsilon must be >= 1.0, got {epsilon}")
     return int(ceil(Fraction(n) * Fraction(str(epsilon)) / k))
-
-
-def decay_value(d: float, lam: float) -> float:
-    """Attractiveness exp(-d / lam) of a point at distance d; 1 at d = 0."""
-    if d < 0:
-        raise ContractViolationError("distance must be nonnegative")
-    if not lam > 0:
-        raise ContractViolationError("lambda must be positive")
-    return exp(-d / lam)
 
 
 @dataclass(frozen=True)
@@ -183,7 +137,7 @@ class HierarchicalResult:
 
 
 def hierarchical_fair_capacitated(
-    points: list[WeightedPoint], k: int, q: int
+    positions: np.ndarray, weights: np.ndarray, k: int, q: int
 ) -> HierarchicalResult:
     """Agglomerative clustering with a capacity gate on every merge.
 
@@ -194,11 +148,8 @@ def hierarchical_fair_capacitated(
     merged cluster keeps the smaller of the two ids. A full scan with no
     feasible pair raises an infeasibility error suggesting a looser epsilon.
     """
-    l = len(points)
-    weights = np.array([p.weight for p in points], dtype=np.int64)
-    _check_capacity_inputs(l, weights, k, q)
-
-    positions = np.stack([p.position for p in points])
+    positions, weights = _check_capacity_inputs(positions, weights, k, q)
+    l = len(weights)
     members: dict[int, list[int]] = {i: [i] for i in range(l)}
     trace: list[dict] = []
     iteration = 0
@@ -244,7 +195,31 @@ def _centroid(member_idx: list[int], positions: np.ndarray, weights: np.ndarray)
     return (positions[idx] * w[:, None]).sum(axis=0) / w.sum()
 
 
-def _check_capacity_inputs(l: int, weights: np.ndarray, k: int, q: int) -> None:
+def check_weighted_points(
+    positions: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (l, d) float positions and length-l int weights of l points."""
+    positions = np.asarray(positions, dtype=np.float64)
+    weights = np.asarray(weights)
+    if positions.ndim != 2:
+        raise ContractViolationError(
+            f"positions must be a 2-d (points, features) array, got shape {positions.shape}"
+        )
+    if weights.shape != (positions.shape[0],):
+        raise ContractViolationError(
+            f"need one weight per position row: {positions.shape[0]} rows, "
+            f"weights of shape {weights.shape}"
+        )
+    if not np.issubdtype(weights.dtype, np.integer) or (weights < 1).any():
+        raise ContractViolationError("weights must be positive integers")
+    return positions, weights.astype(np.int64)
+
+
+def _check_capacity_inputs(
+    positions: np.ndarray, weights: np.ndarray, k: int, q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    positions, weights = check_weighted_points(positions, weights)
+    l = len(weights)
     if k < 1 or q < 1:
         raise ContractViolationError("k and q must be positive")
     if l < k:
@@ -262,6 +237,12 @@ def _check_capacity_inputs(l: int, weights: np.ndarray, k: int, q: int) -> None:
             f"a single point of weight {heaviest} exceeds capacity {q}; "
             "rerun with a larger epsilon"
         )
+    return positions, weights
+
+
+# The swap loop must converge within this many rounds per point; more
+# signals a cycling cost and raises instead of looping forever.
+MAX_ROUNDS_FACTOR = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +259,12 @@ class KMedoidsResult:
 
 
 def kmedoids_fair_capacitated(
-    points: list[WeightedPoint],
+    positions: np.ndarray,
+    weights: np.ndarray,
     k: int,
     q: int,
     lam: float,
     seed: int,
-    max_rounds_factor: int = 10,
 ) -> KMedoidsResult:
     """Capacitated k-medoids over weighted points.
 
@@ -300,13 +281,11 @@ def kmedoids_fair_capacitated(
     until none exists. The traced cost (sum of point-to-medoid distances,
     one term per point) is therefore non-increasing.
     """
-    l = len(points)
-    weights = np.array([p.weight for p in points], dtype=np.int64)
-    _check_capacity_inputs(l, weights, k, q)
+    positions, weights = _check_capacity_inputs(positions, weights, k, q)
+    l = len(weights)
     if not lam > 0:
         raise ContractViolationError("lambda must be positive")
 
-    positions = np.stack([p.position for p in points])
     dists = pairwise_distances(positions)
     decay = np.exp(-dists / lam)
 
@@ -406,7 +385,7 @@ def kmedoids_fair_capacitated(
     best_cost = cost_of(medoids, taken)
     trace: list[dict] = [{"iteration": 0, "event": "assign", "cost": best_cost}]
 
-    max_rounds = max_rounds_factor * l
+    max_rounds = MAX_ROUNDS_FACTOR * l
     for round_no in range(1, max_rounds + 1):
         best_swap: tuple[tuple[int, ...], np.ndarray] | None = None
         swap_cost = best_cost

@@ -236,12 +236,11 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
     decomp_cache: dict[str, Any] = {}
 
     def decomposition_for(method: str):
-        if method == "vanilla_kmedoids":
+        flavor = baselines.fairlet_flavor(method)
+        if flavor is None:
             return None
-        flavor = "mcf" if ("mcf" in method) else "vanilla"
         if flavor not in decomp_cache:
-            build = fairlets.mcf_decompose if flavor == "mcf" else fairlets.vanilla_decompose
-            decomp_cache[flavor] = build(data, threshold, cfg.seed)
+            decomp_cache[flavor] = baselines.decompose(flavor, data, threshold, cfg.seed)
         return decomp_cache[flavor]
 
     rows: list[dict[str, Any]] = []

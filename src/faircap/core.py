@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -316,38 +316,24 @@ def clustering_cost(clustering: Clustering, data: Dataset) -> float:
 
 
 def compose_assignment(
-    delta: Mapping[int, int] | Sequence[int] | np.ndarray,
-    decomp: FairletDecomposition,
-    data: Dataset,
+    delta: np.ndarray, decomp: FairletDecomposition, data: Dataset
 ) -> Clustering:
     """Lift a fairlet-level assignment to a row-level clustering.
 
-    Every row lands in the cluster of its fairlet. Cluster labels are
-    renumbered to 0..k-1 in sorted order of the labels used by ``delta``;
-    each cluster's representative is its medoid row, so reported costs are
-    comparable across clustering methods.
+    ``delta[j]`` is the cluster label of fairlet j. Every row lands in the
+    cluster of its fairlet. Cluster labels are renumbered to 0..k-1 in
+    sorted order of the labels used by ``delta``; each cluster's
+    representative is its medoid row, so reported costs are comparable
+    across clustering methods.
     """
-    if isinstance(delta, Mapping):
-        missing = [j for j in range(len(decomp)) if j not in delta]
-        if missing:
-            raise ContractViolationError(
-                f"delta does not assign fairlets {missing[:5]}"
-            )
-        fairlet_labels = np.array([int(delta[j]) for j in range(len(decomp))])
-    else:
-        fairlet_labels = np.asarray(delta, dtype=np.int64)
-        if fairlet_labels.shape != (len(decomp),):
-            raise ContractViolationError(
-                f"delta must assign all {len(decomp)} fairlets, got shape {fairlet_labels.shape}"
-            )
-    distinct = np.unique(fairlet_labels)
-    relabel = {int(c): i for i, c in enumerate(distinct)}
+    fairlet_labels = np.asarray(delta, dtype=np.int64)
+    if fairlet_labels.shape != (len(decomp),):
+        raise ContractViolationError(
+            f"delta must assign all {len(decomp)} fairlets, got shape {fairlet_labels.shape}"
+        )
+    distinct, relabeled = np.unique(fairlet_labels, return_inverse=True)
     k = len(distinct)
-    assignment = np.empty(data.n, dtype=np.int64)
-    for j, fairlet in enumerate(decomp.fairlets):
-        cid = relabel[int(fairlet_labels[j])]
-        for m in fairlet.members:
-            assignment[m] = cid
+    assignment = relabeled[decomp.row_to_fairlet]
     reps = tuple(
         medoid_index(data.features, np.flatnonzero(assignment == cid))
         for cid in range(k)

@@ -9,9 +9,8 @@ total member-to-anchor distance over all one-anchor-per-fairlet groupings. The
 al. (NeurIPS 2017), which this matching solves exactly for t = 1/m.
 
 Both support thresholds of the form t = 1/m only; that covers the t = 0.5
-setting used throughout the experiment harness. Fairlet centers default to
-a uniformly sampled member (seeded); pass ``center_mode="medoid"`` for the
-lower-variance deterministic choice.
+setting used throughout the experiment harness. Each fairlet's center is
+a uniformly sampled member, drawn from the seeded stream.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .core import (
     Fairlet,
     FairletDecomposition,
     distance,
-    medoid_index,
     pairwise_distances,
     rng_stream,
     subset_balance,
@@ -97,34 +95,18 @@ def _split_groups(data: Dataset, t: ThresholdFM) -> tuple[np.ndarray, np.ndarray
     return minority, majority
 
 
-def _pick_centers(
-    groups: list[list[int]],
-    data: Dataset,
-    seed: int,
-    stream: str,
-    center_mode: str,
-) -> list[Fairlet]:
-    if center_mode not in ("random", "medoid"):
-        raise ContractViolationError(f"unknown center_mode {center_mode!r}")
+def _pick_centers(groups: list[list[int]], seed: int, stream: str) -> list[Fairlet]:
     rng = rng_stream(seed, stream, "centers")
     fairlets = []
     for members in groups:
         members = sorted(members)
-        if center_mode == "random":
-            center = members[int(rng.integers(len(members)))]
-        else:
-            center = medoid_index(data.features, members)
+        center = members[int(rng.integers(len(members)))]
         fairlets.append(Fairlet(members=tuple(members), center=center))
     fairlets.sort(key=lambda fl: fl.members[0])
     return fairlets
 
 
-def vanilla_decompose(
-    data: Dataset,
-    t: ThresholdFM,
-    seed: int,
-    center_mode: str = "random",
-) -> FairletDecomposition:
+def vanilla_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomposition:
     """Cost-agnostic decomposition: one fairlet per minority point.
 
     Both groups are shuffled by the seeded stream; fairlet i takes minority
@@ -144,16 +126,11 @@ def vanilla_decompose(
         take = base + (1 if i < extra else 0)
         groups.append([int(blues[i]), *map(int, reds[pos : pos + take])])
         pos += take
-    fairlets = _pick_centers(groups, data, seed, "fairlets.vanilla", center_mode)
+    fairlets = _pick_centers(groups, seed, "fairlets.vanilla")
     return FairletDecomposition(fairlets=tuple(fairlets), n=data.n, threshold=t.value)
 
 
-def mcf_decompose(
-    data: Dataset,
-    t: ThresholdFM,
-    seed: int,
-    center_mode: str = "random",
-) -> FairletDecomposition:
+def mcf_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomposition:
     """Cost-aware decomposition via an exact bipartite slot matching.
 
     Each minority anchor offers m slots: one mandatory and m-1 optional.
@@ -182,7 +159,7 @@ def mcf_decompose(
     for r, c in zip(rows, cols):
         if r < rho:
             groups[c % beta].append(int(majority[r]))
-    fairlets = _pick_centers(groups, data, seed, "fairlets.mcf", center_mode)
+    fairlets = _pick_centers(groups, seed, "fairlets.mcf")
     return FairletDecomposition(fairlets=tuple(fairlets), n=data.n, threshold=t.value)
 
 

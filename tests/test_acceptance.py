@@ -244,12 +244,10 @@ def test_criterion_07_pam_monotonicity(randomized_runs):
 # ---------------------------------------------------------------------------
 
 
-def _brute_force_2partition(points, q):
+def _brute_force_2partition(coords, weights, q):
     """Best capacity-feasible 2-partition by summed distance to medoids."""
-    n = len(points)
-    coords = np.stack([p.position for p in points])
+    n = len(weights)
     dists = faircap.core.pairwise_distances(coords)
-    weights = np.array([p.weight for p in points])
     best_cost, best_parts = np.inf, None
     for bits in itertools.product([0, 1], repeat=n - 1):
         labels = np.array([0, *bits])
@@ -277,20 +275,19 @@ def test_criterion_08_small_instance_optimality():
         coords = np.vstack(
             [c + 0.4 * rng.standard_normal((half, 2)) for c in centers]
         )
-        points = [
-            faircap.WeightedPoint(position=coords[i], weight=1, fairlet_index=i)
-            for i in range(2 * half)
-        ]
+        weights = np.ones(2 * half, dtype=np.int64)
         q = half  # n/2
-        _, expected = _brute_force_2partition(points, q)
+        _, expected = _brute_force_2partition(coords, weights, q)
 
-        kmed = faircap.kmedoids_fair_capacitated(points, k=2, q=q, lam=0.3, seed=trial)
+        kmed = faircap.kmedoids_fair_capacitated(
+            coords, weights, k=2, q=q, lam=0.3, seed=trial
+        )
         parts = {
             frozenset(np.flatnonzero(kmed.assignment == c).tolist()) for c in (0, 1)
         }
         assert parts == expected
 
-        hier = faircap.hierarchical_fair_capacitated(points, k=2, q=q)
+        hier = faircap.hierarchical_fair_capacitated(coords, weights, k=2, q=q)
         parts = {
             frozenset(np.flatnonzero(hier.assignment == c).tolist()) for c in (0, 1)
         }

@@ -10,7 +10,6 @@ from faircap.baselines import (
     kmedoids_vanilla,
     pipeline,
 )
-from faircap.capclust import WeightedPoint
 from faircap.core import Dataset, Params, clustering_cost, pairwise_distances
 from faircap.errors import ContractViolationError, InfeasibilityError
 from faircap.synth import make_blobs
@@ -28,13 +27,11 @@ def _dataset(features, protected):
 
 
 def unit_points(coords):
+    """(positions, weights) of unit-weight points; 1-d coords become a column."""
     coords = np.asarray(coords, dtype=float)
     if coords.ndim == 1:
         coords = coords[:, None]
-    return [
-        WeightedPoint(position=coords[i], weight=1, fairlet_index=i)
-        for i in range(len(coords))
-    ]
+    return coords, np.ones(len(coords), dtype=np.int64)
 
 
 def brute_force_best_2partition_cost(features):
@@ -87,16 +84,16 @@ class TestKMedoidsVanilla:
 
 class TestKCenterGreedy:
     def test_k_equals_points_radius_zero(self):
-        pts = unit_points([0.0, 4.0, 9.0])
-        delta = kcenter_greedy(pts, k=3, seed=0)
+        positions, weights = unit_points([0.0, 4.0, 9.0])
+        delta = kcenter_greedy(positions, weights, k=3, seed=0)
         assert sorted(delta.tolist()) == [0, 1, 2]
 
     def test_colinear_farthest_first(self):
         # whichever of 0/1 seeds the traversal, the far point 10 is added
         # next and the radius is 1
-        pts = unit_points([0.0, 1.0, 10.0])
+        positions, weights = unit_points([0.0, 1.0, 10.0])
         for seed in range(6):
-            delta = kcenter_greedy(pts, k=2, seed=seed)
+            delta = kcenter_greedy(positions, weights, k=2, seed=seed)
             groups = {}
             for i, cid in enumerate(delta.tolist()):
                 groups.setdefault(cid, []).append(i)
@@ -108,8 +105,8 @@ class TestKCenterGreedy:
         for trial in range(20):
             n, k = 10, int(rng.integers(2, 4))
             coords = rng.uniform(0, 1, size=(n, 2))
-            pts = unit_points(coords)
-            delta = kcenter_greedy(pts, k=k, seed=trial)
+            positions, weights = unit_points(coords)
+            delta = kcenter_greedy(positions, weights, k=k, seed=trial)
             dists = pairwise_distances(coords)
             # best in-hindsight center per group bounds the greedy radius
             achieved = max(

@@ -1,17 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from faircap.capclust import (
     KnapsackInstance,
-    WeightedPoint,
     capacity_threshold,
-    decay_value,
     hierarchical_fair_capacitated,
     kmedoids_fair_capacitated,
     knapsack_select,
 )
+from faircap.baselines import kcenter_greedy
 from faircap.errors import ContractViolationError, InfeasibilityError
 
 
@@ -30,13 +27,29 @@ def brute_force_knapsack(values, weights, capacity):
 
 
 def unit_points(coords):
+    """(positions, weights) of unit-weight points; 1-d coords become a column."""
     coords = np.asarray(coords, dtype=float)
     if coords.ndim == 1:
         coords = coords[:, None]
-    return [
-        WeightedPoint(position=coords[i], weight=1, fairlet_index=i)
-        for i in range(len(coords))
-    ]
+    return coords, np.ones(len(coords), dtype=np.int64)
+
+
+def random_points(rng, l):
+    """l points in the unit square with weights in 1..3, drawn point by point."""
+    positions = np.empty((l, 2))
+    weights = np.empty(l, dtype=np.int64)
+    for i in range(l):
+        positions[i] = rng.uniform(0, 1, 2)
+        weights[i] = rng.integers(1, 4)
+    return positions, weights
+
+
+# Every public entry that takes weighted points, called with k=1, q=10.
+ENTRIES = (
+    lambda pos, w: hierarchical_fair_capacitated(pos, w, k=1, q=10),
+    lambda pos, w: kmedoids_fair_capacitated(pos, w, k=1, q=10, lam=0.3, seed=0),
+    lambda pos, w: kcenter_greedy(pos, w, k=1, seed=0),
+)
 
 
 class TestCapacityThreshold:
@@ -58,25 +71,21 @@ class TestCapacityThreshold:
             capacity_threshold(10, 2, 0.9)
 
 
-class TestDecayValue:
-    def test_zero_distance(self):
-        assert decay_value(0.0, 0.3) == 1.0
+class TestWeightedPointChecks:
+    def test_rejects_positions_that_are_not_2d(self):
+        for entry in ENTRIES:
+            with pytest.raises(ContractViolationError, match="2-d"):
+                entry(np.array([0.0, 1.0, 2.0]), np.ones(3, dtype=np.int64))
 
-    def test_monotone_decreasing(self):
-        prev = 1.0
-        for d in np.linspace(0.1, 50, 40):
-            cur = decay_value(float(d), 0.3)
-            assert 0.0 <= cur < prev
-            prev = cur
+    def test_rejects_weight_count_mismatch(self):
+        for entry in ENTRIES:
+            with pytest.raises(ContractViolationError, match="one weight per"):
+                entry(np.zeros((3, 2)), np.ones(2, dtype=np.int64))
 
-    def test_reference_point(self):
-        assert decay_value(0.3, 0.3) == pytest.approx(math.exp(-1), rel=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ContractViolationError):
-            decay_value(-1.0, 0.3)
-        with pytest.raises(ContractViolationError):
-            decay_value(1.0, 0.0)
+    def test_rejects_zero_weight(self):
+        for entry in ENTRIES:
+            with pytest.raises(ContractViolationError, match="positive integers"):
+                entry(np.zeros((3, 2)), np.array([1, 0, 1]))
 
 
 class TestKnapsackSelect:
@@ -127,56 +136,46 @@ class TestKnapsackSelect:
 
 class TestHierarchical:
     def test_identity_when_k_equals_points(self):
-        pts = unit_points([0.0, 5.0, 9.0])
-        result = hierarchical_fair_capacitated(pts, k=3, q=2)
+        positions, weights = unit_points([0.0, 5.0, 9.0])
+        result = hierarchical_fair_capacitated(positions, weights, k=3, q=2)
         assert sorted(result.assignment.tolist()) == [0, 1, 2]
         assert result.trace == ()
 
     def test_colinear_brute_force_case(self):
         # only capacity-respecting 2-partition reachable by closest-pair
         # merging of 0,1,10,11 is {0,1} | {10,11}
-        pts = unit_points([0.0, 1.0, 10.0, 11.0])
-        result = hierarchical_fair_capacitated(pts, k=2, q=2)
+        positions, weights = unit_points([0.0, 1.0, 10.0, 11.0])
+        result = hierarchical_fair_capacitated(positions, weights, k=2, q=2)
         a = result.assignment
         assert a[0] == a[1] and a[2] == a[3] and a[0] != a[2]
 
     def test_deadlock_when_no_pair_fits(self):
         coords = np.array([[0.0], [1.0], [2.0]])
-        pts = [
-            WeightedPoint(position=coords[i], weight=3, fairlet_index=i)
-            for i in range(3)
-        ]
+        weights = np.full(3, 3)
         # weights 3+3 exceed q=4 for every pair (also fails the k*q bound)
         with pytest.raises(InfeasibilityError) as err:
-            hierarchical_fair_capacitated(pts, k=2, q=4)
+            hierarchical_fair_capacitated(coords, weights, k=2, q=4)
         assert "epsilon" in str(err.value)
         # with q=5 the weight bound holds but every merge is still gated
         with pytest.raises(InfeasibilityError) as err:
-            hierarchical_fair_capacitated(pts, k=2, q=5)
+            hierarchical_fair_capacitated(coords, weights, k=2, q=5)
         assert "epsilon" in str(err.value)
 
     def test_capacity_invariant_on_random_instances(self):
         rng = np.random.default_rng(55)
         for _ in range(25):
             l = int(rng.integers(6, 30))
-            pts = [
-                WeightedPoint(
-                    position=rng.uniform(0, 1, 2),
-                    weight=int(rng.integers(1, 4)),
-                    fairlet_index=i,
-                )
-                for i in range(l)
-            ]
-            total = sum(p.weight for p in pts)
+            positions, weights = random_points(rng, l)
+            total = int(weights.sum())
             k = int(rng.integers(2, 5))
             q = capacity_threshold(total, k, 1.3)
             try:
-                result = hierarchical_fair_capacitated(pts, k, q)
+                result = hierarchical_fair_capacitated(positions, weights, k, q)
             except InfeasibilityError:
                 continue
             loads = np.zeros(k, dtype=int)
-            for p, cid in zip(pts, result.assignment):
-                loads[cid] += p.weight
+            for w, cid in zip(weights, result.assignment):
+                loads[cid] += w
             assert loads.max() <= q
             assert loads.sum() == total
             assert len(set(result.assignment.tolist())) == k
@@ -185,35 +184,28 @@ class TestHierarchical:
         rng = np.random.default_rng(77)
         coords = rng.uniform(0, 10, size=(12, 2)).round(3)
         weights = rng.integers(1, 3, size=12)
-        pts = [
-            WeightedPoint(position=coords[i], weight=int(weights[i]), fairlet_index=i)
-            for i in range(12)
-        ]
-        base = hierarchical_fair_capacitated(pts, k=3, q=12)
+        base = hierarchical_fair_capacitated(coords, weights, k=3, q=12)
         perm = rng.permutation(12)
-        shuffled = [
-            WeightedPoint(
-                position=coords[p], weight=int(weights[p]), fairlet_index=int(p)
-            )
-            for p in perm
-        ]
-        permuted = hierarchical_fair_capacitated(shuffled, k=3, q=12)
+        permuted = hierarchical_fair_capacitated(
+            coords[perm], weights[perm], k=3, q=12
+        )
 
-        def as_partition(points, assignment):
+        def as_partition(rows, assignment):
+            # rows[i] is the original index of the point at position i
             groups = {}
-            for point, cid in zip(points, assignment):
-                groups.setdefault(cid, set()).add(point.fairlet_index)
+            for row, cid in zip(rows, assignment):
+                groups.setdefault(cid, set()).add(int(row))
             return {frozenset(g) for g in groups.values()}
 
-        assert as_partition(pts, base.assignment) == as_partition(
-            shuffled, permuted.assignment
+        assert as_partition(range(12), base.assignment) == as_partition(
+            perm, permuted.assignment
         )
 
 
 class TestKMedoidsFairCapacitated:
     def test_every_point_its_own_medoid(self):
-        pts = unit_points([0.0, 3.0, 7.0])
-        result = kmedoids_fair_capacitated(pts, k=3, q=1, lam=0.3, seed=0)
+        positions, weights = unit_points([0.0, 3.0, 7.0])
+        result = kmedoids_fair_capacitated(positions, weights, k=3, q=1, lam=0.3, seed=0)
         assert sorted(result.assignment.tolist()) == [0, 1, 2]
         assert result.cost == 0.0
 
@@ -221,8 +213,8 @@ class TestKMedoidsFairCapacitated:
         coords = np.array(
             [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [5.0, 5.0], [5.1, 5.0], [5.0, 5.1]]
         )
-        pts = unit_points(coords)
-        result = kmedoids_fair_capacitated(pts, k=2, q=3, lam=0.3, seed=4)
+        positions, weights = unit_points(coords)
+        result = kmedoids_fair_capacitated(positions, weights, k=2, q=3, lam=0.3, seed=4)
         a = result.assignment
         assert len({a[0], a[1], a[2]}) == 1
         assert len({a[3], a[4], a[5]}) == 1
@@ -232,17 +224,12 @@ class TestKMedoidsFairCapacitated:
         rng = np.random.default_rng(31)
         for seed in range(5):
             l = 16
-            pts = [
-                WeightedPoint(
-                    position=rng.uniform(0, 1, 2),
-                    weight=int(rng.integers(1, 4)),
-                    fairlet_index=i,
-                )
-                for i in range(l)
-            ]
-            total = sum(p.weight for p in pts)
+            positions, weights = random_points(rng, l)
+            total = int(weights.sum())
             q = capacity_threshold(total, 3, 1.05)
-            result = kmedoids_fair_capacitated(pts, k=3, q=q, lam=0.3, seed=seed)
+            result = kmedoids_fair_capacitated(
+                positions, weights, k=3, q=q, lam=0.3, seed=seed
+            )
             costs = [e["cost"] for e in result.trace]
             assert costs == sorted(costs, reverse=True)
             assert all(b < a for a, b in zip(costs, costs[1:]))
@@ -251,42 +238,37 @@ class TestKMedoidsFairCapacitated:
         rng = np.random.default_rng(3)
         for seed in range(10):
             l = int(rng.integers(8, 24))
-            pts = [
-                WeightedPoint(
-                    position=rng.uniform(0, 1, 2),
-                    weight=int(rng.integers(1, 4)),
-                    fairlet_index=i,
-                )
-                for i in range(l)
-            ]
-            total = sum(p.weight for p in pts)
+            positions, weights = random_points(rng, l)
+            total = int(weights.sum())
             k = 3
             q = capacity_threshold(total, k, 1.1)
-            result = kmedoids_fair_capacitated(pts, k=k, q=q, lam=0.3, seed=seed)
+            result = kmedoids_fair_capacitated(
+                positions, weights, k=k, q=q, lam=0.3, seed=seed
+            )
             loads = np.zeros(k, dtype=int)
-            for p, cid in zip(pts, result.assignment):
-                loads[cid] += p.weight
+            for w, cid in zip(weights, result.assignment):
+                loads[cid] += w
             assert loads.max() <= q
             assert loads.sum() == total
             assert (result.assignment >= 0).all()
 
     def test_infeasible_capacity_raises(self):
-        pts = unit_points([0.0, 1.0, 2.0, 3.0])
+        positions, weights = unit_points([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(InfeasibilityError):
-            kmedoids_fair_capacitated(pts, k=2, q=1, lam=0.3, seed=0)
+            kmedoids_fair_capacitated(positions, weights, k=2, q=1, lam=0.3, seed=0)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(9)
-        pts = unit_points(rng.uniform(0, 1, size=(14, 2)))
-        a = kmedoids_fair_capacitated(pts, k=3, q=6, lam=0.3, seed=12)
-        b = kmedoids_fair_capacitated(pts, k=3, q=6, lam=0.3, seed=12)
+        positions, weights = unit_points(rng.uniform(0, 1, size=(14, 2)))
+        a = kmedoids_fair_capacitated(positions, weights, k=3, q=6, lam=0.3, seed=12)
+        b = kmedoids_fair_capacitated(positions, weights, k=3, q=6, lam=0.3, seed=12)
         assert a.assignment.tolist() == b.assignment.tolist()
         assert a.medoids == b.medoids
         assert a.trace == b.trace
 
     def test_medoid_fairlets_stay_in_their_own_cluster(self):
         rng = np.random.default_rng(41)
-        pts = unit_points(rng.uniform(0, 1, size=(12, 2)))
-        result = kmedoids_fair_capacitated(pts, k=3, q=5, lam=0.3, seed=2)
+        positions, weights = unit_points(rng.uniform(0, 1, size=(12, 2)))
+        result = kmedoids_fair_capacitated(positions, weights, k=3, q=5, lam=0.3, seed=2)
         for cid, medoid in enumerate(result.medoids):
             assert result.assignment[medoid] == cid

@@ -183,14 +183,14 @@ class TestComposeAssignment:
     def test_identity_one_fairlet_per_cluster(self):
         data = _dataset(np.arange(4.0), [0, 1, 0, 1])
         decomp = _decomp([(0, 1), (2, 3)], 4)
-        c = compose_assignment({0: 0, 1: 1}, decomp, data)
+        c = compose_assignment(np.array([0, 1]), decomp, data)
         assert c.k == 2
         assert list(c.assignment) == [0, 0, 1, 1]
 
     def test_constant_delta_collapses_to_one_cluster(self):
         data = _dataset(np.arange(3.0), [0, 1, 1])
         decomp = _decomp([(0, 1), (2,)], 3)
-        c = compose_assignment({0: 1, 1: 1}, decomp, data)
+        c = compose_assignment(np.array([1, 1]), decomp, data)
         assert c.k == 1
         assert len(set(c.assignment.tolist())) == 1
 
@@ -198,7 +198,7 @@ class TestComposeAssignment:
         data = _dataset(np.arange(3.0), [0, 1, 1])
         decomp = _decomp([(0, 1), (2,)], 3)
         with pytest.raises(ContractViolationError):
-            compose_assignment({0: 0}, decomp, data)
+            compose_assignment(np.array([0]), decomp, data)
 
     def test_cluster_counts_equal_summed_fairlet_weights(self):
         rng = np.random.default_rng(5)
@@ -212,12 +212,12 @@ class TestComposeAssignment:
                 groups.append(tuple(int(i) for i in order[pos : pos + size]))
                 pos += size
             decomp = _decomp(groups, n)
-            delta = {j: int(rng.integers(0, 3)) for j in range(len(groups))}
+            delta = np.array([int(rng.integers(0, 3)) for _ in groups])
             c = compose_assignment(delta, decomp, data)
-            used = sorted(set(delta.values()))
+            used = sorted(set(delta.tolist()))
             for cid, label in enumerate(used):
                 expected = sum(
-                    len(groups[j]) for j in delta if delta[j] == label
+                    len(groups[j]) for j in range(len(groups)) if delta[j] == label
                 )
                 assert int((c.assignment == cid).sum()) == expected
             assert c.sizes.sum() == n
@@ -233,7 +233,7 @@ class TestComposeAssignment:
             data = _dataset(rng.normal(size=(n, 2)), protected)
             groups = [(2 * j, 2 * j + 1) for j in range(pairs)]
             decomp = _decomp(groups, n, t)
-            delta = {j: int(rng.integers(0, 4)) for j in range(pairs)}
+            delta = np.array([int(rng.integers(0, 4)) for _ in range(pairs)])
             c = compose_assignment(delta, decomp, data)
             assert clustering_balance(c, data).value >= t
 

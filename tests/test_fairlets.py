@@ -171,13 +171,6 @@ class TestMcfDecompose:
             assert validate(mcf, data, T_HALF).ok
             assert fairlet_cost(mcf, data) <= fairlet_cost(vanilla, data) + 1e-9
 
-    def test_medoid_centers_never_cost_more(self):
-        rng = np.random.default_rng(13)
-        data = _random_feasible(rng)
-        random_centers = mcf_decompose(data, T_HALF, seed=7, center_mode="random")
-        medoid_centers = mcf_decompose(data, T_HALF, seed=7, center_mode="medoid")
-        assert fairlet_cost(medoid_centers, data) <= fairlet_cost(random_centers, data)
-
 
 class TestValidate:
     def test_flags_oversized_fairlet(self):
