@@ -110,6 +110,8 @@ def kcenter_greedy(
     """
     positions, _ = capclust.check_weighted_points(positions, weights)
     l = len(positions)
+    if k < 1:
+        raise ContractViolationError("k must be positive")
     if l < k:
         raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {l} points")
     dists = pairwise_distances(positions)

@@ -7,9 +7,9 @@ two arrays: ``positions`` (one row per fairlet: its center's features) and
 ``data.features[[fl.center for fl in decomp.fairlets]]`` and
 ``np.bincount(decomp.row_to_fairlet)``.
 
-* :func:`hierarchical_fair_capacitated` merges the closest pair of clusters
-  whose combined weight stays under the capacity, skipping gated pairs until
-  k clusters remain.
+* :func:`hierarchical_fair_capacitated` repeatedly merges the pair of
+  clusters with the closest centroids among those whose combined weight
+  fits under the capacity, until k clusters remain.
 * :func:`kmedoids_fair_capacitated` alters the k-medoids assignment step:
   each medoid greedily claims the value-maximal set of still-unassigned
   fairlets that fits its capacity, where a fairlet's value decays
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -41,8 +41,8 @@ def capacity_threshold(n: int, k: int, epsilon: float) -> int:
     """
     if n < 1 or k < 1:
         raise ContractViolationError("n and k must be positive")
-    if epsilon < 1.0:
-        raise ContractViolationError(f"epsilon must be >= 1.0, got {epsilon}")
+    if not (isfinite(epsilon) and epsilon >= 1.0):
+        raise ContractViolationError(f"epsilon must be finite and >= 1.0, got {epsilon}")
     return int(ceil(Fraction(n) * Fraction(str(epsilon)) / k))
 
 
@@ -142,57 +142,47 @@ def hierarchical_fair_capacitated(
     """Agglomerative clustering with a capacity gate on every merge.
 
     Proximity is the distance between cluster centroids (weighted means of
-    member positions). The closest pair whose combined weight fits under q
-    is merged; gated pairs are skipped until the next merge changes the
-    configuration. Ties break toward the smallest cluster-id pair, and a
-    merged cluster keeps the smaller of the two ids. A full scan with no
-    feasible pair raises an infeasibility error suggesting a looser epsilon.
+    member positions). Each merge joins the closest pair of clusters whose
+    combined weight fits under q. Ties break toward the smallest cluster-id
+    pair, where a cluster's id is its smallest member index, so a merged
+    cluster keeps the smaller of the two ids. When no pair of the remaining
+    clusters fits, an infeasibility error suggests a looser epsilon.
     """
     positions, weights = _check_capacity_inputs(positions, weights, k, q)
     l = len(weights)
-    members: dict[int, list[int]] = {i: [i] for i in range(l)}
+    w = weights.astype(np.float64)
+    label = np.arange(l)
+    cluster_w = weights.copy()
+    # Singletons go through the same expression as merged centroids below,
+    # so every centroid is rounded the same way.
+    cents = positions * w[:, None] / w[:, None]
+    # dist[i, j] for live ids i < j; +inf on and below the diagonal and on
+    # absorbed ids, so a row-major argmin yields the smallest id pair.
+    dist = pairwise_distances(cents)
+    dist[np.tril_indices(l)] = np.inf
     trace: list[dict] = []
-    iteration = 0
-    while len(members) > k:
-        ids = sorted(members)
-        cents = np.stack([_centroid(members[c], positions, weights) for c in ids])
-        cluster_w = np.array([int(weights[members[c]].sum()) for c in ids])
-        dmat = pairwise_distances(cents)
-        c = len(ids)
-        dmat[np.tril_indices(c)] = np.inf
-        merged = False
-        while True:
-            flat = int(np.argmin(dmat))
-            i, j = divmod(flat, c)
-            if not np.isfinite(dmat[i, j]):
-                break
-            if cluster_w[i] + cluster_w[j] <= q:
-                keep, absorb = ids[i], ids[j]
-                members[keep] = sorted(members[keep] + members[absorb])
-                del members[absorb]
-                iteration += 1
-                trace.append(
-                    {"iteration": iteration, "event": "merge", "cost": float(dmat[i, j])}
-                )
-                merged = True
-                break
-            dmat[i, j] = np.inf
-        if not merged:
+    while len(trace) < l - k:
+        gated = np.where(cluster_w[:, None] + cluster_w <= q, dist, np.inf)
+        i, j = divmod(int(np.argmin(gated)), l)
+        if not np.isfinite(gated[i, j]):
             raise InfeasibilityError(
-                f"no pair of the remaining {len(members)} clusters fits under "
+                f"no pair of the remaining {l - len(trace)} clusters fits under "
                 f"capacity {q}; rerun with a larger epsilon"
             )
-
-    assignment = np.empty(l, dtype=np.int64)
-    for cid, cluster_id in enumerate(sorted(members, key=lambda c: min(members[c]))):
-        assignment[members[cluster_id]] = cid
-    return HierarchicalResult(assignment=assignment, trace=tuple(trace))
-
-
-def _centroid(member_idx: list[int], positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    idx = np.asarray(member_idx, dtype=np.intp)
-    w = weights[idx].astype(np.float64)
-    return (positions[idx] * w[:, None]).sum(axis=0) / w.sum()
+        trace.append({"iteration": len(trace) + 1, "event": "merge", "cost": float(gated[i, j])})
+        label[label == j] = i
+        cluster_w[i] += cluster_w[j]
+        dist[j, :] = dist[:, j] = np.inf
+        idx = np.flatnonzero(label == i)
+        cents[i] = (positions[idx] * w[idx, None]).sum(axis=0) / w[idx].sum()
+        alive = np.flatnonzero(label == np.arange(l))
+        row = pairwise_distances(cents[i : i + 1], cents[alive])[0]
+        below, above = alive < i, alive > i
+        dist[alive[below], i] = row[below]
+        dist[i, alive[above]] = row[above]
+    return HierarchicalResult(
+        assignment=np.unique(label, return_inverse=True)[1], trace=tuple(trace)
+    )
 
 
 def check_weighted_points(
@@ -210,6 +200,8 @@ def check_weighted_points(
             f"need one weight per position row: {positions.shape[0]} rows, "
             f"weights of shape {weights.shape}"
         )
+    if not np.isfinite(positions).all():
+        raise ContractViolationError("positions must be finite")
     if not np.issubdtype(weights.dtype, np.integer) or (weights < 1).any():
         raise ContractViolationError("weights must be positive integers")
     return positions, weights.astype(np.int64)

@@ -163,6 +163,16 @@ class SweepConfig:
             self.seed = int(_get(cfg, "sweep", "seed", str(DEFAULTS["seed"])))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{path}: [sweep] field: {exc}") from exc
+        # Params holds the bounds; checking each number alone names its key.
+        for key, arg in (
+            ("lambda", {"lam": self.lam}),
+            ("epsilon_hierarchical", {"epsilon": self.eps_hier}),
+            ("epsilon_partitioning", {"epsilon": self.eps_part}),
+        ):
+            try:
+                Params(k=1, **arg)
+            except ContractViolationError as exc:
+                raise ConfigError(f"{path}: [sweep] {key}: {exc}") from exc
         k_text = _get(cfg, "sweep", "k", "")
         self.k_values = _parse_k_values(k_text) if k_text else DEFAULTS["k"]
         self.methods = _parse_methods(_get(cfg, "sweep", "methods", "all"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -259,10 +260,12 @@ class Params:
             raise ContractViolationError("k must be a positive integer")
         if not (0 < self.t <= 1):
             raise ContractViolationError(f"t must lie in (0, 1], got {self.t}")
-        if self.epsilon < 1.0:
-            raise ContractViolationError(f"epsilon must be >= 1.0, got {self.epsilon}")
-        if not (self.lam > 0):
-            raise ContractViolationError(f"lambda must be positive, got {self.lam}")
+        if not (isfinite(self.epsilon) and self.epsilon >= 1.0):
+            raise ContractViolationError(
+                f"epsilon must be finite and >= 1.0, got {self.epsilon}"
+            )
+        if not (isfinite(self.lam) and self.lam > 0):
+            raise ContractViolationError(f"lambda must be finite and positive, got {self.lam}")
         if not (0 <= self.seed <= _U64):
             raise ContractViolationError("seed must fit in 64 unsigned bits")
 

@@ -9,6 +9,7 @@ from faircap.capclust import (
     knapsack_select,
 )
 from faircap.baselines import kcenter_greedy
+from faircap.core import pairwise_distances
 from faircap.errors import ContractViolationError, InfeasibilityError
 
 
@@ -70,6 +71,11 @@ class TestCapacityThreshold:
         with pytest.raises(ContractViolationError):
             capacity_threshold(10, 2, 0.9)
 
+    def test_rejects_non_finite_epsilon(self):
+        for epsilon in (float("nan"), float("inf")):
+            with pytest.raises(ContractViolationError, match="finite"):
+                capacity_threshold(10, 2, epsilon)
+
 
 class TestWeightedPointChecks:
     def test_rejects_positions_that_are_not_2d(self):
@@ -86,6 +92,24 @@ class TestWeightedPointChecks:
         for entry in ENTRIES:
             with pytest.raises(ContractViolationError, match="positive integers"):
                 entry(np.zeros((3, 2)), np.array([1, 0, 1]))
+
+    def test_rejects_non_finite_positions(self):
+        for bad in (np.nan, np.inf):
+            positions = np.zeros((3, 2))
+            positions[1, 0] = bad
+            for entry in ENTRIES:
+                with pytest.raises(ContractViolationError, match="finite"):
+                    entry(positions, np.ones(3, dtype=np.int64))
+
+    def test_rejects_k_below_one(self):
+        positions, weights = np.zeros((3, 2)), np.ones(3, dtype=np.int64)
+        for entry in (
+            lambda: hierarchical_fair_capacitated(positions, weights, k=0, q=10),
+            lambda: kmedoids_fair_capacitated(positions, weights, k=0, q=10, lam=0.3, seed=0),
+            lambda: kcenter_greedy(positions, weights, k=0, seed=0),
+        ):
+            with pytest.raises(ContractViolationError, match="positive"):
+                entry()
 
 
 class TestKnapsackSelect:
@@ -134,12 +158,77 @@ class TestKnapsackSelect:
         assert knapsack_select(inst).tolist() == [0]
 
 
+def reference_hierarchical(positions, weights, k, q):
+    """Capacity-gated merging written plainly: before every merge, recompute
+    every cluster's centroid and load from the label vector, then take the
+    row-major argmin over all capacity-feasible pairs of live cluster ids."""
+    w = weights.astype(np.float64)
+    label = np.arange(len(weights))
+    trace = []
+    while len(np.unique(label)) > k:
+        ids = np.unique(label)
+        cents = np.stack([
+            (positions[label == c] * w[label == c, None]).sum(axis=0) / w[label == c].sum()
+            for c in ids
+        ])
+        loads = np.array([weights[label == c].sum() for c in ids])
+        d = pairwise_distances(cents)
+        d[np.tril_indices(len(ids))] = np.inf
+        d[loads[:, None] + loads > q] = np.inf
+        a, b = divmod(int(np.argmin(d)), len(ids))
+        if not np.isfinite(d[a, b]):
+            raise InfeasibilityError(
+                f"no pair of the remaining {len(ids)} clusters fits under "
+                f"capacity {q}; rerun with a larger epsilon"
+            )
+        trace.append({"iteration": len(trace) + 1, "event": "merge", "cost": float(d[a, b])})
+        label[label == ids[b]] = ids[a]
+    return np.unique(label, return_inverse=True)[1], tuple(trace)
+
+
 class TestHierarchical:
+    def test_matches_plain_reference(self):
+        # coordinates rounded to one decimal give coincident points (tied
+        # zero distances), and epsilon = 1.0 often leaves no feasible pair
+        # before k clusters remain
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for trial in range(120):
+            l = int(rng.integers(2, 30))
+            positions, weights = random_points(rng, l)
+            if trial % 2:
+                positions = positions.round(1)
+            k = int(rng.integers(1, min(l, 5) + 1))
+            eps = float(rng.choice([1.0, 1.1, 1.5]))
+            # q passes the entry checks, so any error comes from the merging
+            q = max(capacity_threshold(int(weights.sum()), k, eps), int(weights.max()))
+            try:
+                expected = reference_hierarchical(positions, weights, k, q)
+            except InfeasibilityError as exc:
+                with pytest.raises(InfeasibilityError) as err:
+                    hierarchical_fair_capacitated(positions, weights, k, q)
+                assert str(err.value) == str(exc)
+                outcomes.add("infeasible")
+                continue
+            result = hierarchical_fair_capacitated(positions, weights, k, q)
+            assert result.assignment.tolist() == expected[0].tolist()
+            assert result.trace == expected[1]
+            outcomes.add("ok")
+        assert outcomes == {"ok", "infeasible"}
+
     def test_identity_when_k_equals_points(self):
         positions, weights = unit_points([0.0, 5.0, 9.0])
         result = hierarchical_fair_capacitated(positions, weights, k=3, q=2)
         assert sorted(result.assignment.tolist()) == [0, 1, 2]
         assert result.trace == ()
+
+    def test_tie_merges_smallest_id_pair(self):
+        # pairs (0, 3) and (1, 2) are both exactly 1.0 apart; the smaller
+        # id pair (0, 3) merges first and keeps id 0
+        positions, weights = unit_points([0.0, 5.0, 6.0, 1.0])
+        result = hierarchical_fair_capacitated(positions, weights, k=3, q=2)
+        assert result.assignment.tolist() == [0, 1, 2, 0]
+        assert result.trace == ({"iteration": 1, "event": "merge", "cost": 1.0},)
 
     def test_colinear_brute_force_case(self):
         # only capacity-respecting 2-partition reachable by closest-pair

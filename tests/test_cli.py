@@ -135,6 +135,20 @@ seed = 3
         )
         assert main(["run", str(config), "--output", str(tmp_path / "o")]) == EXIT_USAGE
 
+    def test_bad_sweep_number_is_config_error(self, tmp_path, capsys):
+        for key, value in (
+            ("epsilon_hierarchical", "nan"),
+            ("epsilon_hierarchical", "inf"),
+            ("epsilon_hierarchical", "0.5"),
+            ("epsilon_partitioning", "0.5"),
+            ("lambda", "inf"),
+        ):
+            config = write_config(tmp_path, SMALL_SWEEP + f"{key} = {value}\n")
+            out = tmp_path / "o"
+            assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE
+            assert f"[sweep] {key}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_infeasible_runs_marked_not_dropped(self, tmp_path):
         # k larger than the number of fairlets makes every method fail,
         # but the sweep still writes one marked row per cell

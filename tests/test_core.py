@@ -267,6 +267,13 @@ class TestValidation:
         with pytest.raises(ContractViolationError):
             Params(k=2, lam=0.0)
 
+    def test_params_reject_non_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ContractViolationError, match="epsilon"):
+                Params(k=2, epsilon=bad)
+            with pytest.raises(ContractViolationError, match="lambda"):
+                Params(k=2, lam=bad)
+
 
 class TestRngStream:
     def test_same_labels_same_stream(self):
