@@ -64,32 +64,23 @@ def kmedoids_vanilla(data: Dataset, k: int, seed: int) -> Clustering:
     rng = rng_stream(seed, "baselines.kmedoids")
     medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
 
-    def total_cost(meds: list[int]) -> float:
-        return float(dists[:, meds].min(axis=1).sum())
-
-    best = total_cost(medoids)
-    improved = True
-    while improved:
-        improved = False
-        others = [o for o in range(n) if o not in medoids]
-        if not others:
-            break
-        best_swap: tuple[int, int] | None = None
-        swap_cost = best
+    best = float(dists[:, medoids].min(axis=1).sum())
+    while n > k:
+        others = np.setdiff1d(np.arange(n), medoids)
+        to_others = dists[:, others]
         cols = dists[:, medoids]
+        swap: tuple[int, int] | None = None
         for pos in range(k):
-            rest = np.delete(cols, pos, axis=1)
-            floor = rest.min(axis=1) if rest.shape[1] else np.full(n, np.inf)
-            costs = np.minimum(floor[:, None], dists[:, others]).sum(axis=0)
+            floor = np.delete(cols, pos, axis=1).min(axis=1, initial=np.inf)
+            costs = np.minimum(floor[:, None], to_others).sum(axis=0)
             o_pos = int(np.argmin(costs))
-            if costs[o_pos] < swap_cost:
-                swap_cost = float(costs[o_pos])
-                best_swap = (pos, others[o_pos])
-        if best_swap is not None:
-            pos, o = best_swap
-            medoids = sorted(medoids[:pos] + medoids[pos + 1 :] + [o])
-            best = swap_cost
-            improved = True
+            if costs[o_pos] < best:
+                best = float(costs[o_pos])
+                swap = (pos, int(others[o_pos]))
+        if swap is None:
+            break
+        pos, o = swap
+        medoids = sorted(medoids[:pos] + medoids[pos + 1 :] + [o])
 
     assignment = np.argmin(dists[:, medoids], axis=1)
     reps = tuple(

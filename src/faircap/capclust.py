@@ -232,6 +232,63 @@ def _check_capacity_inputs(
     return positions, weights
 
 
+def _repair_room(
+    p: int, taken: np.ndarray, room: np.ndarray, med: np.ndarray, dists: np.ndarray,
+    weights: np.ndarray,
+) -> int:
+    """Free room for stranded point ``p`` by moving one assigned non-medoid x
+    from its cluster c1 to a cluster c2 with room, or, only if no move fits,
+    by swapping x with a non-medoid y of c2. The greedy passes strand a point
+    when the slack is fragmented (weight-2 items cannot fill odd gaps). The
+    repair with the smallest key (delta, c1, c2, x[, y]) wins, delta being
+    the change in medoid distance with p joining c1. Updates ``taken`` and
+    ``room`` in place and returns c1.
+    """
+    movable = np.setdiff1d(np.flatnonzero(taken >= 0), med)
+    c1 = taken[movable]
+    w = weights[movable]
+    to_med = dists[np.ix_(movable, med)]  # [x, c] = dists[x, med[c]]
+    own = to_med[np.arange(movable.size), c1]  # dists[x, med[c1]]
+    joins = dists[p, med[c1]]  # p's distance to the medoid of c1
+
+    # Moves, one row per x and one column per target cluster c2.
+    delta = to_med - own[:, None] + joins[:, None]
+    ok = (
+        (room[c1] + w >= weights[p])[:, None]
+        & (room >= w[:, None])
+        & (np.arange(len(med)) != c1[:, None])
+    )
+    xi, c2 = np.nonzero(ok)
+    if xi.size:
+        i = np.lexsort((movable[xi], c2, c1[xi], delta[xi, c2]))[0]
+        x, src, dst = movable[xi[i]], c1[xi[i]], c2[i]
+        taken[x] = dst
+        room[dst] -= weights[x]
+        room[src] += weights[x]
+        return int(src)
+
+    # Swaps, one row per x and one column per y.
+    cross = to_med[:, c1]  # [x, y] = dists[x, med[taken[y]]]
+    delta = cross - own[:, None] + cross.T - own + joins[:, None]
+    ok = (
+        (c1[:, None] != c1)
+        & (room[c1][:, None] + w[:, None] - w >= weights[p])
+        & (room[c1] + w - w[:, None] >= 0)
+    )
+    xi, yi = np.nonzero(ok)
+    if not xi.size:
+        raise InfeasibilityError(
+            f"point {p} (weight {int(weights[p])}) fits no cluster even after "
+            f"single relocations; remaining capacities {room.tolist()}"
+        )
+    i = np.lexsort((movable[yi], movable[xi], c1[yi], c1[xi], delta[xi, yi]))[0]
+    x, y, src, dst = movable[xi[i]], movable[yi[i]], c1[xi[i]], c1[yi[i]]
+    taken[x], taken[y] = dst, src
+    room[src] += weights[x] - weights[y]
+    room[dst] += weights[y] - weights[x]
+    return int(src)
+
+
 # The swap loop must converge within this many rounds per point; more
 # signals a cycling cost and raises instead of looping forever.
 MAX_ROUNDS_FACTOR = 10
@@ -282,11 +339,10 @@ def kmedoids_fair_capacitated(
     decay = np.exp(-dists / lam)
 
     def assign(medoids: tuple[int, ...]) -> np.ndarray:
+        med = np.asarray(medoids)
         taken = np.full(l, -1, dtype=np.int64)
-        room = np.empty(k, dtype=np.int64)
-        for ci, s in enumerate(medoids):
-            taken[s] = ci
-            room[ci] = q - weights[s]
+        taken[med] = np.arange(k)
+        room = q - weights[med]
         for ci, s in enumerate(medoids):
             cand = np.flatnonzero(taken == -1)
             if cand.size == 0:
@@ -298,75 +354,15 @@ def kmedoids_fair_capacitated(
             taken[chosen] = ci
             room[ci] -= int(weights[chosen].sum())
         leftovers = np.flatnonzero(taken == -1)
-        for p in sorted(leftovers, key=lambda p: (-weights[p], p)):
+        for p in leftovers[np.argsort(-weights[leftovers], kind="stable")]:
             fits = np.flatnonzero(room >= weights[p])
             if fits.size:
-                ci = int(fits[np.argmin(dists[p, np.asarray(medoids)[fits]])])
+                ci = int(fits[np.argmin(dists[p, med[fits]])])
             else:
-                ci = repair_room(int(p), taken, room, medoids)
+                ci = _repair_room(int(p), taken, room, med, dists, weights)
             taken[p] = ci
             room[ci] -= weights[p]
         return taken
-
-    def repair_room(
-        p: int, taken: np.ndarray, room: np.ndarray, medoids: tuple[int, ...]
-    ) -> int:
-        # The greedy passes can strand a point when the slack is fragmented
-        # (weight-2 items cannot fill odd gaps). Free room for it by moving
-        # one assigned point, or swapping two, picking the cheapest repair.
-        med = np.asarray(medoids)
-        movable = [x for x in range(l) if taken[x] >= 0 and x not in medoids]
-        best_key: tuple | None = None
-        best_action: tuple | None = None
-
-        def consider(key: tuple, action: tuple) -> None:
-            nonlocal best_key, best_action
-            if best_key is None or key < best_key:
-                best_key, best_action = key, action
-
-        for x in movable:
-            c1 = int(taken[x])
-            if room[c1] + weights[x] < weights[p]:
-                continue
-            for c2 in range(k):
-                if c2 != c1 and room[c2] >= weights[x]:
-                    delta = (
-                        dists[x, med[c2]] - dists[x, med[c1]] + dists[p, med[c1]]
-                    )
-                    consider((float(delta), c1, c2, x, -1), ("move", x, c1, c2))
-        if best_action is None:
-            for x in movable:
-                c1 = int(taken[x])
-                for y in movable:
-                    c2 = int(taken[y])
-                    if c2 == c1:
-                        continue
-                    if room[c1] + weights[x] - weights[y] < weights[p]:
-                        continue
-                    if room[c2] + weights[y] - weights[x] < 0:
-                        continue
-                    delta = (
-                        dists[x, med[c2]] - dists[x, med[c1]]
-                        + dists[y, med[c1]] - dists[y, med[c2]]
-                        + dists[p, med[c1]]
-                    )
-                    consider((float(delta), c1, c2, x, y), ("swap", x, y, c1, c2))
-        if best_action is None:
-            raise InfeasibilityError(
-                f"point {p} (weight {int(weights[p])}) fits no cluster even after "
-                f"single relocations; remaining capacities {room.tolist()}"
-            )
-        if best_action[0] == "move":
-            _, x, c1, c2 = best_action
-            taken[x] = c2
-            room[c2] -= weights[x]
-            room[c1] += weights[x]
-            return c1
-        _, x, y, c1, c2 = best_action
-        taken[x], taken[y] = c2, c1
-        room[c1] += weights[x] - weights[y]
-        room[c2] += weights[y] - weights[x]
-        return c1
 
     def cost_of(medoids: tuple[int, ...], taken: np.ndarray) -> float:
         return float(dists[np.arange(l), np.asarray(medoids)[taken]].sum())
@@ -380,7 +376,6 @@ def kmedoids_fair_capacitated(
     max_rounds = MAX_ROUNDS_FACTOR * l
     for round_no in range(1, max_rounds + 1):
         best_swap: tuple[tuple[int, ...], np.ndarray] | None = None
-        swap_cost = best_cost
         others = [p for p in range(l) if p not in medoids]
         for s in medoids:
             for o in others:
@@ -390,13 +385,12 @@ def kmedoids_fair_capacitated(
                 except InfeasibilityError:
                     continue
                 c = cost_of(cand, cand_taken)
-                if c < swap_cost:
-                    swap_cost = c
+                if c < best_cost:
+                    best_cost = c
                     best_swap = (cand, cand_taken)
         if best_swap is None:
             break
         medoids, taken = best_swap
-        best_cost = swap_cost
         trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
     else:
         raise ContractViolationError(

@@ -34,6 +34,7 @@ from .errors import (
     FaircapError,
     InfeasibilityError,
     IngestError,
+    UnsupportedThresholdError,
 )
 
 EXIT_OK = 0
@@ -141,15 +142,18 @@ class SweepConfig:
                 )
             drop = _get(cfg, "dataset", "drop_columns", "")
             numeric = _get(cfg, "dataset", "numeric_columns", "")
-            self.dataset_spec = ingest.DatasetSpec(
-                path=data_path,
-                protected_column=protected,
-                positive_label=_get(cfg, "dataset", "positive_label"),
-                drop_columns=tuple(c.strip() for c in drop.split(",") if c.strip()),
-                scale=_get(cfg, "dataset", "scale", "minmax"),
-                delimiter=_get(cfg, "dataset", "delimiter", ","),
-                numeric_columns=tuple(c.strip() for c in numeric.split(",") if c.strip()),
-            )
+            try:
+                self.dataset_spec = ingest.DatasetSpec(
+                    path=data_path,
+                    protected_column=protected,
+                    positive_label=_get(cfg, "dataset", "positive_label"),
+                    drop_columns=tuple(c.strip() for c in drop.split(",") if c.strip()),
+                    scale=_get(cfg, "dataset", "scale", "minmax"),
+                    delimiter=_get(cfg, "dataset", "delimiter", ","),
+                    numeric_columns=tuple(c.strip() for c in numeric.split(",") if c.strip()),
+                )
+            except ContractViolationError as exc:
+                raise ConfigError(f"{path}: [dataset] {exc}") from exc
 
         try:
             self.t = Fraction(_get(cfg, "sweep", "t", str(DEFAULTS["t"])))
@@ -165,13 +169,17 @@ class SweepConfig:
             raise ConfigError(f"{path}: [sweep] field: {exc}") from exc
         # Params holds the bounds; checking each number alone names its key.
         for key, arg in (
+            ("t", {"t": self.t}),
             ("lambda", {"lam": self.lam}),
             ("epsilon_hierarchical", {"epsilon": self.eps_hier}),
             ("epsilon_partitioning", {"epsilon": self.eps_part}),
+            ("seed", {"seed": self.seed}),
         ):
             try:
                 Params(k=1, **arg)
-            except ContractViolationError as exc:
+                if key == "t":
+                    fairlets.ThresholdFM.from_fraction(self.t).check_supported()
+            except (ContractViolationError, UnsupportedThresholdError) as exc:
                 raise ConfigError(f"{path}: [sweep] {key}: {exc}") from exc
         k_text = _get(cfg, "sweep", "k", "")
         self.k_values = _parse_k_values(k_text) if k_text else DEFAULTS["k"]

@@ -64,6 +64,11 @@ class ThresholdFM:
             raise ContractViolationError(f"t must lie in (0, 1], got {t}")
         return cls(t.numerator, t.denominator)
 
+    def check_supported(self) -> None:
+        """Raise unless t = 1/m, the only shape the decompositions handle."""
+        if self.f != 1:
+            raise UnsupportedThresholdError(f"only thresholds 1/m are supported, got {self.value}")
+
     @property
     def value(self) -> Fraction:
         return Fraction(self.f, self.m)
@@ -75,10 +80,7 @@ class ThresholdFM:
 
 def _split_groups(data: Dataset, t: ThresholdFM) -> tuple[np.ndarray, np.ndarray]:
     """Minority and majority row indices, after feasibility and shape checks."""
-    if t.f != 1:
-        raise UnsupportedThresholdError(
-            f"only thresholds 1/m are supported, got {t.f}/{t.m}"
-        )
+    t.check_supported()
     zeros = np.flatnonzero(data.protected == 0)
     ones = np.flatnonzero(data.protected == 1)
     if len(zeros) == 0 or len(ones) == 0:

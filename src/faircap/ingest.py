@@ -50,6 +50,10 @@ class DatasetSpec:
             raise ContractViolationError(
                 f"scale must be 'minmax' or 'none', got {self.scale!r}"
             )
+        if len(self.delimiter) != 1:
+            raise ContractViolationError(
+                f"delimiter must be one character, got {self.delimiter!r}"
+            )
         object.__setattr__(self, "drop_columns", tuple(self.drop_columns))
         object.__setattr__(self, "numeric_columns", tuple(self.numeric_columns))
 

@@ -10,7 +10,14 @@ from faircap.baselines import (
     kmedoids_vanilla,
     pipeline,
 )
-from faircap.core import Dataset, Params, clustering_cost, pairwise_distances
+from faircap.core import (
+    Dataset,
+    Params,
+    clustering_cost,
+    medoid_index,
+    pairwise_distances,
+    rng_stream,
+)
 from faircap.errors import ContractViolationError, InfeasibilityError
 from faircap.synth import make_blobs
 
@@ -51,7 +58,74 @@ def brute_force_best_2partition_cost(features):
     return best
 
 
+def reference_pam(data, k, seed):
+    """PAM as first written: each round rebuilds the non-medoid list and,
+    for every medoid position, gathers their columns again and keeps the
+    first strictly cheapest swap."""
+    n = data.n
+    dists = pairwise_distances(data.features)
+    rng = rng_stream(seed, "baselines.kmedoids")
+    medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
+    best = float(dists[:, medoids].min(axis=1).sum())
+    improved = True
+    while improved:
+        improved = False
+        others = [o for o in range(n) if o not in medoids]
+        if not others:
+            break
+        best_swap = None
+        swap_cost = best
+        cols = dists[:, medoids]
+        for pos in range(k):
+            rest = np.delete(cols, pos, axis=1)
+            floor = rest.min(axis=1) if rest.shape[1] else np.full(n, np.inf)
+            costs = np.minimum(floor[:, None], dists[:, others]).sum(axis=0)
+            o_pos = int(np.argmin(costs))
+            if costs[o_pos] < swap_cost:
+                swap_cost = float(costs[o_pos])
+                best_swap = (pos, others[o_pos])
+        if best_swap is not None:
+            pos, o = best_swap
+            medoids = sorted(medoids[:pos] + medoids[pos + 1 :] + [o])
+            best = swap_cost
+            improved = True
+    assignment = np.argmin(dists[:, medoids], axis=1)
+    reps = tuple(
+        medoid_index(data.features, np.flatnonzero(assignment == cid))
+        for cid in range(k)
+    )
+    return assignment, reps
+
+
 class TestKMedoidsVanilla:
+    def test_matches_plain_reference(self):
+        # coordinates rounded to one decimal tie many swap costs; every
+        # tenth instance has k == n
+        rng = np.random.default_rng(88)
+        outcomes = set()
+        for trial in range(150):
+            n = int(rng.integers(1, 25))
+            k = n if trial % 10 == 0 else int(rng.integers(1, n + 1))
+            coords = rng.uniform(0, 1, size=(n, 2))
+            if trial % 2:
+                coords = coords.round(1)
+            data = _dataset(coords, np.arange(n) % 2)
+            seed = int(rng.integers(0, 1000))
+            try:
+                assignment, reps = reference_pam(data, k, seed)
+            except ContractViolationError as exc:
+                # coincident medoids leave a cluster empty
+                with pytest.raises(ContractViolationError) as err:
+                    kmedoids_vanilla(data, k, seed)
+                assert str(err.value) == str(exc)
+                outcomes.add("error")
+                continue
+            c = kmedoids_vanilla(data, k, seed)
+            assert c.assignment.tolist() == assignment.tolist()
+            assert c.representatives == reps
+            outcomes.add("k == n" if k == n else "ok")
+        assert outcomes == {"ok", "k == n", "error"}
+
     def test_k_equals_n_costs_zero(self):
         data = _dataset(np.arange(5.0), [0, 1, 0, 1, 0])
         c = kmedoids_vanilla(data, k=5, seed=0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from faircap import capclust
 from faircap.capclust import (
     KnapsackInstance,
+    _repair_room,
     capacity_threshold,
     hierarchical_fair_capacitated,
     kmedoids_fair_capacitated,
@@ -361,3 +363,140 @@ class TestKMedoidsFairCapacitated:
         result = kmedoids_fair_capacitated(positions, weights, k=3, q=5, lam=0.3, seed=2)
         for cid, medoid in enumerate(result.medoids):
             assert result.assignment[medoid] == cid
+
+    def test_completes_through_repair(self, monkeypatch):
+        # total weight 8 = k*q: every cluster needs exactly one weight-3 and
+        # one weight-1 point, which the greedy knapsacks do not find alone
+        repairs = []
+
+        def spy(*args):
+            repairs.append(args[0])
+            return _repair_room(*args)
+
+        monkeypatch.setattr(capclust, "_repair_room", spy)
+        positions, weights = np.array([[4.0], [5.0], [7.0], [9.0]]), np.array([1, 1, 3, 3])
+        result = kmedoids_fair_capacitated(positions, weights, k=2, q=4, lam=0.3, seed=0)
+        assert repairs
+        loads = np.bincount(result.assignment, weights=weights, minlength=2)
+        assert loads.tolist() == [4, 4]
+        for cid, medoid in enumerate(result.medoids):
+            assert result.assignment[medoid] == cid
+
+    def test_stranded_point_that_fits_no_cluster_raises(self):
+        # any two of the weight-2 points exceed q = 3, although the total
+        # weight 6 passes the k*q check
+        positions, weights = unit_points([0.0, 1.0, 2.0])
+        with pytest.raises(InfeasibilityError, match="fits no cluster"):
+            kmedoids_fair_capacitated(positions, 2 * weights, k=2, q=3, lam=0.3, seed=0)
+
+
+def reference_repair_room(p, taken, room, medoids, dists, weights):
+    """The repair step written as plain loops over points and clusters: the
+    cheapest single move by key (delta, c1, c2, x), and only when none fits,
+    the cheapest swap by key (delta, c1, c2, x, y)."""
+    med = np.asarray(medoids)
+    movable = [x for x in range(len(taken)) if taken[x] >= 0 and x not in medoids]
+    best_key, best_action = None, None
+    for x in movable:
+        c1 = int(taken[x])
+        if room[c1] + weights[x] < weights[p]:
+            continue
+        for c2 in range(len(medoids)):
+            if c2 != c1 and room[c2] >= weights[x]:
+                delta = dists[x, med[c2]] - dists[x, med[c1]] + dists[p, med[c1]]
+                key = (float(delta), c1, c2, x, -1)
+                if best_key is None or key < best_key:
+                    best_key, best_action = key, ("move", x, c1, c2)
+    if best_action is None:
+        for x in movable:
+            c1 = int(taken[x])
+            for y in movable:
+                c2 = int(taken[y])
+                if c2 == c1:
+                    continue
+                if room[c1] + weights[x] - weights[y] < weights[p]:
+                    continue
+                if room[c2] + weights[y] - weights[x] < 0:
+                    continue
+                delta = (
+                    dists[x, med[c2]] - dists[x, med[c1]]
+                    + dists[y, med[c1]] - dists[y, med[c2]]
+                    + dists[p, med[c1]]
+                )
+                key = (float(delta), c1, c2, x, y)
+                if best_key is None or key < best_key:
+                    best_key, best_action = key, ("swap", x, y, c1, c2)
+    if best_action is None:
+        raise InfeasibilityError(
+            f"point {p} (weight {int(weights[p])}) fits no cluster even after "
+            f"single relocations; remaining capacities {room.tolist()}"
+        )
+    if best_action[0] == "move":
+        _, x, c1, c2 = best_action
+        taken[x] = c2
+        room[c2] -= weights[x]
+        room[c1] += weights[x]
+        return c1
+    _, x, y, c1, c2 = best_action
+    taken[x], taken[y] = c2, c1
+    room[c1] += weights[x] - weights[y]
+    room[c2] += weights[y] - weights[x]
+    return c1
+
+
+class TestRepairRoom:
+    def test_matches_plain_reference(self):
+        # coordinates rounded to one decimal tie some distances; rooms of 0
+        # or 1 leave heavier points stranded, so moves often fail and the
+        # swap branch runs
+        rng = np.random.default_rng(606)
+        outcomes = set()
+        for _ in range(400):
+            l = int(rng.integers(3, 16))
+            k = int(rng.integers(2, min(l, 4) + 1))
+            positions = rng.uniform(0, 1, size=(l, 2)).round(1)
+            weights = rng.integers(1, 4, size=l)
+            dists = pairwise_distances(positions)
+            medoids = tuple(sorted(int(i) for i in rng.choice(l, size=k, replace=False)))
+            taken = rng.integers(-1, k, size=l)
+            taken[list(medoids)] = np.arange(k)
+            free = np.flatnonzero(taken == -1)
+            if free.size == 0:
+                continue
+            p = int(rng.choice(free))
+            room = rng.integers(0, 2, size=k)
+            ref_taken, ref_room = taken.copy(), room.copy()
+            try:
+                expected = reference_repair_room(p, ref_taken, ref_room, medoids, dists, weights)
+            except InfeasibilityError as exc:
+                with pytest.raises(InfeasibilityError) as err:
+                    _repair_room(p, taken, room, np.asarray(medoids), dists, weights)
+                assert str(err.value) == str(exc)
+                outcomes.add("infeasible")
+                continue
+            before = taken.copy()
+            assert _repair_room(p, taken, room, np.asarray(medoids), dists, weights) == expected
+            assert taken.tolist() == ref_taken.tolist()
+            assert room.tolist() == ref_room.tolist()
+            outcomes.add("move" if (before != taken).sum() == 1 else "swap")
+        assert outcomes == {"move", "swap", "infeasible"}
+
+    def test_ties_follow_the_key_order(self):
+        # moves 3 -> c2=2 and 4 -> c2=1 both have delta 2 + 1; the key
+        # (delta, c1, c2, x) takes the smaller c2 before the smaller x
+        positions = np.array([[0.0], [10.0], [-10.0], [-4.0], [4.0], [1.0]])
+        weights = np.array([1, 1, 1, 1, 1, 2])
+        taken, room = np.array([0, 1, 2, 0, 0, -1]), np.array([1, 1, 1])
+        dists = pairwise_distances(positions)
+        assert _repair_room(5, taken, room, np.array([0, 1, 2]), dists, weights) == 0
+        assert taken.tolist() == [0, 1, 2, 0, 1, -1]
+        assert room.tolist() == [2, 0, 1]
+        # no move fits; swaps (x=3 of c1=0, y=4) and (x=2 of c1=1, y=5) both
+        # have delta 17, and the smaller c1 wins before the smaller x
+        positions = np.array([[0.0], [10.0], [8.0], [2.0], [8.0], [2.0], [5.0]])
+        weights = np.array([1, 1, 3, 3, 2, 2, 2])
+        taken, room = np.array([0, 1, 1, 0, 1, 0, -1]), np.array([1, 1])
+        dists = pairwise_distances(positions)
+        assert _repair_room(6, taken, room, np.array([0, 1]), dists, weights) == 0
+        assert taken.tolist() == [0, 1, 1, 1, 0, 0, -1]
+        assert room.tolist() == [2, 0]

@@ -142,11 +142,30 @@ seed = 3
             ("epsilon_hierarchical", "0.5"),
             ("epsilon_partitioning", "0.5"),
             ("lambda", "inf"),
+            ("t", "0"),
+            ("t", "2"),
+            ("t", "2/3"),
+            ("seed", "-1"),
         ):
-            config = write_config(tmp_path, SMALL_SWEEP + f"{key} = {value}\n")
+            # the key replaces SMALL_SWEEP's own seed line, if any
+            body = SMALL_SWEEP.replace("seed = 7\n", "") + f"{key} = {value}\n"
+            config = write_config(tmp_path, body)
             out = tmp_path / "o"
             assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE
             assert f"[sweep] {key}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_bad_dataset_spec_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("x,group\n1,a\n2,b\n", encoding="utf-8")
+        for line in ("delimiter = ;;", "scale = zscore"):
+            config = write_config(
+                tmp_path,
+                "[dataset]\npath = d.csv\nprotected_column = group\n"
+                f"{line}\n[sweep]\nk = 2\n",
+            )
+            out = tmp_path / "o"
+            assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE
+            assert "[dataset]" in capsys.readouterr().err
             assert not out.exists()
 
     def test_infeasible_runs_marked_not_dropped(self, tmp_path):

@@ -173,6 +173,11 @@ class TestLoadCsvDiagnostics:
         with pytest.raises(ContractViolationError):
             DatasetSpec(path="x.csv", protected_column="sex", scale="zscore")
 
+    def test_delimiter_must_be_one_character(self):
+        for delimiter in ("", ";;"):
+            with pytest.raises(ContractViolationError, match="one character"):
+                DatasetSpec(path="x.csv", protected_column="sex", delimiter=delimiter)
+
 
 class TestDatasetBalance:
     def _data(self, zeros, ones):
