@@ -38,7 +38,6 @@ from .core import (
     clustering_balance,
     clustering_cost,
     compose_assignment,
-    distance,
     rng_stream,
 )
 from .fairlets import (
@@ -76,7 +75,6 @@ __all__ = [
     "clustering_cost",
     "compose_assignment",
     "dataset_balance",
-    "distance",
     "evaluate",
     "fairlet_cost",
     "hierarchical_fair_capacitated",

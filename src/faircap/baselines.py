@@ -83,6 +83,7 @@ def kmedoids_vanilla(data: Dataset, k: int, seed: int) -> Clustering:
         medoids = sorted(medoids[:pos] + medoids[pos + 1 :] + [o])
 
     assignment = np.argmin(dists[:, medoids], axis=1)
+    assignment[medoids] = np.arange(k)  # coincident medoids each keep their own row
     reps = tuple(
         medoid_index(data.features, np.flatnonzero(assignment == cid))
         for cid in range(k)
@@ -167,8 +168,8 @@ def pipeline(
         if decomposition is None:
             threshold = fairlets.ThresholdFM.from_fraction(params.t)
             decomposition = decompose(flavor, data, threshold, params.seed)
-        positions = data.features[[fl.center for fl in decomposition.fairlets]]
-        weights = np.bincount(decomposition.row_to_fairlet)
+        positions = data.features[decomposition.centers]
+        weights = decomposition.weights
         if method.endswith("kcenter"):
             delta = kcenter_greedy(positions, weights, params.k, params.seed)
         else:

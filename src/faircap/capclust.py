@@ -3,9 +3,8 @@
 Two algorithms operate on fairlets abstracted as weighted points, passed as
 two arrays: ``positions`` (one row per fairlet: its center's features) and
 ``weights`` (one integer per fairlet: its cardinality). For a decomposition
-``decomp`` of ``data`` these are
-``data.features[[fl.center for fl in decomp.fairlets]]`` and
-``np.bincount(decomp.row_to_fairlet)``.
+``decomp`` of ``data`` these are ``data.features[decomp.centers]`` and
+``decomp.weights``.
 
 * :func:`hierarchical_fair_capacitated` repeatedly merges the pair of
   clusters with the closest centroids among those whose combined weight

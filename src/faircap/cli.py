@@ -81,6 +81,13 @@ def _parse_k_values(text: str) -> tuple[int, ...]:
     return tuple(sorted(set(values)))  # canonical record order is (method, k)
 
 
+def _parse_threshold(text: str) -> fairlets.ThresholdFM:
+    try:
+        return fairlets.ThresholdFM.from_fraction(Fraction(text))
+    except (ValueError, ZeroDivisionError, ContractViolationError):
+        raise argparse.ArgumentTypeError(f"not a threshold in (0, 1]: {text!r}") from None
+
+
 def _parse_methods(text: str) -> tuple[str, ...]:
     text = text.strip()
     if text in ("", "all"):
@@ -421,10 +428,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         scale=args.scale,
     )
     data = ingest.load_csv(spec)
-    threshold = fairlets.ThresholdFM.from_fraction(Fraction(args.t))
     text = Path(args.decomposition).read_text(encoding="utf-8")
-    decomp = fairlets.decomposition_from_json(text, data, threshold)
-    result = fairlets.validate(decomp, data, threshold)
+    decomp = fairlets.decomposition_from_json(text, data)
+    result = fairlets.validate(decomp, data, args.t)
     if result.ok:
         print(f"valid decomposition: {len(decomp)} fairlets cover {data.n} rows")
         return EXIT_OK
@@ -471,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--delimiter", default=",")
     val.add_argument("--scale", default="minmax")
     val.add_argument("--decomposition", required=True, help="decomposition JSON path")
-    val.add_argument("--t", default="1/2")
+    val.add_argument("--t", default="1/2", type=_parse_threshold)
     val.set_defaults(func=_cmd_validate)
     return parser
 

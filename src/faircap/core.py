@@ -1,8 +1,8 @@
 """Domain types and the arithmetic every other module builds on.
 
 The objects here are immutable values: a dataset of feature rows with one
-binary protected label each, fairlets (small balanced groups of rows),
-decompositions (partitions of all rows into fairlets) and clusterings.
+binary protected label each, fairlet decompositions (partitions of all
+rows into small balanced groups, each with a center row) and clusterings.
 Operations are pure and deterministic; all randomness anywhere in the
 toolkit is drawn from named substreams of a single 64-bit seed via
 :func:`rng_stream`.
@@ -11,10 +11,10 @@ toolkit is drawn from named substreams of a single 64-bit seed via
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -131,82 +131,71 @@ def balance_of(count_a: int, count_b: int) -> BalanceRatio:
     return BalanceRatio(int(count_a), int(count_b))
 
 
-def subset_balance(protected: np.ndarray, indices: Sequence[int]) -> BalanceRatio:
-    labels = np.asarray(protected)[np.asarray(indices, dtype=np.intp)]
-    ones = int(labels.sum())
-    return balance_of(len(labels) - ones, ones)
-
-
-@dataclass(frozen=True)
-class Fairlet:
-    """A small set of rows whose balance already meets the threshold, plus a center row."""
+class Fairlet(NamedTuple):
+    """Read-only view of one fairlet: its sorted member rows, center row and size."""
 
     members: tuple[int, ...]
     center: int
-
-    def __post_init__(self) -> None:
-        members = tuple(sorted(int(m) for m in self.members))
-        if not members:
-            raise ContractViolationError("a fairlet must have at least one member")
-        if len(set(members)) != len(members):
-            raise ContractViolationError("fairlet members must be distinct")
-        if int(self.center) not in members:
-            raise ContractViolationError(
-                f"fairlet center {self.center} is not one of its members"
-            )
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "center", int(self.center))
-
-    @property
-    def weight(self) -> int:
-        return len(self.members)
+    weight: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairletDecomposition:
-    """A partition of rows 0..n-1 into fairlets, with the row-to-fairlet map.
+    """A partition of rows 0..n-1 into fairlets, held as two int arrays.
 
-    Construction verifies the partition property; per-fairlet balance and
-    size bounds are checked by :func:`faircap.fairlets.validate`.
+    ``row_to_fairlet[i]`` is the fairlet of row i and ``centers[j]`` the
+    center row of fairlet j. Construction checks that every fairlet has rows
+    and contains its center; per-fairlet balance and size bounds are checked
+    by :func:`faircap.fairlets.validate`.
     """
 
-    fairlets: tuple[Fairlet, ...]
-    n: int
-    threshold: Fraction
+    row_to_fairlet: np.ndarray
+    centers: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fairlets", tuple(self.fairlets))
-        object.__setattr__(self, "threshold", Fraction(self.threshold))
-        covered = np.full(self.n, -1, dtype=np.int64)
-        total = 0
-        for j, fairlet in enumerate(self.fairlets):
-            for m in fairlet.members:
-                if m < 0 or m >= self.n:
-                    raise ContractViolationError(
-                        f"fairlet {j} references row {m} outside 0..{self.n - 1}"
-                    )
-                if covered[m] != -1:
-                    raise ContractViolationError(
-                        f"row {m} appears in fairlets {covered[m]} and {j}"
-                    )
-                covered[m] = j
-            total += fairlet.weight
-        if total != self.n:
-            missing = np.flatnonzero(covered == -1)
+        labels, centers = np.asarray(self.row_to_fairlet), np.asarray(self.centers)
+        for name, a in (("row_to_fairlet", labels), ("centers", centers)):
+            if a.ndim != 1 or a.dtype.kind not in "iu":
+                raise ContractViolationError(
+                    f"{name} must be a 1-d integer array, got {a.dtype} of shape {a.shape}"
+                )
+        labels, centers = labels.astype(np.int64), centers.astype(np.int64)
+        l = len(centers)
+        if labels.size and (labels.min() < 0 or labels.max() >= l):
+            raise ContractViolationError(f"fairlet ids must lie in 0..{l - 1}")
+        empty = np.flatnonzero(np.bincount(labels, minlength=l) == 0)
+        if empty.size:
+            raise ContractViolationError(f"fairlets {empty.tolist()[:5]} have no rows")
+        if centers.size and (centers.min() < 0 or centers.max() >= labels.size):
+            raise ContractViolationError(f"center rows must lie in 0..{labels.size - 1}")
+        stray = np.flatnonzero(labels[centers] != np.arange(l))
+        if stray.size:
             raise ContractViolationError(
-                f"fairlets cover {total} of {self.n} rows; missing rows {missing.tolist()[:5]}"
+                f"fairlets {stray.tolist()[:5]} have a center that is not one of their rows"
             )
-        object.__setattr__(self, "_row_to_fairlet", _frozen(covered))
-
-    _row_to_fairlet: np.ndarray = field(init=False, repr=False, compare=False)
+        object.__setattr__(self, "row_to_fairlet", _frozen(labels))
+        object.__setattr__(self, "centers", _frozen(centers))
 
     @property
-    def row_to_fairlet(self) -> np.ndarray:
-        """Length-n array mapping each row index to its fairlet index."""
-        return self._row_to_fairlet
+    def n(self) -> int:
+        return self.row_to_fairlet.size
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Length-l array of fairlet sizes."""
+        return np.bincount(self.row_to_fairlet)
+
+    @property
+    def fairlets(self) -> tuple[Fairlet, ...]:
+        """One :class:`Fairlet` view per fairlet, in fairlet order."""
+        by_fairlet = np.argsort(self.row_to_fairlet, kind="stable")
+        groups = np.split(by_fairlet, np.cumsum(self.weights)[:-1])
+        return tuple(
+            Fairlet(tuple(g.tolist()), int(c), len(g)) for g, c in zip(groups, self.centers)
+        )
 
     def __len__(self) -> int:
-        return len(self.fairlets)
+        return self.centers.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,17 +257,6 @@ class Params:
             raise ContractViolationError(f"lambda must be finite and positive, got {self.lam}")
         if not (0 <= self.seed <= _U64):
             raise ContractViolationError("seed must fit in 64 unsigned bits")
-
-
-def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two feature vectors of equal dimension."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ContractViolationError(
-            f"dimension mismatch: {a.shape} vs {b.shape}"
-        )
-    return float(np.linalg.norm(a - b))
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

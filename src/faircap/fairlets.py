@@ -26,12 +26,10 @@ from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .core import (
     Dataset,
-    Fairlet,
     FairletDecomposition,
-    distance,
+    balance_of,
     pairwise_distances,
     rng_stream,
-    subset_balance,
 )
 from .errors import (
     ContractViolationError,
@@ -97,15 +95,19 @@ def _split_groups(data: Dataset, t: ThresholdFM) -> tuple[np.ndarray, np.ndarray
     return minority, majority
 
 
-def _pick_centers(groups: list[list[int]], seed: int, stream: str) -> list[Fairlet]:
+def _from_groups(group: np.ndarray, seed: int, stream: str) -> FairletDecomposition:
+    """The decomposition whose fairlet ids are ``group`` (one per row).
+
+    Each group's center is a seeded uniform draw among its rows, drawn in
+    group-id order; the fairlets are then renumbered by their smallest row.
+    """
     rng = rng_stream(seed, stream, "centers")
-    fairlets = []
-    for members in groups:
-        members = sorted(members)
-        center = members[int(rng.integers(len(members)))]
-        fairlets.append(Fairlet(members=tuple(members), center=center))
-    fairlets.sort(key=lambda fl: fl.members[0])
-    return fairlets
+    by_group = np.argsort(group, kind="stable")  # rows ascending within each group
+    sizes = np.bincount(group)
+    starts = np.cumsum(sizes) - sizes
+    centers = by_group[starts + [int(rng.integers(size)) for size in sizes.tolist()]]
+    order = np.argsort(by_group[starts])  # groups by smallest row
+    return FairletDecomposition(row_to_fairlet=np.argsort(order)[group], centers=centers[order])
 
 
 def vanilla_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomposition:
@@ -120,16 +122,12 @@ def vanilla_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomp
     rng = rng_stream(seed, "fairlets.vanilla")
     blues = minority[rng.permutation(len(minority))]
     reds = majority[rng.permutation(len(majority))]
-    beta, rho = len(blues), len(reds)
-    base, extra = divmod(rho, beta)
-    groups = []
-    pos = 0
-    for i in range(beta):
-        take = base + (1 if i < extra else 0)
-        groups.append([int(blues[i]), *map(int, reds[pos : pos + take])])
-        pos += take
-    fairlets = _pick_centers(groups, seed, "fairlets.vanilla")
-    return FairletDecomposition(fairlets=tuple(fairlets), n=data.n, threshold=t.value)
+    beta = len(blues)
+    base, extra = divmod(len(reds), beta)
+    group = np.empty(data.n, dtype=np.int64)
+    group[blues] = np.arange(beta)
+    group[reds] = np.repeat(np.arange(beta), base + (np.arange(beta) < extra))
+    return _from_groups(group, seed, "fairlets.vanilla")
 
 
 def mcf_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomposition:
@@ -157,22 +155,17 @@ def mcf_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomposit
     weights[rho:, beta:] = 1.0
     rows, cols = min_weight_full_bipartite_matching(csr_array(weights))
 
-    groups: list[list[int]] = [[int(b)] for b in minority]
-    for r, c in zip(rows, cols):
-        if r < rho:
-            groups[c % beta].append(int(majority[r]))
-    fairlets = _pick_centers(groups, seed, "fairlets.mcf")
-    return FairletDecomposition(fairlets=tuple(fairlets), n=data.n, threshold=t.value)
+    group = np.empty(data.n, dtype=np.int64)
+    group[minority] = np.arange(beta)
+    filled = rows < rho
+    group[majority[rows[filled]]] = cols[filled] % beta
+    return _from_groups(group, seed, "fairlets.mcf")
 
 
 def fairlet_cost(decomp: FairletDecomposition, data: Dataset) -> float:
     """Sum over fairlets of member-to-center distances."""
-    total = 0.0
-    for fairlet in decomp.fairlets:
-        center = data.features[fairlet.center]
-        for m in fairlet.members:
-            total += distance(data.features[m], center)
-    return total
+    centers = data.features[decomp.centers[decomp.row_to_fairlet]]
+    return float(np.linalg.norm(data.features - centers, axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -189,32 +182,28 @@ class ValidationReport:
 def validate(
     decomp: FairletDecomposition, data: Dataset, t: ThresholdFM
 ) -> ValidationReport:
-    """Check the partition property, the size bound f+m and per-fairlet balance.
+    """Check the row count, the size bound f+m and per-fairlet balance.
 
+    The partition property holds by construction of the decomposition.
     Never raises; every violation is listed in the report.
     """
+    if decomp.n != data.n:
+        return ValidationReport(
+            violations=(f"decomposition covers {decomp.n} rows, dataset has {data.n}",)
+        )
+    sizes = decomp.weights
+    ones = np.bincount(decomp.row_to_fairlet[data.protected == 1], minlength=len(decomp))
+    zeros = sizes - ones
+    oversized = sizes > t.max_size
+    # balance min(zeros, ones) / max(zeros, ones) < f/m, in integers
+    unbalanced = t.m * np.minimum(zeros, ones) < t.f * np.maximum(zeros, ones)
     violations: list[str] = []
-    seen = np.zeros(data.n, dtype=bool)
-    for j, fairlet in enumerate(decomp.fairlets):
-        for m in fairlet.members:
-            if m < 0 or m >= data.n:
-                violations.append(f"fairlet {j}: row {m} out of range")
-            elif seen[m]:
-                violations.append(f"fairlet {j}: row {m} already covered")
-            else:
-                seen[m] = True
-        if fairlet.weight > t.max_size:
-            violations.append(
-                f"fairlet {j}: size {fairlet.weight} exceeds bound {t.max_size}"
-            )
-        bal = subset_balance(data.protected, fairlet.members)
-        if bal.value < t.value:
-            violations.append(
-                f"fairlet {j}: balance {bal.value} below threshold {t.value}"
-            )
-    uncovered = np.flatnonzero(~seen)
-    if uncovered.size:
-        violations.append(f"rows not covered by any fairlet: {uncovered.tolist()[:10]}")
+    for j in np.flatnonzero(oversized | unbalanced).tolist():
+        if oversized[j]:
+            violations.append(f"fairlet {j}: size {sizes[j]} exceeds bound {t.max_size}")
+        if unbalanced[j]:
+            bal = balance_of(zeros[j], ones[j])
+            violations.append(f"fairlet {j}: balance {bal.value} below threshold {t.value}")
     return ValidationReport(violations=tuple(violations))
 
 
@@ -231,19 +220,45 @@ def decomposition_to_json(decomp: FairletDecomposition, data: Dataset) -> str:
     return json.dumps(records, indent=2)
 
 
-def decomposition_from_json(
-    text: str, data: Dataset, t: ThresholdFM
-) -> FairletDecomposition:
-    """Rebuild a decomposition exported by :func:`decomposition_to_json`."""
+def decomposition_from_json(text: str, data: Dataset) -> FairletDecomposition:
+    """Rebuild a decomposition exported by :func:`decomposition_to_json`.
+
+    Record j becomes fairlet j. Malformed text, unknown row ids and rows in
+    no fairlet or in two raise :class:`ContractViolationError`.
+    """
+    try:
+        records = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ContractViolationError(f"decomposition is not valid JSON: {exc}") from None
+    if not isinstance(records, list):
+        raise ContractViolationError("decomposition must be a JSON list of fairlet records")
     index = {rid: i for i, rid in enumerate(data.row_ids)}
 
-    def lookup(rid: str) -> int:
-        if rid not in index:
-            raise ContractViolationError(f"unknown row id {rid!r} in decomposition")
+    def lookup(j: int, rid: object) -> int:
+        if not isinstance(rid, str) or rid not in index:
+            raise ContractViolationError(f"fairlet record {j}: unknown row id {rid!r}")
         return index[rid]
 
-    fairlets = []
-    for record in json.loads(text):
-        members = tuple(lookup(r) for r in record["member_row_ids"])
-        fairlets.append(Fairlet(members=members, center=lookup(record["center_row_id"])))
-    return FairletDecomposition(fairlets=tuple(fairlets), n=data.n, threshold=t.value)
+    row_to_fairlet = np.full(data.n, -1, dtype=np.int64)
+    centers = []
+    for j, record in enumerate(records):
+        members = record.get("member_row_ids") if isinstance(record, dict) else None
+        if not isinstance(members, list) or "center_row_id" not in record:
+            raise ContractViolationError(
+                f"fairlet record {j} needs a center_row_id and a member_row_ids list"
+            )
+        for rid in members:
+            i = lookup(j, rid)
+            if row_to_fairlet[i] != -1:
+                raise ContractViolationError(
+                    f"fairlet record {j}: row id {rid!r} is already in fairlet {row_to_fairlet[i]}"
+                )
+            row_to_fairlet[i] = j
+        centers.append(lookup(j, record["center_row_id"]))
+    missing = np.flatnonzero(row_to_fairlet == -1)
+    if missing.size:
+        ids = [data.row_ids[i] for i in missing[:5]]
+        raise ContractViolationError(f"rows {ids} are in no fairlet record")
+    return FairletDecomposition(
+        row_to_fairlet=row_to_fairlet, centers=np.array(centers, dtype=np.int64)
+    )

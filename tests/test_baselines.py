@@ -90,6 +90,7 @@ def reference_pam(data, k, seed):
             best = swap_cost
             improved = True
     assignment = np.argmin(dists[:, medoids], axis=1)
+    assignment[medoids] = np.arange(k)
     reps = tuple(
         medoid_index(data.features, np.flatnonzero(assignment == cid))
         for cid in range(k)
@@ -111,20 +112,28 @@ class TestKMedoidsVanilla:
                 coords = coords.round(1)
             data = _dataset(coords, np.arange(n) % 2)
             seed = int(rng.integers(0, 1000))
-            try:
-                assignment, reps = reference_pam(data, k, seed)
-            except ContractViolationError as exc:
-                # coincident medoids leave a cluster empty
-                with pytest.raises(ContractViolationError) as err:
-                    kmedoids_vanilla(data, k, seed)
-                assert str(err.value) == str(exc)
-                outcomes.add("error")
-                continue
+            assignment, reps = reference_pam(data, k, seed)
             c = kmedoids_vanilla(data, k, seed)
             assert c.assignment.tolist() == assignment.tolist()
             assert c.representatives == reps
-            outcomes.add("k == n" if k == n else "ok")
-        assert outcomes == {"ok", "k == n", "error"}
+            if k == n:
+                outcomes.add("k == n")
+            elif len(np.unique(coords, axis=0)) < k:
+                outcomes.add("coincident medoids")  # fewer distinct rows than k
+            else:
+                outcomes.add("ok")
+        assert outcomes == {"ok", "k == n", "coincident medoids"}
+
+    def test_coincident_medoids_keep_their_own_rows(self):
+        # three equal rows and k = 3: some medoids coincide, and the plain
+        # nearest-medoid argmin would leave their clusters empty
+        data = _dataset([[0.0], [0.0], [0.0], [1.0]], [0, 1, 0, 1])
+        for seed in range(3):
+            c = kmedoids_vanilla(data, k=3, seed=seed)
+            assert c.k == 3
+            assert c.sizes.tolist().count(0) == 0
+            for cid, rep in enumerate(c.representatives):
+                assert c.assignment[rep] == cid
 
     def test_k_equals_n_costs_zero(self):
         data = _dataset(np.arange(5.0), [0, 1, 0, 1, 0])

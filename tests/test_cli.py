@@ -272,3 +272,33 @@ class TestValidate:
         ])
         assert code == EXIT_DATA
         assert "violation" in capsys.readouterr().out
+
+    def test_malformed_input_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        main(["generate", "--out", str(csv_path), "--n", "8", "--balance", "1.0", "--seed", "2"])
+        good = {"fairlet_id": 0, "center_row_id": "0", "member_row_ids": ["0"]}
+        bad_files = {
+            "not JSON": ("{not json", "not valid JSON"),
+            "record without members": (
+                json.dumps([good, {"fairlet_id": 1, "center_row_id": "1"}]),
+                "fairlet record 1 needs",
+            ),
+            "object, not a list": (json.dumps(good), "must be a JSON list"),
+        }
+        for name, (text, message) in bad_files.items():
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            code = main([
+                "validate", "--data", str(csv_path), "--protected-column", "group",
+                "--decomposition", str(path),
+            ])
+            assert code == EXIT_DATA, name
+            assert message in capsys.readouterr().err, name
+        for t in ("abc", "1/0"):
+            with pytest.raises(SystemExit) as err:
+                main([
+                    "validate", "--data", str(csv_path), "--protected-column", "group",
+                    "--decomposition", str(path), "--t", t,
+                ])
+            assert err.value.code == EXIT_USAGE, t
+            assert "--t" in capsys.readouterr().err, t

@@ -8,15 +8,14 @@ from faircap.core import (
     BalanceRatio,
     Clustering,
     Dataset,
-    Fairlet,
     FairletDecomposition,
     Params,
     balance_of,
     clustering_balance,
     clustering_cost,
     compose_assignment,
-    distance,
     medoid_index,
+    pairwise_distances,
     rng_stream,
 )
 from faircap.errors import ContractViolationError
@@ -40,7 +39,13 @@ def naive_distance(a, b):
     return math.sqrt(total)
 
 
+def distance(a, b):
+    return float(pairwise_distances(a[None, :], b[None, :])[0, 0])
+
+
 class TestDistance:
+    """The Euclidean distance of :func:`pairwise_distances`, one pair at a time."""
+
     def test_identity(self):
         v = np.array([1.5, -2.0, 7.25])
         assert distance(v, v) == 0.0
@@ -55,10 +60,6 @@ class TestDistance:
             b = rng.normal(size=10)
             expected = naive_distance(a, b)
             assert distance(a, b) == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            distance(np.zeros(3), np.zeros(4))
 
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(7)
@@ -172,31 +173,89 @@ class TestClusteringCost:
             assert clustering_cost(c, data) == pytest.approx(expected, rel=1e-12)
 
 
-def _decomp(member_groups, n, t=Fraction(1, 2)):
-    fairlets = tuple(
-        Fairlet(members=tuple(g), center=min(g)) for g in member_groups
-    )
-    return FairletDecomposition(fairlets=fairlets, n=n, threshold=t)
+def _decomp(row_to_fairlet):
+    """A decomposition with each fairlet's smallest row as its center."""
+    row_to_fairlet = np.asarray(row_to_fairlet)
+    centers = np.unique(row_to_fairlet, return_index=True)[1]
+    return FairletDecomposition(row_to_fairlet=row_to_fairlet, centers=centers)
+
+
+class TestFairletDecomposition:
+    def test_derived_fields_and_view(self):
+        decomp = FairletDecomposition(
+            row_to_fairlet=np.array([0, 1, 0, 2, 1, 0]), centers=np.array([2, 4, 3])
+        )
+        assert decomp.n == 6
+        assert len(decomp) == 3
+        assert decomp.weights.tolist() == [3, 2, 1]
+        assert [tuple(fl) for fl in decomp.fairlets] == [
+            ((0, 2, 5), 2, 3),
+            ((1, 4), 4, 2),
+            ((3,), 3, 1),
+        ]
+
+    def test_arrays_are_frozen_int64(self):
+        decomp = FairletDecomposition(
+            row_to_fairlet=np.array([0, 0, 1], dtype=np.uint64),
+            centers=np.array([1, 2], dtype=np.int32),
+        )
+        assert decomp.row_to_fairlet.dtype == np.int64
+        assert decomp.centers.dtype == np.int64
+        with pytest.raises(ValueError):
+            decomp.row_to_fairlet[0] = 1
+        with pytest.raises(ValueError):
+            decomp.centers[0] = 1
+
+    def test_rejects_arrays_that_are_not_1d(self):
+        with pytest.raises(ContractViolationError, match="row_to_fairlet must be a 1-d"):
+            FairletDecomposition(row_to_fairlet=np.zeros((2, 2), int), centers=np.array([0]))
+        with pytest.raises(ContractViolationError, match="centers must be a 1-d"):
+            FairletDecomposition(row_to_fairlet=np.array([0, 0]), centers=np.array(0))
+
+    def test_rejects_arrays_that_are_not_integer(self):
+        with pytest.raises(ContractViolationError, match="row_to_fairlet must be a 1-d integer"):
+            FairletDecomposition(row_to_fairlet=np.array([0.0, 0.0]), centers=np.array([0]))
+        with pytest.raises(ContractViolationError, match="centers must be a 1-d integer"):
+            FairletDecomposition(row_to_fairlet=np.array([0, 0]), centers=np.array([True]))
+
+    def test_rejects_fairlet_ids_out_of_range(self):
+        for labels in ([0, 2, 1], [0, -1, 1]):
+            with pytest.raises(ContractViolationError, match="fairlet ids must lie in 0..1"):
+                FairletDecomposition(row_to_fairlet=np.array(labels), centers=np.array([0, 2]))
+
+    def test_rejects_fairlet_without_rows(self):
+        with pytest.raises(ContractViolationError, match=r"fairlets \[1\] have no rows"):
+            FairletDecomposition(
+                row_to_fairlet=np.array([0, 0, 2]), centers=np.array([0, 1, 2])
+            )
+
+    def test_rejects_center_outside_its_fairlet(self):
+        labels = np.array([0, 0, 1, 1])
+        with pytest.raises(ContractViolationError, match=r"fairlets \[1\] have a center"):
+            FairletDecomposition(row_to_fairlet=labels, centers=np.array([0, 1]))
+        for centers in ([0, 4], [0, -1]):
+            with pytest.raises(ContractViolationError, match="center rows must lie in 0..3"):
+                FairletDecomposition(row_to_fairlet=labels, centers=np.array(centers))
 
 
 class TestComposeAssignment:
     def test_identity_one_fairlet_per_cluster(self):
         data = _dataset(np.arange(4.0), [0, 1, 0, 1])
-        decomp = _decomp([(0, 1), (2, 3)], 4)
+        decomp = _decomp([0, 0, 1, 1])
         c = compose_assignment(np.array([0, 1]), decomp, data)
         assert c.k == 2
         assert list(c.assignment) == [0, 0, 1, 1]
 
     def test_constant_delta_collapses_to_one_cluster(self):
         data = _dataset(np.arange(3.0), [0, 1, 1])
-        decomp = _decomp([(0, 1), (2,)], 3)
+        decomp = _decomp([0, 0, 1])
         c = compose_assignment(np.array([1, 1]), decomp, data)
         assert c.k == 1
         assert len(set(c.assignment.tolist())) == 1
 
     def test_missing_fairlet_rejected(self):
         data = _dataset(np.arange(3.0), [0, 1, 1])
-        decomp = _decomp([(0, 1), (2,)], 3)
+        decomp = _decomp([0, 0, 1])
         with pytest.raises(ContractViolationError):
             compose_assignment(np.array([0]), decomp, data)
 
@@ -206,18 +265,20 @@ class TestComposeAssignment:
             n = int(rng.integers(6, 40))
             data = _dataset(rng.normal(size=(n, 2)), rng.integers(0, 2, size=n))
             order = rng.permutation(n)
-            groups, pos = [], 0
+            sizes, pos = [], 0
             while pos < n:
                 size = int(rng.integers(1, 4))
-                groups.append(tuple(int(i) for i in order[pos : pos + size]))
+                sizes.append(min(size, n - pos))
                 pos += size
-            decomp = _decomp(groups, n)
-            delta = np.array([int(rng.integers(0, 3)) for _ in groups])
+            row_to_fairlet = np.empty(n, dtype=np.int64)
+            row_to_fairlet[order] = np.repeat(np.arange(len(sizes)), sizes)
+            decomp = _decomp(row_to_fairlet)
+            delta = np.array([int(rng.integers(0, 3)) for _ in sizes])
             c = compose_assignment(delta, decomp, data)
             used = sorted(set(delta.tolist()))
             for cid, label in enumerate(used):
                 expected = sum(
-                    len(groups[j]) for j in range(len(groups)) if delta[j] == label
+                    sizes[j] for j in range(len(sizes)) if delta[j] == label
                 )
                 assert int((c.assignment == cid).sum()) == expected
             assert c.sizes.sum() == n
@@ -231,8 +292,7 @@ class TestComposeAssignment:
             protected = np.tile([0, 1], pairs)
             n = 2 * pairs
             data = _dataset(rng.normal(size=(n, 2)), protected)
-            groups = [(2 * j, 2 * j + 1) for j in range(pairs)]
-            decomp = _decomp(groups, n, t)
+            decomp = _decomp(np.arange(n) // 2)
             delta = np.array([int(rng.integers(0, 4)) for _ in range(pairs)])
             c = compose_assignment(delta, decomp, data)
             assert clustering_balance(c, data).value >= t
@@ -252,10 +312,12 @@ class TestValidation:
             Clustering(assignment=np.array([0, 0]), representatives=(0, 1), k=2)
 
     def test_decomposition_must_partition(self):
+        # a label vector places every row in exactly one fairlet; what is
+        # left to reject is a label with no fairlet or a fairlet with no rows
         with pytest.raises(ContractViolationError):
-            _decomp([(0, 1), (1, 2)], 3)
+            FairletDecomposition(row_to_fairlet=np.array([0, 0, 1]), centers=np.array([0]))
         with pytest.raises(ContractViolationError):
-            _decomp([(0, 1)], 3)
+            FairletDecomposition(row_to_fairlet=np.array([0, 0, 0]), centers=np.array([0, 1]))
 
     def test_params_bounds(self):
         with pytest.raises(ContractViolationError):

@@ -1,10 +1,20 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from faircap.core import Dataset, distance
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+from faircap.core import (
+    Dataset,
+    FairletDecomposition,
+    balance_of,
+    pairwise_distances,
+    rng_stream,
+)
 from faircap.errors import (
     ContractViolationError,
     InfeasibilityError,
@@ -32,6 +42,52 @@ def _dataset(features, protected):
         protected=np.asarray(protected),
         row_ids=tuple(str(i) for i in range(len(protected))),
     )
+
+
+def _same(a, b):
+    return np.array_equal(a.row_to_fairlet, b.row_to_fairlet) and np.array_equal(
+        a.centers, b.centers
+    )
+
+
+def reference_decompose(data, t, seed, flavor):
+    """The list-based construction the array code replaced: a list of member
+    rows per group, a seeded center per group in group order, then fairlets
+    sorted by smallest member. Returns [(sorted members, center), ...]."""
+    zeros = np.flatnonzero(data.protected == 0)
+    ones = np.flatnonzero(data.protected == 1)
+    minority, majority = (zeros, ones) if len(zeros) <= len(ones) else (ones, zeros)
+    if flavor == "vanilla":
+        rng = rng_stream(seed, "fairlets.vanilla")
+        blues = minority[rng.permutation(len(minority))]
+        reds = majority[rng.permutation(len(majority))]
+        beta, rho = len(blues), len(reds)
+        base, extra = divmod(rho, beta)
+        groups = []
+        pos = 0
+        for i in range(beta):
+            take = base + (1 if i < extra else 0)
+            groups.append([int(blues[i]), *map(int, reds[pos : pos + take])])
+            pos += take
+    else:
+        beta, rho = len(minority), len(majority)
+        slots = beta * t.m
+        dists = pairwise_distances(data.features[minority], data.features[majority])
+        weights = np.zeros((slots, slots))
+        weights[:rho] = np.tile(dists.T, t.m) + 1.0
+        weights[rho:, beta:] = 1.0
+        rows, cols = min_weight_full_bipartite_matching(csr_array(weights))
+        groups = [[int(b)] for b in minority]
+        for r, c in zip(rows, cols):
+            if r < rho:
+                groups[c % beta].append(int(majority[r]))
+    rng = rng_stream(seed, f"fairlets.{flavor}", "centers")
+    fairlets = []
+    for members in groups:
+        members = sorted(members)
+        fairlets.append((tuple(members), members[int(rng.integers(len(members)))]))
+    fairlets.sort(key=lambda fl: fl[0][0])
+    return fairlets
 
 
 def _random_feasible(rng, t=T_HALF, max_n=60):
@@ -64,18 +120,17 @@ class TestVanillaDecompose:
         data = _dataset(np.arange(8.0), [0, 0, 0, 0, 1, 1, 1, 1])
         decomp = vanilla_decompose(data, T_HALF, seed=1)
         assert len(decomp) == 4
-        for fl in decomp.fairlets:
-            assert fl.weight == 2
-            labels = data.protected[list(fl.members)]
-            assert labels.sum() == 1
+        assert decomp.weights.tolist() == [2, 2, 2, 2]
+        ones = np.bincount(decomp.row_to_fairlet, weights=data.protected)
+        assert ones.tolist() == [1, 1, 1, 1]
 
     def test_three_blue_six_red_forced_shape(self):
         # beta=3, rho=6, m=2 forces three fairlets of one blue plus two reds
         data = _dataset(np.arange(9.0), [1, 1, 1, 0, 0, 0, 0, 0, 0])
         decomp = vanilla_decompose(data, T_HALF, seed=5)
-        assert sorted(fl.weight for fl in decomp.fairlets) == [3, 3, 3]
-        for fl in decomp.fairlets:
-            assert data.protected[list(fl.members)].sum() == 1
+        assert decomp.weights.tolist() == [3, 3, 3]
+        ones = np.bincount(decomp.row_to_fairlet, weights=data.protected)
+        assert ones.tolist() == [1, 1, 1]
 
     def test_infeasible_balance_raises(self):
         data = _dataset(np.arange(10.0), [1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
@@ -94,9 +149,9 @@ class TestVanillaDecompose:
         data = _random_feasible(rng)
         a = vanilla_decompose(data, T_HALF, seed=42)
         b = vanilla_decompose(data, T_HALF, seed=42)
-        assert a == b
+        assert _same(a, b)
         c = vanilla_decompose(data, T_HALF, seed=43)
-        assert a != c or a.fairlets == c.fairlets  # different seed may still coincide
+        assert not _same(a, c)
 
     def test_valid_on_random_instances(self):
         rng = np.random.default_rng(8)
@@ -105,7 +160,7 @@ class TestVanillaDecompose:
             decomp = vanilla_decompose(data, T_HALF, seed=i)
             report = validate(decomp, data, T_HALF)
             assert report.ok, report.violations
-            assert sum(fl.weight for fl in decomp.fairlets) == data.n
+            assert decomp.weights.sum() == data.n
 
 
 class TestMcfDecompose:
@@ -114,7 +169,7 @@ class TestMcfDecompose:
         data = _dataset([[0.0], [0.1], [5.0]], [1, 0, 0])
         decomp = mcf_decompose(data, T_HALF, seed=2)
         assert len(decomp) == 1
-        assert decomp.fairlets[0].members == (0, 1, 2)
+        assert decomp.row_to_fairlet.tolist() == [0, 0, 0]
         vanilla = vanilla_decompose(data, T_HALF, seed=2)
         assert fairlet_cost(decomp, data) <= fairlet_cost(vanilla, data)
 
@@ -142,10 +197,7 @@ class TestMcfDecompose:
                     assert validate(decomp, data, t).ok
 
                     # rows 0..minority-1 are the anchors, the rest majority
-                    dists = [
-                        [distance(features[b], features[minority + r]) for r in range(majority)]
-                        for b in range(minority)
-                    ]
+                    dists = pairwise_distances(features[:minority], features[minority:])
                     best = None
                     for combo in itertools.product(range(minority), repeat=majority):
                         counts = [combo.count(b) for b in range(minority)]
@@ -154,12 +206,15 @@ class TestMcfDecompose:
                         cost = sum(dists[b][r] for r, b in enumerate(combo))
                         if best is None or cost < best:
                             best = cost
-                    achieved = 0.0
-                    for fl in decomp.fairlets:
-                        blue = [i for i in fl.members if data.protected[i] == 1]
-                        assert len(blue) == 1
-                        for i in fl.members:
-                            achieved += distance(features[i], features[blue[0]])
+                    labels = decomp.row_to_fairlet
+                    assert np.bincount(labels[:minority], minlength=len(decomp)).tolist() == [
+                        1
+                    ] * len(decomp)
+                    anchor = np.empty(len(decomp), dtype=np.int64)
+                    anchor[labels[:minority]] = np.arange(minority)
+                    achieved = sum(
+                        dists[anchor[labels[minority + r]], r] for r in range(majority)
+                    )
                     assert achieved == pytest.approx(best, abs=1e-9)
 
     def test_cost_dominates_vanilla_on_random_instances(self):
@@ -172,38 +227,94 @@ class TestMcfDecompose:
             assert fairlet_cost(mcf, data) <= fairlet_cost(vanilla, data) + 1e-9
 
 
+class TestMatchesReference:
+    def test_array_construction_matches_list_reference(self):
+        # 2 to 4 features (1-d data can stall the sparse matching solver),
+        # every fifth instance rounded to one decimal so that distances tie
+        rng = np.random.default_rng(41)
+        for trial in range(200):
+            t = ThresholdFM(1, int(rng.integers(2, 5)))
+            minority = int(rng.integers(1, 12))
+            majority = int(rng.integers(minority, t.m * minority + 1))
+            protected = np.array([1] * minority + [0] * majority)
+            rng.shuffle(protected)
+            features = rng.uniform(0, 1, size=(len(protected), int(rng.integers(2, 5))))
+            if trial % 5 == 0:
+                features = features.round(1)
+            data = _dataset(features, protected)
+            seed = int(rng.integers(0, 1000))
+            for flavor, build in (("vanilla", vanilla_decompose), ("mcf", mcf_decompose)):
+                decomp = build(data, t, seed)
+                expected = reference_decompose(data, t, seed, flavor)
+                labels = np.empty(data.n, dtype=np.int64)
+                for j, (members, _) in enumerate(expected):
+                    labels[list(members)] = j
+                assert decomp.row_to_fairlet.tolist() == labels.tolist()
+                assert decomp.centers.tolist() == [center for _, center in expected]
+                assert decomposition_to_json(decomp, data) == json.dumps(
+                    [
+                        {
+                            "fairlet_id": j,
+                            "center_row_id": str(center),
+                            "member_row_ids": [str(m) for m in members],
+                        }
+                        for j, (members, center) in enumerate(expected)
+                    ],
+                    indent=2,
+                )
+                assert validate(decomp, data, t).ok
+
+
 class TestValidate:
     def test_flags_oversized_fairlet(self):
-        from faircap.core import Fairlet, FairletDecomposition
-
         data = _dataset(np.arange(6.0), [1, 1, 0, 0, 0, 0])
         decomp = FairletDecomposition(
-            fairlets=(
-                Fairlet(members=(0, 2, 3, 4), center=0),
-                Fairlet(members=(1, 5), center=1),
-            ),
-            n=6,
-            threshold=Fraction(1, 2),
+            row_to_fairlet=np.array([0, 1, 0, 0, 0, 1]), centers=np.array([0, 1])
         )
         report = validate(decomp, data, T_HALF)
-        assert not report.ok
-        assert any("size" in v for v in report.violations)
+        assert report.violations == (
+            "fairlet 0: size 4 exceeds bound 3",
+            "fairlet 0: balance 1/3 below threshold 1/2",
+        )
 
     def test_flags_unbalanced_fairlet(self):
-        from faircap.core import Fairlet, FairletDecomposition
-
         data = _dataset(np.arange(6.0), [1, 1, 1, 0, 0, 0])
         decomp = FairletDecomposition(
-            fairlets=(
-                Fairlet(members=(0, 1, 2), center=0),
-                Fairlet(members=(3, 4, 5), center=3),
-            ),
-            n=6,
-            threshold=Fraction(1, 2),
+            row_to_fairlet=np.array([0, 0, 0, 1, 1, 1]), centers=np.array([0, 3])
         )
         report = validate(decomp, data, T_HALF)
-        assert not report.ok
-        assert any("balance" in v for v in report.violations)
+        assert report.violations == (
+            "fairlet 0: balance 0 below threshold 1/2",
+            "fairlet 1: balance 0 below threshold 1/2",
+        )
+
+    def test_flags_row_count_mismatch(self):
+        data = _dataset(np.arange(4.0), [1, 0, 1, 0])
+        decomp = FairletDecomposition(row_to_fairlet=np.array([0, 0]), centers=np.array([0]))
+        report = validate(decomp, data, T_HALF)
+        assert report.violations == ("decomposition covers 2 rows, dataset has 4",)
+
+    def test_matches_per_fairlet_reference(self):
+        # random label vectors, so that many fairlets break a bound
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            n = int(rng.integers(1, 30))
+            t = ThresholdFM(1, int(rng.integers(1, 5)))
+            data = _dataset(rng.uniform(size=(n, 2)), rng.integers(0, 2, size=n))
+            labels = rng.integers(0, max(1, n // 2), size=n)
+            labels = np.unique(labels, return_inverse=True)[1]
+            centers = np.unique(labels, return_index=True)[1]
+            decomp = FairletDecomposition(row_to_fairlet=labels, centers=centers)
+            expected = []
+            for j in range(len(decomp)):
+                members = np.flatnonzero(labels == j)
+                if len(members) > t.max_size:
+                    expected.append(f"fairlet {j}: size {len(members)} exceeds bound {t.max_size}")
+                ones = int(data.protected[members].sum())
+                bal = balance_of(len(members) - ones, ones)
+                if bal.value < t.value:
+                    expected.append(f"fairlet {j}: balance {bal.value} below threshold {t.value}")
+            assert validate(decomp, data, t).violations == tuple(expected)
 
     def test_constructed_output_is_clean(self):
         rng = np.random.default_rng(1)
@@ -222,14 +333,8 @@ class TestFairletCost:
         assert fairlet_cost(decomp, data) == 0.0
 
     def test_two_point_fairlet(self):
-        from faircap.core import Fairlet, FairletDecomposition
-
         data = _dataset([[0.0], [2.0]], [1, 0])
-        decomp = FairletDecomposition(
-            fairlets=(Fairlet(members=(0, 1), center=0),),
-            n=2,
-            threshold=Fraction(1, 2),
-        )
+        decomp = FairletDecomposition(row_to_fairlet=np.array([0, 0]), centers=np.array([0]))
         assert fairlet_cost(decomp, data) == 2.0
 
     def test_matches_naive_recomputation(self):
@@ -250,11 +355,24 @@ class TestJsonRoundTrip:
         data = _random_feasible(rng)
         decomp = vanilla_decompose(data, T_HALF, seed=9)
         text = decomposition_to_json(decomp, data)
-        rebuilt = decomposition_from_json(text, data, T_HALF)
-        assert rebuilt == decomp
+        rebuilt = decomposition_from_json(text, data)
+        assert _same(rebuilt, decomp)
 
     def test_unknown_row_id_rejected(self):
         data = _dataset(np.arange(4.0), [1, 0, 1, 0])
         bad = '[{"fairlet_id": 0, "center_row_id": "99", "member_row_ids": ["99"]}]'
         with pytest.raises(ContractViolationError):
-            decomposition_from_json(bad, data, T_HALF)
+            decomposition_from_json(bad, data)
+
+    def test_repeated_or_missing_row_rejected(self):
+        data = _dataset(np.arange(4.0), [1, 0, 1, 0])
+
+        def record(j, center, members):
+            return {"fairlet_id": j, "center_row_id": center, "member_row_ids": members}
+
+        repeated = json.dumps([record(0, "1", ["0", "1"]), record(1, "2", ["2", "3", "0"])])
+        with pytest.raises(ContractViolationError, match="fairlet record 1: row id '0' is already"):
+            decomposition_from_json(repeated, data)
+        missing = json.dumps([record(0, "0", ["0", "1"]), record(1, "2", ["2"])])
+        with pytest.raises(ContractViolationError, match=r"rows \['3'\] are in no fairlet record"):
+            decomposition_from_json(missing, data)
