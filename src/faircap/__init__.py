@@ -28,7 +28,6 @@ from .capclust import (
     knapsack_select,
 )
 from .core import (
-    BalanceRatio,
     Clustering,
     Dataset,
     Fairlet,
@@ -53,7 +52,6 @@ from .metrics import RunRecord, evaluate, size_dispersion
 from .synth import make_blobs, write_blobs_csv
 
 __all__ = [
-    "BalanceRatio",
     "Clustering",
     "Dataset",
     "DatasetSpec",

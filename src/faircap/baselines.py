@@ -1,22 +1,18 @@
 """Comparison pipelines: plain k-medoids, fairlet pipelines with greedy
 k-center, and the wiring that runs any method end to end.
 
-The seven method names accepted by :func:`pipeline`:
-
-========================  ====================================================
-vanilla_kmedoids          k-medoids on the raw points, no fairness or capacity
-vanilla_fairlet_kcenter   cost-agnostic fairlets, then greedy k-center
-mcf_fairlet_kcenter       flow-optimized fairlets, then greedy k-center
-hier_fair_cap_vanilla     cost-agnostic fairlets, capacity-gated merging
-hier_fair_cap_mcf         flow-optimized fairlets, capacity-gated merging
-kmed_fair_cap_vanilla     cost-agnostic fairlets, knapsack k-medoids
-kmed_fair_cap_mcf         flow-optimized fairlets, knapsack k-medoids
-========================  ====================================================
+Every method in :data:`METHODS` decomposes the rows into fairlets ("mcf":
+flow-optimized, "vanilla": cost-agnostic, "rows": one singleton fairlet per
+row), clusters the fairlets as weighted points in one stage ("hier":
+capacity-gated merging, "kmed": knapsack k-medoids, "kcenter": greedy
+k-center, "pam": plain k-medoids), lifts the labels to the rows with
+:func:`~faircap.core.compose_assignment` and evaluates the result. PAM is
+the stage over singleton fairlets: it clusters the raw rows, with no
+fairness or capacity handling.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,39 +24,44 @@ from .core import (
     FairletDecomposition,
     Params,
     compose_assignment,
-    medoid_index,
     pairwise_distances,
     rng_stream,
 )
 from .errors import ContractViolationError, InfeasibilityError
 from .metrics import RunRecord, evaluate
 
-METHODS = (
-    "hier_fair_cap_mcf",
-    "hier_fair_cap_vanilla",
-    "kmed_fair_cap_mcf",
-    "kmed_fair_cap_vanilla",
-    "mcf_fairlet_kcenter",
-    "vanilla_fairlet_kcenter",
-    "vanilla_kmedoids",
+# method name -> (fairlet decomposition, clustering stage)
+METHODS: dict[str, tuple[str, str]] = {
+    "hier_fair_cap_mcf": ("mcf", "hier"),
+    "hier_fair_cap_vanilla": ("vanilla", "hier"),
+    "kmed_fair_cap_mcf": ("mcf", "kmed"),
+    "kmed_fair_cap_vanilla": ("vanilla", "kmed"),
+    "mcf_fairlet_kcenter": ("mcf", "kcenter"),
+    "vanilla_fairlet_kcenter": ("vanilla", "kcenter"),
+    "vanilla_kmedoids": ("rows", "pam"),
+}
+
+FAIR_CAPACITATED_METHODS = tuple(
+    method for method, (_, stage) in METHODS.items() if stage in ("hier", "kmed")
 )
 
-FAIR_CAPACITATED_METHODS = (
-    "hier_fair_cap_mcf",
-    "hier_fair_cap_vanilla",
-    "kmed_fair_cap_mcf",
-    "kmed_fair_cap_vanilla",
-)
 
-
-def kmedoids_vanilla(data: Dataset, k: int, seed: int) -> Clustering:
+def kmedoids_vanilla(
+    positions: np.ndarray, weights: np.ndarray, k: int, seed: int
+) -> np.ndarray:
     """Plain PAM: seeded medoid sample, nearest-medoid assignment, then the
     best strictly improving (medoid, non-medoid) swap per round until a local
-    optimum. No fairness or capacity handling."""
-    n = data.n
+    optimum. No fairness or capacity handling.
+
+    Weights are ignored: the points are the singleton fairlets of the raw
+    rows. Returns the point-level assignment, with labels 0..k-1 in medoid
+    order.
+    """
+    positions, _ = capclust.check_weighted_points(positions, weights)
+    n = len(positions)
     if n < k:
         raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {n} rows")
-    dists = pairwise_distances(data.features)
+    dists = pairwise_distances(positions)
     rng = rng_stream(seed, "baselines.kmedoids")
     medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
 
@@ -84,11 +85,7 @@ def kmedoids_vanilla(data: Dataset, k: int, seed: int) -> Clustering:
 
     assignment = np.argmin(dists[:, medoids], axis=1)
     assignment[medoids] = np.arange(k)  # coincident medoids each keep their own row
-    reps = tuple(
-        medoid_index(data.features, np.flatnonzero(assignment == cid))
-        for cid in range(k)
-    )
-    return Clustering(assignment=assignment, representatives=reps, k=k)
+    return assignment
 
 
 def kcenter_greedy(
@@ -117,18 +114,14 @@ def kcenter_greedy(
     return np.argmin(dists[:, centers], axis=1)
 
 
-def fairlet_flavor(method: str) -> str | None:
-    """The decomposition a method clusters: "mcf", "vanilla", or None for
-    ``vanilla_kmedoids``, which clusters the raw rows."""
-    if method == "vanilla_kmedoids":
-        return None
-    return "mcf" if method.endswith("_mcf") or method.startswith("mcf_") else "vanilla"
-
-
 def decompose(
     flavor: str, data: Dataset, threshold: fairlets.ThresholdFM, seed: int
 ) -> FairletDecomposition:
-    """Build the fairlet decomposition named by ``flavor``."""
+    """Build the fairlet decomposition named by ``flavor``: "mcf", "vanilla",
+    or "rows" for one singleton fairlet per row."""
+    if flavor == "rows":
+        rows = np.arange(data.n)
+        return FairletDecomposition(row_to_fairlet=rows, centers=rows)
     build = fairlets.mcf_decompose if flavor == "mcf" else fairlets.vanilla_decompose
     return build(data, threshold, seed)
 
@@ -137,7 +130,7 @@ def decompose(
 class PipelineResult:
     clustering: Clustering
     record: RunRecord
-    decomposition: FairletDecomposition | None = None
+    decomposition: FairletDecomposition
     trace: tuple[dict, ...] = field(default=(), compare=False)
 
 
@@ -155,39 +148,31 @@ def pipeline(
     """
     if method not in METHODS:
         raise ContractViolationError(
-            f"unknown method {method!r}; expected one of {METHODS}"
+            f"unknown method {method!r}; expected one of {tuple(METHODS)}"
         )
-    started = time.perf_counter()
+    flavor, stage = METHODS[method]
+    if decomposition is None:
+        threshold = fairlets.ThresholdFM.from_fraction(params.t)
+        decomposition = decompose(flavor, data, threshold, params.seed)
+    positions = data.features[decomposition.centers]
+    weights = decomposition.weights
     trace: tuple[dict, ...] = ()
-
-    flavor = fairlet_flavor(method)
-    if flavor is None:
-        decomposition = None
-        clustering = kmedoids_vanilla(data, params.k, params.seed)
+    if stage == "pam":
+        delta = kmedoids_vanilla(positions, weights, params.k, params.seed)
+    elif stage == "kcenter":
+        delta = kcenter_greedy(positions, weights, params.k, params.seed)
     else:
-        if decomposition is None:
-            threshold = fairlets.ThresholdFM.from_fraction(params.t)
-            decomposition = decompose(flavor, data, threshold, params.seed)
-        positions = data.features[decomposition.centers]
-        weights = decomposition.weights
-        if method.endswith("kcenter"):
-            delta = kcenter_greedy(positions, weights, params.k, params.seed)
+        q = capclust.capacity_threshold(data.n, params.k, params.epsilon)
+        if stage == "hier":
+            hier = capclust.hierarchical_fair_capacitated(positions, weights, params.k, q)
+            delta, trace = hier.assignment, hier.trace
         else:
-            q = capclust.capacity_threshold(data.n, params.k, params.epsilon)
-            if method.startswith("hier"):
-                hier = capclust.hierarchical_fair_capacitated(
-                    positions, weights, params.k, q
-                )
-                delta, trace = hier.assignment, hier.trace
-            else:
-                kmed = capclust.kmedoids_fair_capacitated(
-                    positions, weights, params.k, q, params.lam, params.seed
-                )
-                delta, trace = kmed.assignment, kmed.trace
-        clustering = compose_assignment(delta, decomposition, data)
-
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    record = evaluate(clustering, data, params, method=method, wall_time_ms=wall_ms)
+            kmed = capclust.kmedoids_fair_capacitated(
+                positions, weights, params.k, q, params.lam, params.seed
+            )
+            delta, trace = kmed.assignment, kmed.trace
+    clustering = compose_assignment(delta, decomposition, data)
+    record = evaluate(clustering, data, params, method=method)
     return PipelineResult(
         clustering=clustering, record=record, decomposition=decomposition, trace=trace
     )

@@ -71,6 +71,8 @@ def _parse_k_values(text: str) -> tuple[int, ...]:
                 start, stop, step = parts
             else:
                 raise ValueError
+            if step < 1:
+                raise ConfigError(f"sweep.k: step must be positive, got {text!r}")
             values = tuple(range(start, stop + 1, step))
         else:
             values = tuple(int(p) for p in text.split(",") if p.strip())
@@ -91,7 +93,7 @@ def _parse_threshold(text: str) -> fairlets.ThresholdFM:
 def _parse_methods(text: str) -> tuple[str, ...]:
     text = text.strip()
     if text in ("", "all"):
-        return baselines.METHODS
+        return tuple(baselines.METHODS)
     names = tuple(p.strip() for p in text.split(",") if p.strip())
     unknown = [m for m in names if m not in baselines.METHODS]
     if unknown:
@@ -225,10 +227,6 @@ class SweepConfig:
         }
 
 
-def _method_epsilon(cfg: SweepConfig, method: str) -> float:
-    return cfg.eps_hier if method.startswith("hier") else cfg.eps_part
-
-
 def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
               export_decompositions: bool = False) -> int:
     """Execute the sweep and write artifacts; returns the process exit code."""
@@ -260,10 +258,7 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
     threshold = fairlets.ThresholdFM.from_fraction(cfg.t)
     decomp_cache: dict[str, Any] = {}
 
-    def decomposition_for(method: str):
-        flavor = baselines.fairlet_flavor(method)
-        if flavor is None:
-            return None
+    def decomposition_for(flavor: str):
         if flavor not in decomp_cache:
             decomp_cache[flavor] = baselines.decompose(flavor, data, threshold, cfg.seed)
         return decomp_cache[flavor]
@@ -271,14 +266,13 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
     rows: list[dict[str, Any]] = []
     traces: list[dict[str, Any]] = []
     for method in sorted(cfg.methods):
+        flavor, stage = baselines.METHODS[method]
+        epsilon = cfg.eps_hier if stage == "hier" else cfg.eps_part
         for k in cfg.k_values:
-            params = Params(
-                k=k, t=cfg.t, epsilon=_method_epsilon(cfg, method),
-                lam=cfg.lam, seed=cfg.seed,
-            )
+            params = Params(k=k, t=cfg.t, epsilon=epsilon, lam=cfg.lam, seed=cfg.seed)
             try:
                 result = baselines.pipeline(
-                    method, data, params, decomposition=decomposition_for(method)
+                    method, data, params, decomposition=decomposition_for(flavor)
                 )
                 rows.append({"type": "run", "status": "ok", **result.record.to_json_dict()})
                 for event in result.trace:
@@ -321,6 +315,8 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
                 fh.write(json.dumps(event, sort_keys=True) + "\n")
     if export_decompositions:
         for flavor, decomp in sorted(decomp_cache.items()):
+            if flavor == "rows":  # singletons: nothing to audit
+                continue
             (out_dir / f"fairlets_{flavor}.json").write_text(
                 fairlets.decomposition_to_json(decomp, data), encoding="utf-8"
             )
@@ -358,6 +354,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return code
 
 
+# what ``faircap report`` reads from each kind of runs.jsonl line
+_REPORT_KEYS = {
+    "provenance": (
+        "dataset.n", "dataset.balance", "params.t", "params.k",
+        "params.epsilon_hierarchical", "params.epsilon_partitioning",
+    ),
+    "ok": ("method", "k", "cost", "balance", "sizes", "q"),
+    "failed": ("method", "k"),
+}
+
+
+def _lacks(obj: Any, key: str) -> bool:
+    for part in key.split("."):
+        if not isinstance(obj, dict) or part not in obj:
+            return True
+        obj = obj[part]
+    return False
+
+
 def _read_sweep(path: Path) -> tuple[dict, list[dict], list[dict]]:
     if path.is_dir():
         path = path / "runs.jsonl"
@@ -367,14 +382,26 @@ def _read_sweep(path: Path) -> tuple[dict, list[dict], list[dict]]:
     records: list[dict] = []
     failures: list[dict] = []
     with path.open(encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise IngestError(f"{path}:{lineno}: expected a JSON object")
             if obj.get("type") == "provenance":
+                kind = "provenance"
+            else:
+                kind = "ok" if obj.get("status") == "ok" else "failed"
+            missing = [key for key in _REPORT_KEYS[kind] if _lacks(obj, key)]
+            if missing:
+                raise IngestError(f"{path}:{lineno}: {kind} line lacks {', '.join(missing)}")
+            if kind == "provenance":
                 provenance = obj
-            elif obj.get("status") == "ok":
+            elif kind == "ok":
                 records.append(obj)
             else:
                 failures.append(obj)

@@ -97,38 +97,17 @@ class Dataset:
         return self.n - ones, ones
 
 
-@dataclass(frozen=True)
-class BalanceRatio:
-    """Two group counts and their min-ratio balance.
+def balance_of(count_a: int, count_b: int) -> Fraction:
+    """Min-ratio balance min(a/b, b/a) of a set with ``count_a`` members of one
+    group and ``count_b`` of the other, as an exact rational.
 
-    ``value`` is min(numerator/denominator, denominator/numerator) as an exact
-    rational, with the convention that an empty group gives balance 0 (the
-    maximally unfair reading; it keeps the min over clusters well-defined).
+    An empty group gives balance 0 (the maximally unfair reading; it keeps
+    the min over clusters well-defined).
     """
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.numerator < 0 or self.denominator < 0:
-            raise ContractViolationError("group counts must be nonnegative")
-
-    @property
-    def value(self) -> Fraction:
-        if self.numerator == 0 or self.denominator == 0:
-            return Fraction(0)
-        return min(
-            Fraction(self.numerator, self.denominator),
-            Fraction(self.denominator, self.numerator),
-        )
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def balance_of(count_a: int, count_b: int) -> BalanceRatio:
-    """Balance of a set with ``count_a`` members of one group and ``count_b`` of the other."""
-    return BalanceRatio(int(count_a), int(count_b))
+    a, b = int(count_a), int(count_b)
+    if a < 0 or b < 0:
+        raise ContractViolationError("group counts must be nonnegative")
+    return Fraction(min(a, b), max(a, b)) if a and b else Fraction(0)
 
 
 class Fairlet(NamedTuple):
@@ -229,9 +208,6 @@ class Clustering:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k)
 
-    def members(self, cluster_id: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == cluster_id)
-
 
 @dataclass(frozen=True)
 class Params:
@@ -276,17 +252,12 @@ def medoid_index(features: np.ndarray, members: Sequence[int]) -> int:
     return int(members[int(np.argmin(totals))])
 
 
-def clustering_balance(clustering: Clustering, data: Dataset) -> BalanceRatio:
+def clustering_balance(clustering: Clustering, data: Dataset) -> Fraction:
     """Balance of the least balanced cluster."""
-    worst: BalanceRatio | None = None
-    for cid in range(clustering.k):
-        labels = data.protected[clustering.assignment == cid]
-        ones = int(labels.sum())
-        ratio = balance_of(len(labels) - ones, ones)
-        if worst is None or ratio.value < worst.value:
-            worst = ratio
-    assert worst is not None
-    return worst
+    counts = np.bincount(
+        2 * clustering.assignment + data.protected, minlength=2 * clustering.k
+    ).reshape(clustering.k, 2)  # (zeros, ones) per cluster
+    return min(balance_of(zeros, ones) for zeros, ones in counts.tolist())
 
 
 def clustering_cost(clustering: Clustering, data: Dataset) -> float:

@@ -203,7 +203,7 @@ def validate(
             violations.append(f"fairlet {j}: size {sizes[j]} exceeds bound {t.max_size}")
         if unbalanced[j]:
             bal = balance_of(zeros[j], ones[j])
-            violations.append(f"fairlet {j}: balance {bal.value} below threshold {t.value}")
+            violations.append(f"fairlet {j}: balance {bal} below threshold {t.value}")
     return ValidationReport(violations=tuple(violations))
 
 

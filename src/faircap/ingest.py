@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .core import BalanceRatio, Dataset, balance_of
+from .core import Dataset, balance_of
 from .errors import (
     CellParseError,
     ContractViolationError,
@@ -156,7 +157,7 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     return Dataset(features=features, protected=protected, row_ids=row_ids)
 
 
-def dataset_balance(data: Dataset) -> BalanceRatio:
+def dataset_balance(data: Dataset) -> Fraction:
     """Balance of the whole dataset; errors if a protected group is absent."""
     zeros, ones = data.group_counts()
     if zeros == 0 or ones == 0:

@@ -16,9 +16,7 @@ from .errors import ContractViolationError
 class RunRecord:
     """One evaluated run of one method at one k.
 
-    ``sizes`` is sorted descending; ``wall_time_ms`` is measurement metadata
-    and deliberately excluded from the canonical JSON form so reruns of the
-    same config are byte-identical.
+    ``sizes`` is sorted descending.
     """
 
     method: str
@@ -29,7 +27,6 @@ class RunRecord:
     q: int
     t: float
     seed: int
-    wall_time_ms: float = 0.0
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -49,7 +46,6 @@ def evaluate(
     data: Dataset,
     params: Params,
     method: str = "unknown",
-    wall_time_ms: float = 0.0,
 ) -> RunRecord:
     """Compute the record for a clustering; pure given its inputs."""
     sizes = tuple(sorted((int(s) for s in clustering.sizes), reverse=True))
@@ -62,7 +58,6 @@ def evaluate(
         q=capacity_threshold(data.n, params.k, params.epsilon),
         t=float(params.t),
         seed=params.seed,
-        wall_time_ms=wall_time_ms,
     )
 
 

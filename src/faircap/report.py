@@ -133,6 +133,24 @@ def _check_records(records: list[dict]) -> None:
         raise ContractViolationError("no records to report on")
 
 
+def _method_lines(
+    canvas: _Canvas, grouped: dict[str, list[dict]], key: str, markers: bool
+) -> list[tuple[str, str]]:
+    """One polyline of ``key`` versus k per method, dotted at each k when
+    ``markers``; returns the legend entries."""
+    for method in sorted(grouped):
+        color = PALETTE.get(method, "#000")
+        xy = [(_fmt(canvas.x(r["k"])), _fmt(canvas.y(r[key]))) for r in grouped[method]]
+        pts = " ".join(f"{x},{y}" for x, y in xy)
+        canvas.add(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
+        )
+        if markers:
+            for x, y in xy:
+                canvas.add(f'<circle cx="{x}" cy="{y}" r="2.5" fill="{color}"/>')
+    return [(m, PALETTE.get(m, "#000")) for m in sorted(grouped)]
+
+
 def cost_chart(records: list[dict]) -> str:
     """Clustering cost versus k, one polyline per method."""
     _check_records(records)
@@ -141,20 +159,7 @@ def cost_chart(records: list[dict]) -> str:
     costs = [r["cost"] for r in records]
     canvas = _Canvas(min(ks) - 0.5, max(ks) + 0.5, 0.0, max(costs) * 1.05 or 1.0)
     canvas.axes("Clustering cost", "number of clusters k", "cost", ks)
-    for method in sorted(grouped):
-        color = PALETTE.get(method, "#000")
-        pts = " ".join(
-            f"{_fmt(canvas.x(r['k']))},{_fmt(canvas.y(r['cost']))}" for r in grouped[method]
-        )
-        canvas.add(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
-        )
-        for r in grouped[method]:
-            canvas.add(
-                f'<circle cx="{_fmt(canvas.x(r["k"]))}" cy="{_fmt(canvas.y(r["cost"]))}" '
-                f'r="2.5" fill="{color}"/>'
-            )
-    canvas.legend([(m, PALETTE.get(m, "#000")) for m in sorted(grouped)])
+    canvas.legend(_method_lines(canvas, grouped, "cost", markers=True))
     return canvas.render()
 
 
@@ -176,16 +181,8 @@ def balance_chart(records: list[dict], t: float, dataset_balance: float) -> str:
         f'<line class="dataset-balance" x1="{x0}" y1="{_fmt(dy)}" x2="{x1}" y2="{_fmt(dy)}" '
         f'stroke="#06c" stroke-dasharray="2 3" data-balance="{_fmt(dataset_balance)}"/>'
     )
-    for method in sorted(grouped):
-        color = PALETTE.get(method, "#000")
-        pts = " ".join(
-            f"{_fmt(canvas.x(r['k']))},{_fmt(canvas.y(r['balance']))}" for r in grouped[method]
-        )
-        canvas.add(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
-        )
     canvas.legend(
-        [(m, PALETTE.get(m, "#000")) for m in sorted(grouped)]
+        _method_lines(canvas, grouped, "balance", markers=False)
         + [("threshold t", "#c00"), ("dataset balance", "#06c")]
     )
     return canvas.render()

@@ -10,15 +10,24 @@ from faircap.baselines import (
     kmedoids_vanilla,
     pipeline,
 )
+from faircap.capclust import (
+    capacity_threshold,
+    hierarchical_fair_capacitated,
+    kmedoids_fair_capacitated,
+)
 from faircap.core import (
+    Clustering,
     Dataset,
     Params,
-    clustering_cost,
+    compose_assignment,
     medoid_index,
     pairwise_distances,
     rng_stream,
 )
-from faircap.errors import ContractViolationError, InfeasibilityError
+from faircap.errors import ContractViolationError, FaircapError, InfeasibilityError
+from faircap.fairlets import ThresholdFM, mcf_decompose, vanilla_decompose
+from faircap.metrics import evaluate
+from faircap.report import PALETTE
 from faircap.synth import make_blobs
 
 
@@ -63,6 +72,8 @@ def reference_pam(data, k, seed):
     for every medoid position, gathers their columns again and keeps the
     first strictly cheapest swap."""
     n = data.n
+    if n < k:
+        raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {n} rows")
     dists = pairwise_distances(data.features)
     rng = rng_stream(seed, "baselines.kmedoids")
     medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
@@ -98,6 +109,88 @@ def reference_pam(data, k, seed):
     return assignment, reps
 
 
+def reference_pipeline(method, data, params):
+    """The pipeline before PAM became a stage: the decomposition and stage
+    are read off the method name, and PAM builds its own clustering."""
+    if method == "vanilla_kmedoids":
+        assignment, reps = reference_pam(data, params.k, params.seed)
+        clustering = Clustering(assignment=assignment, representatives=reps, k=params.k)
+    else:
+        mcf = method.endswith("_mcf") or method.startswith("mcf_")
+        build = mcf_decompose if mcf else vanilla_decompose
+        decomp = build(data, ThresholdFM.from_fraction(params.t), params.seed)
+        positions, weights = data.features[decomp.centers], decomp.weights
+        if method.endswith("kcenter"):
+            delta = kcenter_greedy(positions, weights, params.k, params.seed)
+        else:
+            q = capacity_threshold(data.n, params.k, params.epsilon)
+            if method.startswith("hier"):
+                delta = hierarchical_fair_capacitated(positions, weights, params.k, q).assignment
+            else:
+                delta = kmedoids_fair_capacitated(
+                    positions, weights, params.k, q, params.lam, params.seed
+                ).assignment
+        clustering = compose_assignment(delta, decomp, data)
+    return clustering, evaluate(clustering, data, params, method=method)
+
+
+def _outcome(run):
+    """(result, None), or (None, (error type, message)) when ``run`` raises."""
+    try:
+        return run(), None
+    except FaircapError as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestMethodTable:
+    def test_table_drives_palette_and_fair_capacitated(self):
+        assert list(METHODS) == sorted(METHODS)  # the order "all" expands to
+        assert list(PALETTE) == list(METHODS)
+        assert {flavor for flavor, _ in METHODS.values()} == {"mcf", "vanilla", "rows"}
+        assert {stage for _, stage in METHODS.values()} == {"hier", "kmed", "kcenter", "pam"}
+        assert FAIR_CAPACITATED_METHODS == (
+            "hier_fair_cap_mcf",
+            "hier_fair_cap_vanilla",
+            "kmed_fair_cap_mcf",
+            "kmed_fair_cap_vanilla",
+        )
+        assert all(METHODS[m][1] in ("hier", "kmed") for m in FAIR_CAPACITATED_METHODS)
+
+    def test_pipeline_matches_reference_for_every_method(self):
+        # coordinates rounded to one decimal on odd trials tie many costs,
+        # every fifth trial repeats rows, and every tenth has k == n
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for trial in range(100):
+            n = int(rng.integers(2, 21))
+            k = n if trial % 10 == 0 else int(rng.integers(1, min(n, 5) + 1))
+            coords = rng.uniform(0, 1, size=(n, 2))
+            if trial % 2:
+                coords = coords.round(1)
+            if trial % 5 == 0:
+                coords[n // 2 :] = coords[: n - n // 2]
+            protected = rng.permutation(np.arange(n) % 2)
+            data = _dataset(coords, protected)
+            seed = int(rng.integers(0, 1000))
+            for method in METHODS:
+                eps = 1.2 if method.startswith("hier") else 1.01
+                params = Params(k=k, epsilon=eps, seed=seed)
+                expected, expected_error = _outcome(
+                    lambda: reference_pipeline(method, data, params)
+                )
+                got, error = _outcome(lambda: pipeline(method, data, params))
+                assert error == expected_error, (trial, method)
+                if error:
+                    outcomes.add("error")
+                    continue
+                clustering, record = expected
+                assert got.record.to_json_dict() == record.to_json_dict(), (trial, method)
+                assert got.clustering.assignment.tolist() == clustering.assignment.tolist()
+                assert got.clustering.representatives == clustering.representatives
+                outcomes.add("k == n" if k == n else "ok")
+        assert outcomes == {"ok", "k == n", "error"}
+
+
 class TestKMedoidsVanilla:
     def test_matches_plain_reference(self):
         # coordinates rounded to one decimal tie many swap costs; every
@@ -112,10 +205,9 @@ class TestKMedoidsVanilla:
                 coords = coords.round(1)
             data = _dataset(coords, np.arange(n) % 2)
             seed = int(rng.integers(0, 1000))
-            assignment, reps = reference_pam(data, k, seed)
-            c = kmedoids_vanilla(data, k, seed)
-            assert c.assignment.tolist() == assignment.tolist()
-            assert c.representatives == reps
+            assignment, _ = reference_pam(data, k, seed)
+            labels = kmedoids_vanilla(*unit_points(coords), k, seed)
+            assert labels.tolist() == assignment.tolist()
             if k == n:
                 outcomes.add("k == n")
             elif len(np.unique(coords, axis=0)) < k:
@@ -129,7 +221,7 @@ class TestKMedoidsVanilla:
         # nearest-medoid argmin would leave their clusters empty
         data = _dataset([[0.0], [0.0], [0.0], [1.0]], [0, 1, 0, 1])
         for seed in range(3):
-            c = kmedoids_vanilla(data, k=3, seed=seed)
+            c = pipeline("vanilla_kmedoids", data, Params(k=3, seed=seed)).clustering
             assert c.k == 3
             assert c.sizes.tolist().count(0) == 0
             for cid, rep in enumerate(c.representatives):
@@ -137,8 +229,8 @@ class TestKMedoidsVanilla:
 
     def test_k_equals_n_costs_zero(self):
         data = _dataset(np.arange(5.0), [0, 1, 0, 1, 0])
-        c = kmedoids_vanilla(data, k=5, seed=0)
-        assert clustering_cost(c, data) == 0.0
+        res = pipeline("vanilla_kmedoids", data, Params(k=5, seed=0))
+        assert res.record.cost == 0.0
 
     def test_recovers_two_blobs_optimally(self):
         rng = np.random.default_rng(14)
@@ -147,22 +239,20 @@ class TestKMedoidsVanilla:
             [c + 0.3 * rng.standard_normal((5, 2)) for c in centers]
         )
         data = _dataset(feats, [0, 1] * 5)
-        c = kmedoids_vanilla(data, k=2, seed=3)
-        assert clustering_cost(c, data) == pytest.approx(
+        res = pipeline("vanilla_kmedoids", data, Params(k=2, seed=3))
+        assert res.record.cost == pytest.approx(
             brute_force_best_2partition_cost(feats), abs=1e-9
         )
 
     def test_seed_determinism(self):
         data = make_blobs(n=40, balance=1.0, clusters=2, seed=9)
-        a = kmedoids_vanilla(data, k=3, seed=7)
-        b = kmedoids_vanilla(data, k=3, seed=7)
-        assert a.assignment.tolist() == b.assignment.tolist()
-        assert a.representatives == b.representatives
+        a = kmedoids_vanilla(*unit_points(data.features), k=3, seed=7)
+        b = kmedoids_vanilla(*unit_points(data.features), k=3, seed=7)
+        assert a.tolist() == b.tolist()
 
     def test_rejects_k_above_n(self):
-        data = _dataset(np.arange(3.0), [0, 1, 0])
-        with pytest.raises(InfeasibilityError):
-            kmedoids_vanilla(data, k=4, seed=0)
+        with pytest.raises(InfeasibilityError, match="cannot form k=4"):
+            kmedoids_vanilla(*unit_points(np.arange(3.0)), k=4, seed=0)
 
 
 class TestKCenterGreedy:
@@ -215,7 +305,9 @@ class TestPipeline:
         res = pipeline("vanilla_kmedoids", data, Params(k=2, seed=1))
         assert res.record.method == "vanilla_kmedoids"
         assert sum(res.record.sizes) == data.n
-        assert res.decomposition is None
+        rows = np.arange(data.n)  # PAM clusters singleton fairlets
+        assert res.decomposition.row_to_fairlet.tolist() == rows.tolist()
+        assert res.decomposition.centers.tolist() == rows.tolist()
 
     def test_fair_capacitated_meets_both_constraints(self):
         # mixed 2/3 fairlet weights keep tight capacities parity-feasible

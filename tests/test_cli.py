@@ -155,6 +155,15 @@ seed = 3
             assert f"[sweep] {key}" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_bad_k_is_config_error(self, tmp_path, capsys):
+        # a negative step once ran 10:2:-2 as k = 4, 6, 8, 10 and dropped 2
+        for value in ("10:2:-2", "2:10:0", "2:x", "0,2"):
+            config = write_config(tmp_path, SMALL_SWEEP.replace("k = 2,3", f"k = {value}"))
+            out = tmp_path / "o"
+            assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE, value
+            assert "sweep.k" in capsys.readouterr().err, value
+            assert not out.exists()
+
     def test_bad_dataset_spec_is_config_error(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text("x,group\n1,a\n2,b\n", encoding="utf-8")
         for line in ("delimiter = ;;", "scale = zscore"):
@@ -207,6 +216,7 @@ seed = 1
         assert (out / "trace.jsonl").exists()
         assert (out / "fairlets_vanilla.json").exists()
         assert (out / "fairlets_mcf.json").exists()
+        assert not (out / "fairlets_rows.json").exists()  # PAM's singletons
         events = [
             json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()
         ]
@@ -230,6 +240,37 @@ class TestReport:
 
     def test_missing_sweep_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nowhere")]) == EXIT_DATA
+
+    def test_malformed_runs_jsonl_is_data_error(self, tmp_path, capsys):
+        provenance = {
+            "type": "provenance", "dataset": {"n": 10, "balance": 1.0},
+            "params": {"t": "1/2", "k": [2], "epsilon_hierarchical": 1.2,
+                       "epsilon_partitioning": 1.01},
+        }
+        record = {"type": "run", "status": "ok", "method": "vanilla_kmedoids", "k": 2,
+                  "cost": 1.0, "balance": 0.5, "sizes": [5, 5], "q": 6}
+        good = [json.dumps(provenance), json.dumps(record)]
+        bad = {
+            "not JSON": (good[0] + "\n{not json", ":2: not valid JSON"),
+            "not an object": (good[0] + "\n[1, 2]", ":2: expected a JSON object"),
+            "provenance without params": (
+                json.dumps({k: v for k, v in provenance.items() if k != "params"})
+                + "\n" + good[1],
+                ":1: provenance line lacks params.t",
+            ),
+            "ok record without k": (
+                good[0] + "\n" + json.dumps({k: v for k, v in record.items() if k != "k"}),
+                ":2: ok line lacks k",
+            ),
+        }
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(good) + "\n")
+        assert main(["report", str(path), "--output", str(tmp_path / "rep")]) == EXIT_OK
+        for name, (text, message) in bad.items():
+            path.write_text(text + "\n")
+            assert main(["report", str(path), "--output", str(tmp_path / "rep")]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and message in err, name
 
 
 class TestValidate:

@@ -312,8 +312,8 @@ class TestValidate:
                     expected.append(f"fairlet {j}: size {len(members)} exceeds bound {t.max_size}")
                 ones = int(data.protected[members].sum())
                 bal = balance_of(len(members) - ones, ones)
-                if bal.value < t.value:
-                    expected.append(f"fairlet {j}: balance {bal.value} below threshold {t.value}")
+                if bal < t.value:
+                    expected.append(f"fairlet {j}: balance {bal} below threshold {t.value}")
             assert validate(decomp, data, t).violations == tuple(expected)
 
     def test_constructed_output_is_clean(self):

@@ -189,13 +189,13 @@ class TestDatasetBalance:
         )
 
     def test_equal_groups(self):
-        assert dataset_balance(self._data(2000, 2000)).value == 1
+        assert dataset_balance(self._data(2000, 2000)) == 1
 
     def test_near_balanced(self):
         assert round(float(dataset_balance(self._data(1697, 1707))), 3) == 0.994
 
     def test_quarter(self):
-        assert dataset_balance(self._data(10, 40)).value == Fraction(1, 4)
+        assert dataset_balance(self._data(10, 40)) == Fraction(1, 4)
 
     def test_absent_group_errors(self):
         with pytest.raises(InfeasibilityError):
