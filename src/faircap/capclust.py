@@ -55,26 +55,34 @@ class KnapsackInstance:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.int64)
+        weights = np.asarray(self.weights)
         if values.shape != weights.shape or values.ndim != 1:
             raise ContractViolationError("values and weights must be equal-length vectors")
         if values.size and (not np.all(np.isfinite(values)) or values.min() < 0):
             raise ContractViolationError("values must be finite and nonnegative")
-        if values.size and weights.min() < 1:
+        if values.size and (
+            not np.issubdtype(weights.dtype, np.integer) or weights.min() < 1
+        ):
             raise ContractViolationError("weights must be positive integers")
-        if self.capacity < 0:
+        capacity = self.capacity
+        if not isinstance(capacity, (int, np.integer)) or isinstance(capacity, bool):
+            raise ContractViolationError(f"capacity must be an integer, got {capacity!r}")
+        if capacity < 0:
             raise ContractViolationError("capacity must be nonnegative")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "capacity", int(self.capacity))
+        object.__setattr__(self, "weights", weights.astype(np.int64))
+        object.__setattr__(self, "capacity", int(capacity))
 
 
 def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
     """Indices of a maximum-value selection with total weight <= capacity.
 
-    Exact dynamic program over the weight dimension. Ties between
-    equal-value selections are broken toward smaller total weight, then the
-    lexicographically smallest index set, so results are reproducible.
+    Defined by an exact dynamic program over the weight dimension. Ties
+    between equal-value selections are broken toward smaller total weight,
+    then the lexicographically smallest index set, so results are
+    reproducible. Instances with at most two distinct weights are first
+    tried by prefix enumeration (:func:`_two_class_select`), which returns
+    only a selection the DP would return too.
     """
     values, weights, capacity = inst.values, inst.weights, inst.capacity
     n = values.size
@@ -84,6 +92,9 @@ def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
     cap = min(capacity, total_w)
     if total_w <= capacity and values.min() > 0:
         return np.arange(n, dtype=np.int64)
+    chosen = _two_class_select(values, weights, capacity)
+    if chosen is not None:
+        return chosen
 
     # Suffix tables: best[i][w] = (max value, min weight at that value) over
     # items i..n-1 within capacity w. Kept per-row for the backtrack walk.
@@ -125,6 +136,51 @@ def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
                 target_v = rest_v
                 target_w = rest_w
     return np.array(selected, dtype=np.int64)
+
+
+def _two_class_select(
+    values: np.ndarray, weights: np.ndarray, capacity: int
+) -> np.ndarray | None:
+    """The DP's selection when the items have at most two distinct weights,
+    or None when that cannot be proven here and the DP must decide.
+
+    With weights w_a < w_b, some optimum takes the a most valuable items of
+    weight w_a and the b(a) = min(n_b, (capacity - a*w_a) // w_b) most
+    valuable of weight w_b, so enumerating a over prefix sums finds it. The
+    selection is returned only if (1) its total beats that of every other a
+    by more than ``tol``, (2) the last item it takes from each class is
+    worth more than ``tol`` and (3) more than ``tol`` above the first item
+    of its class left out. Every other feasible set then has a smaller
+    float value under the DP's own sums, so the DP's weight and index tie
+    rules never come into play.
+    """
+    w_a = weights.min()
+    in_b = weights != w_a
+    w_b = weights[in_b].max(initial=w_a)
+    if (weights[in_b] != w_b).any():
+        return None
+    # A DP right fold, or a prefix sum plus one addition, adds at most n + 1
+    # nonnegative values, so it is off from its exact value by at most about
+    # (n + 1) * eps/2 * sum(values). A margin of twice the DP's error plus
+    # twice the prefix sums' error, (2n + 1) * eps * sum(values), makes a win
+    # in the sums below a win under the DP's float sums; 8n leaves headroom.
+    tol = 8 * values.size * np.finfo(np.float64).eps * float(values.sum())
+    idx_a, idx_b = np.flatnonzero(~in_b), np.flatnonzero(in_b)
+    idx_a = idx_a[np.argsort(-values[idx_a], kind="stable")]
+    idx_b = idx_b[np.argsort(-values[idx_b], kind="stable")]
+    v_a, v_b = values[idx_a], values[idx_b]
+    a = np.arange(min(idx_a.size, capacity // w_a) + 1)
+    b = np.minimum(idx_b.size, (capacity - a * w_a) // w_b)
+    total = np.append(0.0, np.cumsum(v_a))[a] + np.append(0.0, np.cumsum(v_b))[b]
+    best = int(np.argmax(total))
+    if total[best] - np.delete(total, best).max(initial=-np.inf) <= tol:
+        return None
+    for v, taken in ((v_a, best), (v_b, int(b[best]))):
+        # values are nonnegative, so with 0 standing for "no item left out",
+        # condition (3) implies condition (2)
+        if taken and v[taken - 1] - np.append(v, 0.0)[taken] <= tol:
+            return None
+    return np.sort(np.concatenate((idx_a[:best], idx_b[: b[best]])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +383,8 @@ def kmedoids_fair_capacitated(
     Improvement step: every (medoid, non-medoid) swap is evaluated with a
     full re-assignment and the best strictly improving swap is applied,
     until none exists. The traced cost (sum of point-to-medoid distances,
-    one term per point) is therefore non-increasing.
+    one term per point) is therefore non-increasing, so a medoid tuple
+    evaluated in an earlier round cannot improve on it and is skipped.
     """
     positions, weights = _check_capacity_inputs(positions, weights, k, q)
     l = len(weights)
@@ -371,6 +428,10 @@ def kmedoids_fair_capacitated(
     taken = assign(medoids)
     best_cost = cost_of(medoids, taken)
     trace: list[dict] = [{"iteration": 0, "event": "assign", "cost": best_cost}]
+    # best_cost never rises and every evaluated tuple costs at least it, so
+    # a tuple evaluated before (or found infeasible) can never be the
+    # strictly improving swap of a later round: skip it instead of assigning.
+    seen = {medoids}
 
     max_rounds = MAX_ROUNDS_FACTOR * l
     for round_no in range(1, max_rounds + 1):
@@ -379,6 +440,9 @@ def kmedoids_fair_capacitated(
         for s in medoids:
             for o in others:
                 cand = tuple(sorted([m for m in medoids if m != s] + [o]))
+                if cand in seen:
+                    continue
+                seen.add(cand)
                 try:
                     cand_taken = assign(cand)
                 except InfeasibilityError:

@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 from typing import Any
 
@@ -354,23 +355,57 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return code
 
 
-# what ``faircap report`` reads from each kind of runs.jsonl line
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_fraction_text(value: Any) -> bool:
+    if not isinstance(value, str):
+        return False
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+_INT = ("an integer", _is_int)
+_NUMBER = (
+    "a finite number",
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v),
+)
+_TEXT = ("a string", lambda v: isinstance(v, str))
+_INT_LIST = (
+    "a nonempty list of integers",
+    lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)),
+)
+
+# The keys `faircap report` reads from each kind of runs.jsonl line, with
+# the type each must have (description, check).
 _REPORT_KEYS = {
-    "provenance": (
-        "dataset.n", "dataset.balance", "params.t", "params.k",
-        "params.epsilon_hierarchical", "params.epsilon_partitioning",
-    ),
-    "ok": ("method", "k", "cost", "balance", "sizes", "q"),
-    "failed": ("method", "k"),
+    "provenance": {
+        "dataset.n": _INT, "dataset.balance": _NUMBER,
+        "params.t": ("a fraction such as \"1/2\"", _is_fraction_text), "params.k": _INT_LIST,
+        "params.epsilon_hierarchical": _NUMBER, "params.epsilon_partitioning": _NUMBER,
+    },
+    "ok": {
+        "method": _TEXT, "k": _INT, "cost": _NUMBER, "balance": _NUMBER,
+        "sizes": _INT_LIST, "q": _INT,
+    },
+    "failed": {"method": _TEXT, "k": _INT},
 }
 
 
-def _lacks(obj: Any, key: str) -> bool:
+_MISSING = object()
+
+
+def _lookup(obj: Any, key: str) -> Any:
+    """The value of a dotted key, or ``_MISSING``."""
     for part in key.split("."):
         if not isinstance(obj, dict) or part not in obj:
-            return True
+            return _MISSING
         obj = obj[part]
-    return False
+    return obj
 
 
 def _read_sweep(path: Path) -> tuple[dict, list[dict], list[dict]]:
@@ -396,9 +431,16 @@ def _read_sweep(path: Path) -> tuple[dict, list[dict], list[dict]]:
                 kind = "provenance"
             else:
                 kind = "ok" if obj.get("status") == "ok" else "failed"
-            missing = [key for key in _REPORT_KEYS[kind] if _lacks(obj, key)]
+            found = {key: _lookup(obj, key) for key in _REPORT_KEYS[kind]}
+            missing = [key for key, value in found.items() if value is _MISSING]
             if missing:
                 raise IngestError(f"{path}:{lineno}: {kind} line lacks {', '.join(missing)}")
+            for key, value in found.items():
+                what, check = _REPORT_KEYS[kind][key]
+                if not check(value):
+                    raise IngestError(
+                        f"{path}:{lineno}: {kind} line's {key} must be {what}, got {value!r}"
+                    )
             if kind == "provenance":
                 provenance = obj
             elif kind == "ok":

@@ -5,13 +5,14 @@ from faircap import capclust
 from faircap.capclust import (
     KnapsackInstance,
     _repair_room,
+    _two_class_select,
     capacity_threshold,
     hierarchical_fair_capacitated,
     kmedoids_fair_capacitated,
     knapsack_select,
 )
 from faircap.baselines import kcenter_greedy
-from faircap.core import pairwise_distances
+from faircap.core import pairwise_distances, rng_stream
 from faircap.errors import ContractViolationError, InfeasibilityError
 
 
@@ -27,6 +28,48 @@ def brute_force_knapsack(values, weights, capacity):
     feasible = tot_w <= capacity
     best = tot_v[feasible].max(initial=0.0)
     return float(best)
+
+
+def reference_knapsack(values, weights, capacity):
+    """The knapsack DP with its tie rules, as the definition: maximum value
+    under the right-fold float sums, then minimum weight, then the
+    lexicographically smallest index set."""
+    values = np.asarray(values, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.int64)
+    n = values.size
+    if n == 0 or capacity == 0:
+        return np.empty(0, dtype=np.int64)
+    total_w = int(weights.sum())
+    cap = min(capacity, total_w)
+    if total_w <= capacity and values.min() > 0:
+        return np.arange(n, dtype=np.int64)
+    best_v = [None] * (n + 1)
+    best_w = [None] * (n + 1)
+    best_v[n] = np.zeros(cap + 1)
+    best_w[n] = np.zeros(cap + 1, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        wi = int(weights[i])
+        nv, nw = best_v[i + 1].copy(), best_w[i + 1].copy()
+        if wi <= cap:
+            take_v = best_v[i + 1][: cap + 1 - wi] + values[i]
+            take_w = best_w[i + 1][: cap + 1 - wi] + wi
+            seg_v, seg_w = nv[wi:], nw[wi:]
+            upd = (take_v > seg_v) | ((take_v == seg_v) & (take_w < seg_w))
+            seg_v[upd] = take_v[upd]
+            seg_w[upd] = take_w[upd]
+        best_v[i], best_w[i] = nv, nw
+    selected = []
+    w = cap
+    target_v, target_w = best_v[0][w], best_w[0][w]
+    for i in range(n):
+        wi = int(weights[i])
+        if wi <= w:
+            rest_v, rest_w = best_v[i + 1][w - wi], best_w[i + 1][w - wi]
+            if rest_v + values[i] == target_v and rest_w + wi == target_w:
+                selected.append(i)
+                w -= wi
+                target_v, target_w = rest_v, rest_w
+    return np.array(selected, dtype=np.int64)
 
 
 def unit_points(coords):
@@ -158,6 +201,60 @@ class TestKnapsackSelect:
         # value optimum 1.0 either way; smaller total weight excludes item 1
         inst = KnapsackInstance(values=[1.0, 0.0], weights=[1, 1], capacity=2)
         assert knapsack_select(inst).tolist() == [0]
+
+    def test_matches_dp_reference_on_tie_heavy_instances(self):
+        # 1-3 weight classes; values exact, rounded to 1 or 0 decimals (ties
+        # at class boundaries and between the best prefix pairs), or decayed
+        # from far distances (underflowed zeros); capacity 0 to above sum(w)
+        rng = np.random.default_rng(8080)
+        classes_seen, declined = set(), set()
+        for trial in range(3000):
+            n = int(rng.integers(1, 25))
+            n_classes = int(rng.integers(1, 4))
+            weights = rng.choice(rng.choice(np.arange(1, 7), n_classes, replace=False), n)
+            kind = trial % 5
+            values = rng.uniform(0, 1, n)
+            if kind == 1:
+                values = values.round(1)
+            elif kind == 2:
+                values = (3 * values).round(0)
+            elif kind == 3:
+                values = np.exp(-rng.choice([0.5, 1.0, 400.0], n) / 0.3)
+            elif kind == 4:
+                values = np.full(n, values[0])
+            capacity = int(rng.integers(0, int(weights.sum()) + 3))
+            chosen = knapsack_select(KnapsackInstance(values, weights, capacity))
+            expected = reference_knapsack(values, weights, capacity)
+            assert chosen.tolist() == expected.tolist(), (values, weights, capacity)
+            classes_seen.add(len(set(weights.tolist())))
+            if len(set(weights.tolist())) <= 2 and capacity:
+                declined.add(_two_class_select(values, weights, capacity) is None)
+        assert classes_seen == {1, 2, 3}
+        assert declined == {True, False}  # both the fast path and the fallback ran
+
+    def test_two_class_helper_takes_and_declines(self):
+        values = np.array([0.9, 0.1, 0.8, 0.5, 0.3])
+        weights = np.array([2, 3, 3, 2, 2])
+        # best: both top weight-2 items (0.9, 0.5) and the top weight-3 (0.8)
+        assert _two_class_select(values, weights, 7).tolist() == [0, 2, 3]
+        assert reference_knapsack(values, weights, 7).tolist() == [0, 2, 3]
+        # a value tie at the weight-2 boundary (items 3 and 4) is left to the DP
+        values[4] = values[3]
+        assert _two_class_select(values, weights, 7) is None
+        # so is a taken item worth nothing, where the DP prefers less weight
+        assert _two_class_select(np.array([1.0, 0.0]), np.array([2, 3]), 5) is None
+        # and three weight classes
+        assert _two_class_select(np.ones(3), np.array([1, 2, 3]), 3) is None
+
+    def test_rejects_fractional_weights_and_capacity(self):
+        with pytest.raises(ContractViolationError, match="weights must be positive integers"):
+            KnapsackInstance(values=[1.0, 1.0], weights=[2.9, 1], capacity=3)
+        for capacity in (2.7, 2.0, True):
+            with pytest.raises(ContractViolationError, match="capacity must be an integer"):
+                KnapsackInstance(values=[1.0, 1.0], weights=[2, 1], capacity=capacity)
+        inst = KnapsackInstance([1.0], weights=np.array([2], np.int32), capacity=np.int64(2))
+        assert inst.capacity == 2 and type(inst.capacity) is int
+        assert inst.weights.dtype == np.int64
 
 
 def reference_hierarchical(positions, weights, k, q):
@@ -293,7 +390,101 @@ class TestHierarchical:
         )
 
 
+def reference_kmedoids(positions, weights, k, q, lam, seed):
+    """The capacitated k-medoids swap search with the DP knapsack and every
+    candidate re-assigned in every round. Returns (assignment, medoids,
+    trace, number of candidate swaps that were infeasible)."""
+    l = len(weights)
+    dists = pairwise_distances(positions)
+    decay = np.exp(-dists / lam)
+
+    def assign(medoids):
+        med = np.asarray(medoids)
+        taken = np.full(l, -1, dtype=np.int64)
+        taken[med] = np.arange(k)
+        room = q - weights[med]
+        for ci, s in enumerate(medoids):
+            cand = np.flatnonzero(taken == -1)
+            if cand.size:
+                chosen = cand[reference_knapsack(decay[s, cand], weights[cand], int(room[ci]))]
+                taken[chosen] = ci
+                room[ci] -= int(weights[chosen].sum())
+        leftovers = np.flatnonzero(taken == -1)
+        for p in leftovers[np.argsort(-weights[leftovers], kind="stable")]:
+            fits = np.flatnonzero(room >= weights[p])
+            if fits.size:
+                ci = int(fits[np.argmin(dists[p, med[fits]])])
+            else:
+                ci = _repair_room(int(p), taken, room, med, dists, weights)
+            taken[p] = ci
+            room[ci] -= weights[p]
+        return taken
+
+    def cost_of(medoids, taken):
+        return float(dists[np.arange(l), np.asarray(medoids)[taken]].sum())
+
+    rng = rng_stream(seed, "capclust.kmedoids")
+    medoids = tuple(sorted(int(i) for i in rng.choice(l, size=k, replace=False)))
+    taken = assign(medoids)
+    best_cost = cost_of(medoids, taken)
+    trace = [{"iteration": 0, "event": "assign", "cost": best_cost}]
+    infeasible = 0
+    for round_no in range(1, 10 * l + 1):
+        best_swap = None
+        for s in medoids:
+            for o in [p for p in range(l) if p not in medoids]:
+                cand = tuple(sorted([m for m in medoids if m != s] + [o]))
+                try:
+                    cand_taken = assign(cand)
+                except InfeasibilityError:
+                    infeasible += 1
+                    continue
+                c = cost_of(cand, cand_taken)
+                if c < best_cost:
+                    best_cost, best_swap = c, (cand, cand_taken)
+        if best_swap is None:
+            return taken, medoids, tuple(trace), infeasible
+        medoids, taken = best_swap
+        trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
+    raise AssertionError("reference swap loop did not converge")
+
+
 class TestKMedoidsFairCapacitated:
+    def test_matches_plain_swap_loop(self):
+        # weights {2, 3} take the two-class knapsack path and {2, 3, 4} the
+        # DP; positions rounded to one decimal tie distances; tight capacities
+        # make some candidate swaps infeasible
+        rng = np.random.default_rng(7707)
+        infeasible_swaps = 0
+        outcomes = set()
+        for trial in range(100):
+            l = int(rng.integers(5, 13))
+            k = int(rng.integers(2, min(l - 1, 5) + 1))
+            positions = rng.uniform(0, 1, size=(l, 2))
+            if trial % 2:
+                positions = positions.round(1)
+            weights = rng.choice([2, 3] if trial % 3 else [2, 3, 4], size=l)
+            epsilon = 1.0 + 0.1 * (trial % 4)
+            q = max(int(weights.max()), capacity_threshold(int(weights.sum()), k, epsilon))
+            lam = (0.3, 1.0)[trial % 2]
+            try:
+                expected = reference_kmedoids(positions, weights, k, q, lam, seed=trial)
+            except InfeasibilityError as exc:
+                with pytest.raises(InfeasibilityError) as err:
+                    kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
+                assert str(err.value) == str(exc)
+                outcomes.add("infeasible")
+                continue
+            result = kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
+            assignment, medoids, trace, infeasible = expected
+            assert result.assignment.tolist() == assignment.tolist()
+            assert result.medoids == medoids
+            assert result.trace == trace
+            infeasible_swaps += infeasible
+            outcomes.add("swapped" if len(trace) > 1 else "converged at once")
+        assert infeasible_swaps > 0
+        assert {"swapped", "converged at once"} <= outcomes
+
     def test_every_point_its_own_medoid(self):
         positions, weights = unit_points([0.0, 3.0, 7.0])
         result = kmedoids_fair_capacitated(positions, weights, k=3, q=1, lam=0.3, seed=0)

@@ -263,6 +263,27 @@ class TestReport:
                 ":2: ok line lacks k",
             ),
         }
+        mistyped = {
+            ("ok", "k"): ("2", True), ("ok", "q"): (6.0,), ("ok", "cost"): ("x", None),
+            ("ok", "balance"): ("0.5",), ("ok", "sizes"): ([5, "5"], [], 10),
+            ("ok", "method"): (3,), ("failed", "k"): ("2",), ("failed", "method"): (None,),
+        }
+        failed = {"type": "run", "status": "infeasible", "method": "hier_fair_cap_mcf", "k": 2}
+        for (kind, key), values in mistyped.items():
+            base = record if kind == "ok" else failed
+            for value in values:
+                line = json.dumps(dict(base, **{key: value}))
+                bad[f"{kind} {key}={value!r}"] = (
+                    good[0] + "\n" + line, f":2: {kind} line's {key} must be"
+                )
+        bad["ok cost=NaN"] = (
+            good[0] + "\n" + json.dumps(dict(record, cost=float("nan"))),
+            ":2: ok line's cost must be a finite number",
+        )
+        bad["provenance t=abc"] = (
+            json.dumps(dict(provenance, params=dict(provenance["params"], t="abc"))),
+            ":1: provenance line's params.t must be",
+        )
         path = tmp_path / "runs.jsonl"
         path.write_text("\n".join(good) + "\n")
         assert main(["report", str(path), "--output", str(tmp_path / "rep")]) == EXIT_OK
