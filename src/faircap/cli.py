@@ -3,11 +3,14 @@
 Subcommands:
 
 * ``generate`` writes a synthetic blob CSV with a binary protected column.
-* ``run`` executes a k-sweep over the selected methods per a config file and
-  writes ``runs.jsonl`` plus ``summary.csv``.
+* ``run`` executes a k-sweep over the selected methods per an INI config file
+  and writes ``runs.jsonl`` plus ``summary.csv``. The config's ``[dataset]``
+  section names the CSV file and its protected column, ``[sweep]`` the
+  methods, k values and parameters; any other key is a config error.
 * ``report`` renders cost/balance/size SVG panels and a text table from a
   sweep output.
-* ``validate`` audits an exported fairlet decomposition against a dataset.
+* ``validate`` audits an exported fairlet decomposition against the data and
+  the threshold ``t`` of the sweep config that produced it.
 
 Exit codes: 0 success, 1 usage or config problem, 2 data or pipeline error,
 3 when every run in a sweep was infeasible. The output directory can be
@@ -22,13 +25,14 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 from typing import Any
 
 from . import __version__, baselines, capclust, fairlets, ingest, report, synth
-from .core import Dataset, Params
+from .core import Params
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -42,15 +46,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ALL_INFEASIBLE = 3
-
-DEFAULTS = {
-    "t": Fraction(1, 2),
-    "lambda": 0.3,
-    "epsilon_hierarchical": 1.2,
-    "epsilon_partitioning": 1.01,
-    "k": (2, 4, 6, 8, 10, 12, 14),
-    "seed": 0,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,18 +79,25 @@ def _parse_k_values(text: str) -> tuple[int, ...]:
     return tuple(sorted(set(values)))  # canonical record order is (method, k)
 
 
-def _parse_threshold(text: str) -> fairlets.ThresholdFM:
+def _parse_blob_weights(text: str) -> tuple[float, ...]:
     try:
-        return fairlets.ThresholdFM.from_fraction(Fraction(text))
-    except (ValueError, ZeroDivisionError, ContractViolationError):
-        raise argparse.ArgumentTypeError(f"not a threshold in (0, 1]: {text!r}") from None
+        weights = tuple(float(w) for w in text.split(","))
+    except ValueError:
+        weights = ()
+    if not weights or not all(0 < w < inf for w in weights):
+        raise argparse.ArgumentTypeError(f"not a comma list of positive numbers: {text!r}")
+    return weights
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
     text = text.strip()
     if text in ("", "all"):
         return tuple(baselines.METHODS)
-    names = tuple(p.strip() for p in text.split(",") if p.strip())
+    names = _names(text)
     unknown = [m for m in names if m not in baselines.METHODS]
     if unknown:
         raise ConfigError(
@@ -104,10 +106,19 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return tuple(sorted(set(names)))
 
 
-def _get(cfg: configparser.ConfigParser, section: str, key: str, default: Any = None) -> Any:
-    if cfg.has_option(section, key):
-        return cfg.get(section, key).strip()
-    return default
+# Each section's keys, with their defaults as config text; any other key is a
+# config error.
+_SECTIONS = {
+    "dataset": {
+        "path": "", "protected_column": "", "positive_label": None, "drop_columns": "",
+        "scale": "minmax", "delimiter": ",", "numeric_columns": "",
+    },
+    "sweep": {
+        "methods": "all", "k": "2:14:2", "t": "1/2", "lambda": "0.3",
+        "epsilon_hierarchical": "1.2", "epsilon_partitioning": "1.01", "seed": "0",
+        "output_dir": "sweep-out",
+    },
+}
 
 
 class SweepConfig:
@@ -116,122 +127,70 @@ class SweepConfig:
     def __init__(self, path: str | Path):
         cfg = configparser.ConfigParser()
         try:
-            read = cfg.read(path)
-        except configparser.Error as exc:
+            read = cfg.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         if not read:
             raise ConfigError(f"{path}: config file not found")
-        if not cfg.has_section("dataset"):
-            raise ConfigError(f"{path}: missing [dataset] section")
-        if not cfg.has_section("sweep"):
-            raise ConfigError(f"{path}: missing [sweep] section")
-
-        self.path = Path(path)
-        self.generate = _get(cfg, "dataset", "generate", "false").lower() in ("1", "true", "yes")
-        if self.generate:
+        sections = []
+        for section, defaults in _SECTIONS.items():
+            if not cfg.has_section(section):
+                raise ConfigError(f"{path}: missing [{section}] section")
             try:
-                self.gen_n = int(_get(cfg, "dataset", "n", "200"))
-                self.gen_balance = float(_get(cfg, "dataset", "balance", "1.0"))
-                self.gen_clusters = int(_get(cfg, "dataset", "clusters", "3"))
-                self.gen_noise = float(_get(cfg, "dataset", "noise", "0.06"))
-                self.gen_dims = int(_get(cfg, "dataset", "dims", "2"))
-                raw_weights = _get(cfg, "dataset", "blob_weights", "")
-                self.gen_weights = (
-                    tuple(float(w) for w in raw_weights.split(",")) if raw_weights else None
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}: [dataset] generator field: {exc}") from exc
-            self.dataset_spec = None
-        else:
-            data_path = _get(cfg, "dataset", "path")
-            protected = _get(cfg, "dataset", "protected_column")
-            if not data_path or not protected:
-                raise ConfigError(
-                    f"{path}: [dataset] needs either generate=true or both "
-                    "path and protected_column"
-                )
-            drop = _get(cfg, "dataset", "drop_columns", "")
-            numeric = _get(cfg, "dataset", "numeric_columns", "")
-            try:
-                self.dataset_spec = ingest.DatasetSpec(
-                    path=data_path,
-                    protected_column=protected,
-                    positive_label=_get(cfg, "dataset", "positive_label"),
-                    drop_columns=tuple(c.strip() for c in drop.split(",") if c.strip()),
-                    scale=_get(cfg, "dataset", "scale", "minmax"),
-                    delimiter=_get(cfg, "dataset", "delimiter", ","),
-                    numeric_columns=tuple(c.strip() for c in numeric.split(",") if c.strip()),
-                )
-            except ContractViolationError as exc:
-                raise ConfigError(f"{path}: [dataset] {exc}") from exc
+                given = {key: value.strip() for key, value in cfg.items(section)}
+            except configparser.Error as exc:  # a stray % in a value
+                raise ConfigError(f"{path}: [{section}] {exc}") from exc
+            for key in given:
+                if key not in defaults:
+                    raise ConfigError(
+                        f"{path}: [{section}] unknown key {key!r}; valid: {', '.join(defaults)}"
+                    )
+            sections.append({**defaults, **given})
+        dataset, sweep = sections
 
+        if not dataset["path"] or not dataset["protected_column"]:
+            raise ConfigError(f"{path}: [dataset] needs path and protected_column")
         try:
-            self.t = Fraction(_get(cfg, "sweep", "t", str(DEFAULTS["t"])))
-            self.lam = float(_get(cfg, "sweep", "lambda", str(DEFAULTS["lambda"])))
-            self.eps_hier = float(
-                _get(cfg, "sweep", "epsilon_hierarchical", str(DEFAULTS["epsilon_hierarchical"]))
+            self.dataset_spec = ingest.DatasetSpec(
+                path=dataset["path"],
+                protected_column=dataset["protected_column"],
+                positive_label=dataset["positive_label"],
+                drop_columns=_names(dataset["drop_columns"]),
+                scale=dataset["scale"],
+                delimiter=dataset["delimiter"],
+                numeric_columns=_names(dataset["numeric_columns"]),
             )
-            self.eps_part = float(
-                _get(cfg, "sweep", "epsilon_partitioning", str(DEFAULTS["epsilon_partitioning"]))
-            )
-            self.seed = int(_get(cfg, "sweep", "seed", str(DEFAULTS["seed"])))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{path}: [sweep] field: {exc}") from exc
-        # Params holds the bounds; checking each number alone names its key.
-        for key, arg in (
-            ("t", {"t": self.t}),
-            ("lambda", {"lam": self.lam}),
-            ("epsilon_hierarchical", {"epsilon": self.eps_hier}),
-            ("epsilon_partitioning", {"epsilon": self.eps_part}),
-            ("seed", {"seed": self.seed}),
+        except ContractViolationError as exc:
+            raise ConfigError(f"{path}: [dataset] {exc}") from exc
+
+        # Params holds the bounds; parsing and checking each number alone
+        # names its key.
+        numbers = {}
+        for key, parse, param in (
+            ("t", Fraction, "t"),
+            ("lambda", float, "lam"),
+            ("epsilon_hierarchical", float, "epsilon"),
+            ("epsilon_partitioning", float, "epsilon"),
+            ("seed", int, "seed"),
         ):
             try:
-                Params(k=1, **arg)
+                numbers[key] = parse(sweep[key])
+                Params(k=1, **{param: numbers[key]})
                 if key == "t":
-                    fairlets.ThresholdFM.from_fraction(self.t).check_supported()
-            except (ContractViolationError, UnsupportedThresholdError) as exc:
+                    fairlets.ThresholdFM.from_fraction(numbers[key]).check_supported()
+            except (ValueError, ZeroDivisionError, UnsupportedThresholdError) as exc:
                 raise ConfigError(f"{path}: [sweep] {key}: {exc}") from exc
-        k_text = _get(cfg, "sweep", "k", "")
-        self.k_values = _parse_k_values(k_text) if k_text else DEFAULTS["k"]
-        self.methods = _parse_methods(_get(cfg, "sweep", "methods", "all"))
-        self.output_dir = _get(cfg, "sweep", "output_dir", "sweep-out")
-
-    def load_dataset(self) -> Dataset:
-        if self.generate:
-            return synth.make_blobs(
-                n=self.gen_n,
-                balance=self.gen_balance,
-                clusters=self.gen_clusters,
-                noise=self.gen_noise,
-                seed=self.seed,
-                blob_weights=self.gen_weights,
-                dims=self.gen_dims,
-            )
-        assert self.dataset_spec is not None
-        return ingest.load_csv(self.dataset_spec)
-
-    def dataset_description(self) -> dict[str, Any]:
-        if self.generate:
-            return {
-                "source": "generated",
-                "n": self.gen_n,
-                "balance_requested": self.gen_balance,
-                "clusters": self.gen_clusters,
-                "noise": self.gen_noise,
-            }
-        assert self.dataset_spec is not None
-        return {
-            "source": "csv",
-            "path": str(self.dataset_spec.path),
-            "protected_column": self.dataset_spec.protected_column,
-            "scale": self.dataset_spec.scale,
-        }
+        self.t, self.lam, self.eps_hier, self.eps_part, self.seed = numbers.values()
+        self.k_values = _parse_k_values(sweep["k"] or _SECTIONS["sweep"]["k"])
+        self.methods = _parse_methods(sweep["methods"])
+        self.output_dir = sweep["output_dir"]
 
 
 def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
               export_decompositions: bool = False) -> int:
     """Execute the sweep and write artifacts; returns the process exit code."""
-    data = cfg.load_dataset()
+    spec = cfg.dataset_spec
+    data = ingest.load_csv(spec)
     balance = ingest.dataset_balance(data)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -239,7 +198,10 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
         "type": "provenance",
         "version": __version__,
         "dataset": {
-            **cfg.dataset_description(),
+            "source": "csv",
+            "path": str(spec.path),
+            "protected_column": spec.protected_column,
+            "scale": spec.scale,
             "n": data.n,
             "dim": data.dim,
             "group_counts": list(data.group_counts()),
@@ -275,7 +237,7 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
                 result = baselines.pipeline(
                     method, data, params, decomposition=decomposition_for(flavor)
                 )
-                rows.append({"type": "run", "status": "ok", **result.record.to_json_dict()})
+                rows.append({"type": "run", "status": "ok", **asdict(result.record)})
                 for event in result.trace:
                     traces.append({"method": method, "k": k, **event})
             except InfeasibilityError as exc:
@@ -331,12 +293,9 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    weights = (
-        tuple(float(w) for w in args.blob_weights.split(",")) if args.blob_weights else None
-    )
     path = synth.write_blobs_csv(
         args.out, n=args.n, balance=args.balance, clusters=args.clusters,
-        noise=args.noise, seed=args.seed, blob_weights=weights, dims=args.dims,
+        noise=args.noise, seed=args.seed, blob_weights=args.blob_weights, dims=args.dims,
     )
     print(f"wrote {path}")
     return EXIT_OK
@@ -416,37 +375,36 @@ def _read_sweep(path: Path) -> tuple[dict, list[dict], list[dict]]:
     provenance: dict | None = None
     records: list[dict] = []
     failures: list[dict] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise IngestError(f"{path}:{lineno}: expected a JSON object")
-            if obj.get("type") == "provenance":
-                kind = "provenance"
-            else:
-                kind = "ok" if obj.get("status") == "ok" else "failed"
-            found = {key: _lookup(obj, key) for key in _REPORT_KEYS[kind]}
-            missing = [key for key, value in found.items() if value is _MISSING]
-            if missing:
-                raise IngestError(f"{path}:{lineno}: {kind} line lacks {', '.join(missing)}")
-            for key, value in found.items():
-                what, check = _REPORT_KEYS[kind][key]
-                if not check(value):
-                    raise IngestError(
-                        f"{path}:{lineno}: {kind} line's {key} must be {what}, got {value!r}"
-                    )
-            if kind == "provenance":
-                provenance = obj
-            elif kind == "ok":
-                records.append(obj)
-            else:
-                failures.append(obj)
+    for lineno, line in enumerate(ingest.read_utf8(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise IngestError(f"{path}:{lineno}: expected a JSON object")
+        if obj.get("type") == "provenance":
+            kind = "provenance"
+        else:
+            kind = "ok" if obj.get("status") == "ok" else "failed"
+        found = {key: _lookup(obj, key) for key in _REPORT_KEYS[kind]}
+        missing = [key for key, value in found.items() if value is _MISSING]
+        if missing:
+            raise IngestError(f"{path}:{lineno}: {kind} line lacks {', '.join(missing)}")
+        for key, value in found.items():
+            what, check = _REPORT_KEYS[kind][key]
+            if not check(value):
+                raise IngestError(
+                    f"{path}:{lineno}: {kind} line's {key} must be {what}, got {value!r}"
+                )
+        if kind == "provenance":
+            provenance = obj
+        elif kind == "ok":
+            records.append(obj)
+        else:
+            failures.append(obj)
     if provenance is None:
         raise IngestError(f"{path}: missing provenance line")
     return provenance, records, failures
@@ -489,17 +447,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = ingest.DatasetSpec(
-        path=args.data,
-        protected_column=args.protected_column,
-        positive_label=args.positive_label,
-        delimiter=args.delimiter,
-        scale=args.scale,
-    )
-    data = ingest.load_csv(spec)
-    text = Path(args.decomposition).read_text(encoding="utf-8")
-    decomp = fairlets.decomposition_from_json(text, data)
-    result = fairlets.validate(decomp, data, args.t)
+    cfg = SweepConfig(args.config)
+    data = ingest.load_csv(cfg.dataset_spec)
+    decomp = fairlets.decomposition_from_json(ingest.read_utf8(args.decomposition), data)
+    result = fairlets.validate(decomp, data, fairlets.ThresholdFM.from_fraction(cfg.t))
     if result.ok:
         print(f"valid decomposition: {len(decomp)} fairlets cover {data.n} rows")
         return EXIT_OK
@@ -521,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", type=float, default=0.06)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--dims", type=int, default=2)
-    gen.add_argument("--blob-weights", default="", help="comma list of relative blob sizes")
+    gen.add_argument(
+        "--blob-weights", type=_parse_blob_weights, help="comma list of relative blob sizes"
+    )
     gen.set_defaults(func=_cmd_generate)
 
     run = sub.add_parser("run", help="run a k-sweep per a config file")
@@ -539,14 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--output", default=None)
     rep.set_defaults(func=_cmd_report)
 
-    val = sub.add_parser("validate", help="audit an exported fairlet decomposition")
-    val.add_argument("--data", required=True, help="dataset CSV path")
-    val.add_argument("--protected-column", required=True)
-    val.add_argument("--positive-label", default=None)
-    val.add_argument("--delimiter", default=",")
-    val.add_argument("--scale", default="minmax")
+    val = sub.add_parser(
+        "validate", help="audit an exported fairlet decomposition against a sweep's data and t"
+    )
+    val.add_argument("config", help="the sweep's config file")
     val.add_argument("--decomposition", required=True, help="decomposition JSON path")
-    val.add_argument("--t", default="1/2", type=_parse_threshold)
     val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -10,6 +10,7 @@ re-loading a file always yields an identical dataset.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ from .errors import (
     ContractViolationError,
     EmptyFileError,
     InfeasibilityError,
+    IngestError,
     MissingColumnError,
     MissingValueError,
     ProtectedLevelsError,
@@ -66,6 +68,14 @@ def _parse_float(cell: str) -> float | None:
         return None
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file, newlines untranslated; :class:`IngestError` if not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_csv(spec: DatasetSpec) -> Dataset:
     """Load, encode and scale a CSV file per ``spec``.
 
@@ -74,8 +84,7 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     never enters the feature matrix.
     """
     path = Path(spec.path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh, delimiter=spec.delimiter))
+    rows = list(csv.reader(io.StringIO(read_utf8(path), newline=""), delimiter=spec.delimiter))
     rows = [r for r in rows if r]  # tolerate trailing blank lines
     if not rows:
         raise EmptyFileError(f"{path}: file is empty")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -27,18 +26,6 @@ class RunRecord:
     q: int
     t: float
     seed: int
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "method": self.method,
-            "k": self.k,
-            "cost": self.cost,
-            "balance": self.balance,
-            "sizes": list(self.sizes),
-            "q": self.q,
-            "t": self.t,
-            "seed": self.seed,
-        }
 
 
 def evaluate(

@@ -331,14 +331,15 @@ def test_criterion_09_capacity_trend():
 
 
 def test_criterion_10_determinism(tmp_path):
+    data = tmp_path / "data.csv"
+    flags = ["--n", "60", "--balance", "0.8", "--clusters", "2", "--seed", "99"]
+    assert cli.main(["generate", "--out", str(data), *flags]) == cli.EXIT_OK
     config = tmp_path / "sweep.ini"
     config.write_text(
-        """
+        f"""
 [dataset]
-generate = true
-n = 60
-balance = 0.8
-clusters = 2
+path = {data}
+protected_column = group
 
 [sweep]
 methods = all

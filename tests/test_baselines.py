@@ -184,7 +184,7 @@ class TestMethodTable:
                     outcomes.add("error")
                     continue
                 clustering, record = expected
-                assert got.record.to_json_dict() == record.to_json_dict(), (trial, method)
+                assert got.record == record, (trial, method)
                 assert got.clustering.assignment.tolist() == clustering.assignment.tolist()
                 assert got.clustering.representatives == clustering.representatives
                 outcomes.add("k == n" if k == n else "ok")
@@ -340,7 +340,7 @@ class TestPipeline:
             eps = 1.2 if method.startswith("hier") else 1.01
             a = pipeline(method, data, Params(k=3, epsilon=eps, seed=9)).record
             b = pipeline(method, data, Params(k=3, epsilon=eps, seed=9)).record
-            assert a.to_json_dict() == b.to_json_dict()
+            assert a == b
 
     def test_precomputed_decomposition_matches_internal(self):
         from faircap.fairlets import ThresholdFM, mcf_decompose
@@ -350,4 +350,4 @@ class TestPipeline:
         decomp = mcf_decompose(data, ThresholdFM(1, 2), params.seed)
         a = pipeline("kmed_fair_cap_mcf", data, params).record
         b = pipeline("kmed_fair_cap_mcf", data, params, decomposition=decomp).record
-        assert a.to_json_dict() == b.to_json_dict()
+        assert a == b

@@ -1,23 +1,43 @@
+import configparser
 import json
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from faircap.cli import EXIT_ALL_INFEASIBLE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from faircap.cli import (
+    _SECTIONS,
+    EXIT_ALL_INFEASIBLE,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    SweepConfig,
+    main,
+)
+from faircap.ingest import load_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def write_config(tmp_path, body, name="sweep.ini"):
+# The `faircap generate` flags of SMALL_SWEEP's data.
+SMALL_DATA = ("--n", "48", "--balance", "1.0", "--clusters", "2", "--noise", "0.05", "--seed", "7")
+
+
+def write_config(tmp_path, body, data_flags=SMALL_DATA, name="sweep.ini"):
+    """Write ``body`` as a config file, with ``{data}`` replaced by the path
+    of a CSV file that ``faircap generate`` writes with ``data_flags``."""
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--out", str(data), *data_flags]) == EXIT_OK
     path = tmp_path / name
-    path.write_text(body, encoding="utf-8")
+    path.write_text(body.replace("{data}", str(data)), encoding="utf-8")
     return path
 
 
 SMALL_SWEEP = """
 [dataset]
-generate = true
-n = 48
-balance = 1.0
-clusters = 2
-noise = 0.05
+path = {data}
+protected_column = group
 
 [sweep]
 methods = all
@@ -33,6 +53,31 @@ def sweep_dir(tmp_path):
     code = main(["run", str(config), "--output", str(out)])
     assert code == EXIT_OK
     return out
+
+
+class TestConfigReference:
+    def test_readme_config_reference_parses(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"### Config reference\n\n```ini\n(.*?)```", text, re.S).group(1)
+        documented = configparser.ConfigParser()
+        documented.read_string(block)
+        # the documented keys are the parsed keys, and the [sweep] values the defaults
+        for section, defaults in _SECTIONS.items():
+            assert sorted(documented[section]) == sorted(defaults), section
+        assert dict(documented["sweep"]) == _SECTIONS["sweep"]
+
+        data = tmp_path / "student.csv"
+        data.write_text("age;sex;G1;G2;school\n15;F;10;11;GP\n17;M;12;13;MS\n", encoding="utf-8")
+        config = tmp_path / "sweep.ini"
+        config.write_text(re.sub(r"(?m)^path = .*$", f"path = {data}", block), encoding="utf-8")
+        cfg = SweepConfig(config)
+        assert cfg.dataset_spec.drop_columns == ("G1", "G2")
+        assert cfg.k_values == (2, 4, 6, 8, 10, 12, 14)
+        assert (cfg.t, cfg.lam, cfg.seed) == (Fraction(1, 2), 0.3, 0)
+        rows = load_csv(cfg.dataset_spec)
+        # age plus the two one-hot school levels; sex is the protected column
+        assert rows.features.shape == (2, 3)
+        assert rows.protected.tolist() == [0, 1]
 
 
 class TestGenerate:
@@ -54,6 +99,16 @@ class TestGenerate:
     def test_unwritable_path_is_data_error(self, tmp_path):
         target = tmp_path / "no-such-dir" / "toy.csv"
         assert main(["generate", "--out", str(target), "--n", "10"]) == EXIT_DATA
+
+    def test_bad_blob_weights_is_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "toy.csv")
+        for value in ("a,b", "1,,2", "", "nan,1", "inf,1", "0,1", "-1,2"):
+            with pytest.raises(SystemExit) as err:
+                main(["generate", "--out", out, "--clusters", "2", "--blob-weights", value])
+            assert err.value.code == EXIT_USAGE, value
+            assert "--blob-weights" in capsys.readouterr().err, value
+        code = main(["generate", "--out", out, "--clusters", "2", "--blob-weights", "3,1"])
+        assert code == EXIT_OK
 
 
 class TestRun:
@@ -91,14 +146,14 @@ class TestRun:
             tmp_path,
             """
 [dataset]
-generate = true
-n = 48
-balance = 0.8
+path = {data}
+protected_column = group
 
 [sweep]
 methods = all
 seed = 3
 """,
+            data_flags=("--n", "48", "--balance", "0.8", "--seed", "3"),
         )
         out = tmp_path / "out"
         main(["run", str(config), "--output", str(out)])
@@ -164,9 +219,35 @@ seed = 3
             assert "sweep.k" in capsys.readouterr().err, value
             assert not out.exists()
 
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a typo once ran silently with the default lambda, and a generator
+        # key once chose inline data over the CSV path
+        for section, key in (("sweep", "lamda"), ("dataset", "generate"), ("dataset", "dims")):
+            body = SMALL_SWEEP.replace(f"[{section}]\n", f"[{section}]\n{key} = 0.5\n")
+            config = write_config(tmp_path, body)
+            out = tmp_path / "o"
+            assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE
+            assert f"[{section}] unknown key {key!r}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_SWEEP)
+        config.write_bytes(config.read_bytes().replace(b"seed = 7", b"seed = \xff"))
+        assert main(["run", str(config), "--output", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(config) in err
+
+    def test_non_utf8_dataset_is_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_SWEEP)
+        data = tmp_path / "data.csv"
+        data.write_bytes(data.read_bytes().replace(b"group", b"gr\xffoup"))
+        assert main(["run", str(config), "--output", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"{data}: not UTF-8 text" in err
+
     def test_bad_dataset_spec_is_config_error(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text("x,group\n1,a\n2,b\n", encoding="utf-8")
-        for line in ("delimiter = ;;", "scale = zscore"):
+        for line in ("delimiter = ;;", "scale = zscore", "drop_columns = 50%"):
             config = write_config(
                 tmp_path,
                 "[dataset]\npath = d.csv\nprotected_column = group\n"
@@ -184,15 +265,15 @@ seed = 3
             tmp_path,
             """
 [dataset]
-generate = true
-n = 12
-balance = 1.0
+path = {data}
+protected_column = group
 
 [sweep]
 methods = hier_fair_cap_vanilla,kmed_fair_cap_vanilla
 k = 8
 seed = 1
 """,
+            data_flags=("--n", "12", "--balance", "1.0", "--seed", "1"),
         )
         out = tmp_path / "out"
         code = main(["run", str(config), "--output", str(out)])
@@ -240,6 +321,13 @@ class TestReport:
 
     def test_missing_sweep_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nowhere")]) == EXIT_DATA
+
+    def test_non_utf8_runs_jsonl_is_data_error(self, sweep_dir, capsys):
+        runs = sweep_dir / "runs.jsonl"
+        runs.write_bytes(runs.read_bytes().replace(b'"ok"', b'"\xff"', 1))
+        assert main(["report", str(sweep_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"{runs}: not UTF-8 text" in err
 
     def test_malformed_runs_jsonl_is_data_error(self, tmp_path, capsys):
         provenance = {
@@ -299,25 +387,37 @@ class TestValidate:
         config = write_config(tmp_path, SMALL_SWEEP)
         out = tmp_path / "out"
         main(["run", str(config), "--output", str(out), "--export-decompositions"])
-        csv_path = tmp_path / "data.csv"
-        main([
-            "generate", "--out", str(csv_path), "--n", "48",
-            "--balance", "1.0", "--clusters", "2", "--noise", "0.05", "--seed", "7",
-        ])
-        code = main([
-            "validate", "--data", str(csv_path), "--protected-column", "group",
-            "--decomposition", str(out / "fairlets_mcf.json"), "--t", "1/2",
-        ])
+        code = main(["validate", str(config), "--decomposition", str(out / "fairlets_mcf.json")])
         assert code == EXIT_OK
         assert "valid decomposition" in capsys.readouterr().out
 
+    def test_export_validates_at_its_own_sweeps_t(self, tmp_path, capsys):
+        # 12 of 42 rows are protected, so at t = 1/3 some MCF fairlets hold
+        # three majority rows: balance 1/3, below the old fixed --t of 1/2
+        body = SMALL_SWEEP.replace("methods = all", "methods = mcf_fairlet_kcenter")
+        config = write_config(
+            tmp_path, body.replace("k = 2,3", "k = 2\nt = 1/3"),
+            data_flags=("--n", "42", "--balance", "0.4", "--seed", "7"),
+        )
+        out = tmp_path / "out"
+        code = main(["run", str(config), "--output", str(out), "--export-decompositions"])
+        assert code == EXIT_OK
+        decomposition = str(out / "fairlets_mcf.json")
+        assert main(["validate", str(config), "--decomposition", decomposition]) == EXIT_OK
+        assert "valid decomposition" in capsys.readouterr().out
+        half = tmp_path / "half.ini"
+        half.write_text(config.read_text().replace("t = 1/3", "t = 1/2"), encoding="utf-8")
+        assert main(["validate", str(half), "--decomposition", decomposition]) == EXIT_DATA
+        assert "below threshold 1/2" in capsys.readouterr().out
+
     def test_tampered_decomposition_rejected(self, tmp_path, capsys):
-        csv_path = tmp_path / "data.csv"
-        main(["generate", "--out", str(csv_path), "--n", "8", "--balance", "1.0", "--seed", "2"])
+        config = write_config(
+            tmp_path, SMALL_SWEEP, data_flags=("--n", "8", "--balance", "1.0", "--seed", "2")
+        )
         # all four protected-1 rows in one fairlet violates balance
         from faircap.ingest import DatasetSpec, load_csv
 
-        data = load_csv(DatasetSpec(path=csv_path, protected_column="group"))
+        data = load_csv(DatasetSpec(path=tmp_path / "data.csv", protected_column="group"))
         ones = [str(i) for i in range(8) if data.protected[i] == 1]
         zeros = [str(i) for i in range(8) if data.protected[i] == 0]
         bad = json.dumps(
@@ -328,17 +428,16 @@ class TestValidate:
         )
         decomp_path = tmp_path / "bad.json"
         decomp_path.write_text(bad)
-        code = main([
-            "validate", "--data", str(csv_path), "--protected-column", "group",
-            "--decomposition", str(decomp_path), "--t", "1/2",
-        ])
+        code = main(["validate", str(config), "--decomposition", str(decomp_path)])
         assert code == EXIT_DATA
         assert "violation" in capsys.readouterr().out
 
     def test_malformed_input_is_an_error_not_a_traceback(self, tmp_path, capsys):
-        csv_path = tmp_path / "data.csv"
-        main(["generate", "--out", str(csv_path), "--n", "8", "--balance", "1.0", "--seed", "2"])
+        config = write_config(
+            tmp_path, SMALL_SWEEP, data_flags=("--n", "8", "--balance", "1.0", "--seed", "2")
+        )
         good = {"fairlet_id": 0, "center_row_id": "0", "member_row_ids": ["0"]}
+        path = tmp_path / "bad.json"
         bad_files = {
             "not JSON": ("{not json", "not valid JSON"),
             "record without members": (
@@ -346,21 +445,19 @@ class TestValidate:
                 "fairlet record 1 needs",
             ),
             "object, not a list": (json.dumps(good), "must be a JSON list"),
+            "not UTF-8": (b'[{"center_row_id": "\xff"}]', f"{path}: not UTF-8 text"),
         }
         for name, (text, message) in bad_files.items():
-            path = tmp_path / "bad.json"
-            path.write_text(text)
-            code = main([
-                "validate", "--data", str(csv_path), "--protected-column", "group",
-                "--decomposition", str(path),
-            ])
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text)
+            code = main(["validate", str(config), "--decomposition", str(path)])
             assert code == EXIT_DATA, name
             assert message in capsys.readouterr().err, name
-        for t in ("abc", "1/0"):
-            with pytest.raises(SystemExit) as err:
-                main([
-                    "validate", "--data", str(csv_path), "--protected-column", "group",
-                    "--decomposition", str(path), "--t", t,
-                ])
-            assert err.value.code == EXIT_USAGE, t
-            assert "--t" in capsys.readouterr().err, t
+        # the threshold comes from the config, checked like `faircap run` checks it
+        for t in ("abc", "1/0", "2/3"):
+            bad_t = tmp_path / "bad_t.ini"
+            bad_t.write_text(config.read_text() + f"t = {t}\n", encoding="utf-8")
+            assert main(["validate", str(bad_t), "--decomposition", str(path)]) == EXIT_USAGE, t
+            assert "[sweep] t" in capsys.readouterr().err, t

@@ -47,7 +47,7 @@ class TestEvaluate:
         data = make_blobs(n=30, balance=1.0, clusters=2, seed=5)
         a = pipeline("vanilla_fairlet_kcenter", data, Params(k=2, seed=8)).record
         b = pipeline("vanilla_fairlet_kcenter", data, Params(k=2, seed=8)).record
-        assert a.to_json_dict() == b.to_json_dict()
+        assert a == b
 
 
 class TestSizeDispersion:
