@@ -40,7 +40,6 @@ from .core import (
     rng_stream,
 )
 from .fairlets import (
-    ThresholdFM,
     ValidationReport,
     fairlet_cost,
     mcf_decompose,
@@ -65,7 +64,6 @@ __all__ = [
     "Params",
     "PipelineResult",
     "RunRecord",
-    "ThresholdFM",
     "ValidationReport",
     "balance_of",
     "capacity_threshold",

@@ -14,6 +14,7 @@ fairness or capacity handling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +60,8 @@ def kmedoids_vanilla(
     """
     positions, _ = capclust.check_weighted_points(positions, weights)
     n = len(positions)
+    if k < 1:
+        raise ContractViolationError("k must be positive")
     if n < k:
         raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {n} rows")
     dists = pairwise_distances(positions)
@@ -115,7 +118,7 @@ def kcenter_greedy(
 
 
 def decompose(
-    flavor: str, data: Dataset, threshold: fairlets.ThresholdFM, seed: int
+    flavor: str, data: Dataset, t: Fraction, seed: int
 ) -> FairletDecomposition:
     """Build the fairlet decomposition named by ``flavor``: "mcf", "vanilla",
     or "rows" for one singleton fairlet per row."""
@@ -123,7 +126,7 @@ def decompose(
         rows = np.arange(data.n)
         return FairletDecomposition(row_to_fairlet=rows, centers=rows)
     build = fairlets.mcf_decompose if flavor == "mcf" else fairlets.vanilla_decompose
-    return build(data, threshold, seed)
+    return build(data, t, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +155,7 @@ def pipeline(
         )
     flavor, stage = METHODS[method]
     if decomposition is None:
-        threshold = fairlets.ThresholdFM.from_fraction(params.t)
-        decomposition = decompose(flavor, data, threshold, params.seed)
+        decomposition = decompose(flavor, data, params.t, params.seed)
     positions = data.features[decomposition.centers]
     weights = decomposition.weights
     trace: tuple[dict, ...] = ()

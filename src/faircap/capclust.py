@@ -211,20 +211,21 @@ def hierarchical_fair_capacitated(
     # Singletons go through the same expression as merged centroids below,
     # so every centroid is rounded the same way.
     cents = positions * w[:, None] / w[:, None]
-    # dist[i, j] for live ids i < j; +inf on and below the diagonal and on
-    # absorbed ids, so a row-major argmin yields the smallest id pair.
+    # dist[i, j] for live ids i < j whose combined weight fits under q, else
+    # +inf, so a row-major argmin yields the smallest feasible id pair. A merge
+    # changes only the merged cluster's weight, so only its entries are re-gated.
     dist = pairwise_distances(cents)
     dist[np.tril_indices(l)] = np.inf
+    dist[cluster_w[:, None] + cluster_w > q] = np.inf
     trace: list[dict] = []
     while len(trace) < l - k:
-        gated = np.where(cluster_w[:, None] + cluster_w <= q, dist, np.inf)
-        i, j = divmod(int(np.argmin(gated)), l)
-        if not np.isfinite(gated[i, j]):
+        i, j = divmod(int(np.argmin(dist)), l)
+        if not np.isfinite(dist[i, j]):
             raise InfeasibilityError(
                 f"no pair of the remaining {l - len(trace)} clusters fits under "
                 f"capacity {q}; rerun with a larger epsilon"
             )
-        trace.append({"iteration": len(trace) + 1, "event": "merge", "cost": float(gated[i, j])})
+        trace.append({"iteration": len(trace) + 1, "event": "merge", "cost": float(dist[i, j])})
         label[label == j] = i
         cluster_w[i] += cluster_w[j]
         dist[j, :] = dist[:, j] = np.inf
@@ -232,6 +233,7 @@ def hierarchical_fair_capacitated(
         cents[i] = (positions[idx] * w[idx, None]).sum(axis=0) / w[idx].sum()
         alive = np.flatnonzero(label == np.arange(l))
         row = pairwise_distances(cents[i : i + 1], cents[alive])[0]
+        row[cluster_w[i] + cluster_w[alive] > q] = np.inf
         below, above = alive < i, alive > i
         dist[alive[below], i] = row[below]
         dist[i, alive[above]] = row[above]

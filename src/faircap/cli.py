@@ -4,17 +4,17 @@ Subcommands:
 
 * ``generate`` writes a synthetic blob CSV with a binary protected column.
 * ``run`` executes a k-sweep over the selected methods per an INI config file
-  and writes ``runs.jsonl`` plus ``summary.csv``. The config's ``[dataset]``
-  section names the CSV file and its protected column, ``[sweep]`` the
-  methods, k values and parameters; any other key is a config error.
+  and writes ``runs.jsonl`` plus ``summary.csv`` to ``--output`` or
+  ``[sweep] output_dir``. ``[dataset]`` names the CSV file (relative to the
+  config file) and its protected column, ``[sweep]`` the methods, k values
+  and parameters; any other key is a config error.
 * ``report`` renders cost/balance/size SVG panels and a text table from a
   sweep output.
 * ``validate`` audits an exported fairlet decomposition against the data and
   the threshold ``t`` of the sweep config that produced it.
 
 Exit codes: 0 success, 1 usage or config problem, 2 data or pipeline error,
-3 when every run in a sweep was infeasible. The output directory can be
-overridden with the ``FAIRCAP_OUTPUT_DIR`` environment variable.
+3 when every run in a sweep was infeasible.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import configparser
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -150,9 +149,10 @@ class SweepConfig:
 
         if not dataset["path"] or not dataset["protected_column"]:
             raise ConfigError(f"{path}: [dataset] needs path and protected_column")
+        self.dataset_path = dataset["path"]  # as written, for the provenance line
         try:
             self.dataset_spec = ingest.DatasetSpec(
-                path=dataset["path"],
+                path=Path(path).parent / dataset["path"],
                 protected_column=dataset["protected_column"],
                 positive_label=dataset["positive_label"],
                 drop_columns=_names(dataset["drop_columns"]),
@@ -177,7 +177,7 @@ class SweepConfig:
                 numbers[key] = parse(sweep[key])
                 Params(k=1, **{param: numbers[key]})
                 if key == "t":
-                    fairlets.ThresholdFM.from_fraction(numbers[key]).check_supported()
+                    fairlets.check_threshold(numbers[key])
             except (ValueError, ZeroDivisionError, UnsupportedThresholdError) as exc:
                 raise ConfigError(f"{path}: [sweep] {key}: {exc}") from exc
         self.t, self.lam, self.eps_hier, self.eps_part, self.seed = numbers.values()
@@ -199,7 +199,7 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
         "version": __version__,
         "dataset": {
             "source": "csv",
-            "path": str(spec.path),
+            "path": cfg.dataset_path,
             "protected_column": spec.protected_column,
             "scale": spec.scale,
             "n": data.n,
@@ -218,12 +218,11 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
         },
     }
 
-    threshold = fairlets.ThresholdFM.from_fraction(cfg.t)
     decomp_cache: dict[str, Any] = {}
 
     def decomposition_for(flavor: str):
         if flavor not in decomp_cache:
-            decomp_cache[flavor] = baselines.decompose(flavor, data, threshold, cfg.seed)
+            decomp_cache[flavor] = baselines.decompose(flavor, data, cfg.t, cfg.seed)
         return decomp_cache[flavor]
 
     rows: list[dict[str, Any]] = []
@@ -303,9 +302,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = SweepConfig(args.config)
-    out_dir = Path(
-        os.environ.get("FAIRCAP_OUTPUT_DIR") or args.output or cfg.output_dir
-    )
+    out_dir = Path(args.output or cfg.output_dir)
     code = run_sweep(
         cfg, out_dir, write_trace=args.trace,
         export_decompositions=args.export_decompositions,
@@ -414,9 +411,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     provenance, records, failures = _read_sweep(Path(args.sweep))
     if not records and not failures:
         raise IngestError(f"{args.sweep}: no run records to report on")
-    out_dir = Path(
-        os.environ.get("FAIRCAP_OUTPUT_DIR") or args.output or Path(args.sweep)
-    )
+    out_dir = Path(args.output or args.sweep)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = provenance["params"]
     n = provenance["dataset"]["n"]
@@ -450,7 +445,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = SweepConfig(args.config)
     data = ingest.load_csv(cfg.dataset_spec)
     decomp = fairlets.decomposition_from_json(ingest.read_utf8(args.decomposition), data)
-    result = fairlets.validate(decomp, data, fairlets.ThresholdFM.from_fraction(cfg.t))
+    result = fairlets.validate(decomp, data, cfg.t)
     if result.ok:
         print(f"valid decomposition: {len(decomp)} fairlets cover {data.n} rows")
         return EXIT_OK

@@ -53,14 +53,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Dataset:
     """An immutable table of feature rows plus one binary protected label per row.
 
-    ``features`` is an (n, d) float matrix of finite values, ``protected`` a
-    length-n vector over {0, 1}, and ``row_ids`` stable external identifiers
-    (CSV row order by default).
+    ``features`` is an (n, d) float matrix of finite values and ``protected``
+    a length-n vector over {0, 1}. Rows are named by their index, which is
+    the CSV row order for loaded data.
     """
 
     features: np.ndarray
     protected: np.ndarray
-    row_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
@@ -77,11 +76,8 @@ class Dataset:
             )
         if not np.isin(prot, (0, 1)).all():
             raise ContractViolationError("protected labels must be 0 or 1")
-        if len(self.row_ids) != feats.shape[0]:
-            raise ContractViolationError("row_ids length must match the row count")
         object.__setattr__(self, "features", _frozen(feats))
         object.__setattr__(self, "protected", _frozen(prot))
-        object.__setattr__(self, "row_ids", tuple(str(r) for r in self.row_ids))
 
     @property
     def n(self) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -38,47 +37,25 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ThresholdFM:
-    """Balance threshold t = f/m in lowest terms, 1 <= f <= m."""
-
-    f: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.f < 1 or self.m < 1 or self.f > self.m:
-            raise ContractViolationError(
-                f"threshold needs 1 <= f <= m, got f={self.f}, m={self.m}"
-            )
-        if gcd(self.f, self.m) != 1:
-            raise ContractViolationError(
-                f"f/m must be in lowest terms, got {self.f}/{self.m}"
-            )
-
-    @classmethod
-    def from_fraction(cls, t: Fraction) -> "ThresholdFM":
-        t = Fraction(t)
-        if not (0 < t <= 1):
-            raise ContractViolationError(f"t must lie in (0, 1], got {t}")
-        return cls(t.numerator, t.denominator)
-
-    def check_supported(self) -> None:
-        """Raise unless t = 1/m, the only shape the decompositions handle."""
-        if self.f != 1:
-            raise UnsupportedThresholdError(f"only thresholds 1/m are supported, got {self.value}")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.f, self.m)
-
-    @property
-    def max_size(self) -> int:
-        return self.f + self.m
+def _in_range(t: Fraction) -> Fraction:
+    t = Fraction(t)
+    if not (0 < t <= 1):
+        raise ContractViolationError(f"t must lie in (0, 1], got {t}")
+    return t
 
 
-def _split_groups(data: Dataset, t: ThresholdFM) -> tuple[np.ndarray, np.ndarray]:
+def check_threshold(t: Fraction) -> Fraction:
+    """``t`` as a Fraction; raise unless 0 < t <= 1 and t = 1/m, the only
+    shape the decompositions handle."""
+    t = _in_range(t)
+    if t.numerator != 1:
+        raise UnsupportedThresholdError(f"only thresholds 1/m are supported, got {t}")
+    return t
+
+
+def _split_groups(data: Dataset, t: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """Minority and majority row indices, after feasibility and shape checks."""
-    t.check_supported()
+    t = check_threshold(t)
     zeros = np.flatnonzero(data.protected == 0)
     ones = np.flatnonzero(data.protected == 1)
     if len(zeros) == 0 or len(ones) == 0:
@@ -87,10 +64,10 @@ def _split_groups(data: Dataset, t: ThresholdFM) -> tuple[np.ndarray, np.ndarray
         )
     minority, majority = (zeros, ones) if len(zeros) <= len(ones) else (ones, zeros)
     achieved = Fraction(len(minority), len(majority))
-    if achieved < t.value:
+    if achieved < t:
         raise InfeasibilityError(
             f"dataset balance {achieved} (= {float(achieved):.4f}) is below the "
-            f"required threshold {t.value}"
+            f"required threshold {t}"
         )
     return minority, majority
 
@@ -110,7 +87,7 @@ def _from_groups(group: np.ndarray, seed: int, stream: str) -> FairletDecomposit
     return FairletDecomposition(row_to_fairlet=np.argsort(order)[group], centers=centers[order])
 
 
-def vanilla_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomposition:
+def vanilla_decompose(data: Dataset, t: Fraction, seed: int) -> FairletDecomposition:
     """Cost-agnostic decomposition: one fairlet per minority point.
 
     Both groups are shuffled by the seeded stream; fairlet i takes minority
@@ -130,7 +107,7 @@ def vanilla_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomp
     return _from_groups(group, seed, "fairlets.vanilla")
 
 
-def mcf_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomposition:
+def mcf_decompose(data: Dataset, t: Fraction, seed: int) -> FairletDecomposition:
     """Cost-aware decomposition via an exact bipartite slot matching.
 
     Each minority anchor offers m slots: one mandatory and m-1 optional.
@@ -148,10 +125,11 @@ def mcf_decompose(data: Dataset, t: ThresholdFM, seed: int) -> FairletDecomposit
     """
     minority, majority = _split_groups(data, t)
     beta, rho = len(minority), len(majority)
-    slots = beta * t.m
+    m = Fraction(t).denominator
+    slots = beta * m
     dists = pairwise_distances(data.features[minority], data.features[majority])
     weights = np.zeros((slots, slots))
-    weights[:rho] = np.tile(dists.T, t.m) + 1.0
+    weights[:rho] = np.tile(dists.T, m) + 1.0
     weights[rho:, beta:] = 1.0
     rows, cols = min_weight_full_bipartite_matching(csr_array(weights))
 
@@ -180,13 +158,16 @@ class ValidationReport:
 
 
 def validate(
-    decomp: FairletDecomposition, data: Dataset, t: ThresholdFM
+    decomp: FairletDecomposition, data: Dataset, t: Fraction
 ) -> ValidationReport:
-    """Check the row count, the size bound f+m and per-fairlet balance.
+    """Check the row count, the size bound f+m and per-fairlet balance
+    against any t = f/m in (0, 1].
 
     The partition property holds by construction of the decomposition.
-    Never raises; every violation is listed in the report.
+    Raises only for t outside (0, 1]; every violation is listed in the report.
     """
+    t = _in_range(t)
+    f, m = t.numerator, t.denominator
     if decomp.n != data.n:
         return ValidationReport(
             violations=(f"decomposition covers {decomp.n} rows, dataset has {data.n}",)
@@ -194,26 +175,26 @@ def validate(
     sizes = decomp.weights
     ones = np.bincount(decomp.row_to_fairlet[data.protected == 1], minlength=len(decomp))
     zeros = sizes - ones
-    oversized = sizes > t.max_size
+    oversized = sizes > f + m
     # balance min(zeros, ones) / max(zeros, ones) < f/m, in integers
-    unbalanced = t.m * np.minimum(zeros, ones) < t.f * np.maximum(zeros, ones)
+    unbalanced = m * np.minimum(zeros, ones) < f * np.maximum(zeros, ones)
     violations: list[str] = []
     for j in np.flatnonzero(oversized | unbalanced).tolist():
         if oversized[j]:
-            violations.append(f"fairlet {j}: size {sizes[j]} exceeds bound {t.max_size}")
+            violations.append(f"fairlet {j}: size {sizes[j]} exceeds bound {f + m}")
         if unbalanced[j]:
             bal = balance_of(zeros[j], ones[j])
-            violations.append(f"fairlet {j}: balance {bal} below threshold {t.value}")
+            violations.append(f"fairlet {j}: balance {bal} below threshold {t}")
     return ValidationReport(violations=tuple(violations))
 
 
 def decomposition_to_json(decomp: FairletDecomposition, data: Dataset) -> str:
-    """Serialize for audit/replay: one record per fairlet with row ids."""
+    """Serialize for audit/replay: one record per fairlet, rows named by index."""
     records = [
         {
             "fairlet_id": j,
-            "center_row_id": data.row_ids[fairlet.center],
-            "member_row_ids": [data.row_ids[m] for m in fairlet.members],
+            "center_row_id": str(fairlet.center),
+            "member_row_ids": [str(m) for m in fairlet.members],
         }
         for j, fairlet in enumerate(decomp.fairlets)
     ]
@@ -232,7 +213,7 @@ def decomposition_from_json(text: str, data: Dataset) -> FairletDecomposition:
         raise ContractViolationError(f"decomposition is not valid JSON: {exc}") from None
     if not isinstance(records, list):
         raise ContractViolationError("decomposition must be a JSON list of fairlet records")
-    index = {rid: i for i, rid in enumerate(data.row_ids)}
+    index = {str(i): i for i in range(data.n)}
 
     def lookup(j: int, rid: object) -> int:
         if not isinstance(rid, str) or rid not in index:
@@ -257,7 +238,7 @@ def decomposition_from_json(text: str, data: Dataset) -> FairletDecomposition:
         centers.append(lookup(j, record["center_row_id"]))
     missing = np.flatnonzero(row_to_fairlet == -1)
     if missing.size:
-        ids = [data.row_ids[i] for i in missing[:5]]
+        ids = [str(i) for i in missing[:5].tolist()]
         raise ContractViolationError(f"rows {ids} are in no fairlet record")
     return FairletDecomposition(
         row_to_fairlet=row_to_fairlet, centers=np.array(centers, dtype=np.int64)

@@ -162,8 +162,7 @@ def load_csv(spec: DatasetSpec) -> Dataset:
                 )
 
     features = np.column_stack(feature_cols)
-    row_ids = tuple(str(i) for i in range(len(cleaned)))
-    return Dataset(features=features, protected=protected, row_ids=row_ids)
+    return Dataset(features=features, protected=protected)
 
 
 def dataset_balance(data: Dataset) -> Fraction:

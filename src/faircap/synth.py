@@ -45,8 +45,8 @@ def make_blobs(
     if clusters < 1 or dims < 1:
         raise ContractViolationError("clusters and dims must be positive")
     weights = blob_weights if blob_weights is not None else (1.0,) * clusters
-    if len(weights) != clusters or any(w <= 0 for w in weights):
-        raise ContractViolationError("blob_weights needs one positive entry per blob")
+    if len(weights) != clusters or not all(0 < w < math.inf for w in weights):
+        raise ContractViolationError("blob_weights needs one positive finite entry per blob")
 
     total = sum(weights)
     exact = [n * w / total for w in weights]
@@ -74,8 +74,7 @@ def make_blobs(
     protected[:minority] = 1
     rng.shuffle(protected)
 
-    row_ids = tuple(str(i) for i in range(n))
-    return Dataset(features=features, protected=protected, row_ids=row_ids)
+    return Dataset(features=features, protected=protected)
 
 
 def write_blobs_csv(

@@ -22,7 +22,7 @@ import faircap
 from faircap import cli
 from faircap.errors import InfeasibilityError
 
-T_HALF = faircap.ThresholdFM(1, 2)
+T_HALF = Fraction(1, 2)
 DATA_DIR = Path(os.environ.get("FAIRCAP_DATA_DIR", "data"))
 
 
@@ -176,7 +176,6 @@ def fairlet_instances():
         data = faircap.Dataset(
             features=features,
             protected=protected,
-            row_ids=tuple(str(j) for j in range(len(protected))),
         )
         instances.append((data, int(rng.integers(1 << 32))))
     return instances
@@ -197,7 +196,6 @@ def test_criterion_05_fairlet_validity(fairlet_instances):
         data = faircap.Dataset(
             features=rng.uniform(0, 1, size=(len(protected), 2)),
             protected=protected,
-            row_ids=tuple(str(j) for j in range(len(protected))),
         )
         for build in (faircap.vanilla_decompose, faircap.mcf_decompose):
             with pytest.raises(InfeasibilityError):

@@ -25,7 +25,7 @@ from faircap.core import (
     rng_stream,
 )
 from faircap.errors import ContractViolationError, FaircapError, InfeasibilityError
-from faircap.fairlets import ThresholdFM, mcf_decompose, vanilla_decompose
+from faircap.fairlets import mcf_decompose, vanilla_decompose
 from faircap.metrics import evaluate
 from faircap.report import PALETTE
 from faircap.synth import make_blobs
@@ -38,7 +38,6 @@ def _dataset(features, protected):
     return Dataset(
         features=features,
         protected=np.asarray(protected),
-        row_ids=tuple(str(i) for i in range(len(protected))),
     )
 
 
@@ -118,7 +117,7 @@ def reference_pipeline(method, data, params):
     else:
         mcf = method.endswith("_mcf") or method.startswith("mcf_")
         build = mcf_decompose if mcf else vanilla_decompose
-        decomp = build(data, ThresholdFM.from_fraction(params.t), params.seed)
+        decomp = build(data, params.t, params.seed)
         positions, weights = data.features[decomp.centers], decomp.weights
         if method.endswith("kcenter"):
             delta = kcenter_greedy(positions, weights, params.k, params.seed)
@@ -343,11 +342,9 @@ class TestPipeline:
             assert a == b
 
     def test_precomputed_decomposition_matches_internal(self):
-        from faircap.fairlets import ThresholdFM, mcf_decompose
-
         data = make_blobs(n=40, balance=1.0, clusters=2, seed=2)
         params = Params(k=2, seed=3)
-        decomp = mcf_decompose(data, ThresholdFM(1, 2), params.seed)
+        decomp = mcf_decompose(data, params.t, params.seed)
         a = pipeline("kmed_fair_cap_mcf", data, params).record
         b = pipeline("kmed_fair_cap_mcf", data, params, decomposition=decomp).record
         assert a == b

@@ -11,7 +11,7 @@ from faircap.capclust import (
     kmedoids_fair_capacitated,
     knapsack_select,
 )
-from faircap.baselines import kcenter_greedy
+from faircap.baselines import kcenter_greedy, kmedoids_vanilla
 from faircap.core import pairwise_distances, rng_stream
 from faircap.errors import ContractViolationError, InfeasibilityError
 
@@ -152,6 +152,8 @@ class TestWeightedPointChecks:
             lambda: hierarchical_fair_capacitated(positions, weights, k=0, q=10),
             lambda: kmedoids_fair_capacitated(positions, weights, k=0, q=10, lam=0.3, seed=0),
             lambda: kcenter_greedy(positions, weights, k=0, seed=0),
+            lambda: kmedoids_vanilla(positions, weights, k=0, seed=0),
+            lambda: kmedoids_vanilla(positions, weights, k=-1, seed=0),
         ):
             with pytest.raises(ContractViolationError, match="positive"):
                 entry()

@@ -173,13 +173,6 @@ seed = 3
             "max_size", "min_size", "q", "t", "seed",
         ]
 
-    def test_env_var_overrides_output(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path, SMALL_SWEEP)
-        env_out = tmp_path / "env-out"
-        monkeypatch.setenv("FAIRCAP_OUTPUT_DIR", str(env_out))
-        assert main(["run", str(config)]) == EXIT_OK
-        assert (env_out / "runs.jsonl").exists()
-
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_USAGE
 
@@ -389,6 +382,21 @@ class TestValidate:
         main(["run", str(config), "--output", str(out), "--export-decompositions"])
         code = main(["validate", str(config), "--decomposition", str(out / "fairlets_mcf.json")])
         assert code == EXIT_OK
+        assert "valid decomposition" in capsys.readouterr().out
+
+    def test_relative_data_path_is_read_from_the_config_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        qs = tmp_path / "qs"
+        qs.mkdir()
+        write_config(qs, SMALL_SWEEP.replace("{data}", "data.csv"))
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "qs/sweep.ini", "--output", "qs/out", "--export-decompositions"])
+        assert code == EXIT_OK
+        provenance = json.loads((qs / "out" / "runs.jsonl").read_text().splitlines()[0])
+        assert provenance["dataset"]["path"] == "data.csv"  # as written
+        code = main(["validate", "qs/sweep.ini", "--decomposition", "qs/out/fairlets_mcf.json"])
+        assert code == EXIT_OK, capsys.readouterr().err
         assert "valid decomposition" in capsys.readouterr().out
 
     def test_export_validates_at_its_own_sweeps_t(self, tmp_path, capsys):

@@ -27,7 +27,6 @@ def _dataset(features, protected):
     return Dataset(
         features=features,
         protected=np.asarray(protected),
-        row_ids=tuple(str(i) for i in range(len(protected))),
     )
 
 

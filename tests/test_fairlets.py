@@ -21,7 +21,7 @@ from faircap.errors import (
     UnsupportedThresholdError,
 )
 from faircap.fairlets import (
-    ThresholdFM,
+    check_threshold,
     decomposition_from_json,
     decomposition_to_json,
     fairlet_cost,
@@ -30,7 +30,7 @@ from faircap.fairlets import (
     vanilla_decompose,
 )
 
-T_HALF = ThresholdFM(1, 2)
+T_HALF = Fraction(1, 2)
 
 
 def _dataset(features, protected):
@@ -40,7 +40,6 @@ def _dataset(features, protected):
     return Dataset(
         features=features,
         protected=np.asarray(protected),
-        row_ids=tuple(str(i) for i in range(len(protected))),
     )
 
 
@@ -71,10 +70,10 @@ def reference_decompose(data, t, seed, flavor):
             pos += take
     else:
         beta, rho = len(minority), len(majority)
-        slots = beta * t.m
+        slots = beta * t.denominator
         dists = pairwise_distances(data.features[minority], data.features[majority])
         weights = np.zeros((slots, slots))
-        weights[:rho] = np.tile(dists.T, t.m) + 1.0
+        weights[:rho] = np.tile(dists.T, t.denominator) + 1.0
         weights[rho:, beta:] = 1.0
         rows, cols = min_weight_full_bipartite_matching(csr_array(weights))
         groups = [[int(b)] for b in minority]
@@ -92,27 +91,33 @@ def reference_decompose(data, t, seed, flavor):
 
 def _random_feasible(rng, t=T_HALF, max_n=60):
     """A random dataset whose balance meets t = 1/m."""
-    minority = int(rng.integers(3, max(4, max_n // (t.m + 1))))
-    majority = int(rng.integers(minority, t.m * minority + 1))
+    minority = int(rng.integers(3, max(4, max_n // (t.denominator + 1))))
+    majority = int(rng.integers(minority, t.denominator * minority + 1))
     protected = np.array([1] * minority + [0] * majority)
     rng.shuffle(protected)
     features = rng.uniform(0, 1, size=(len(protected), 2))
     return _dataset(features, protected)
 
 
-class TestThresholdFM:
-    def test_from_fraction(self):
-        t = ThresholdFM.from_fraction(Fraction(1, 2))
-        assert (t.f, t.m) == (1, 2)
-        assert t.max_size == 3
+class TestCheckThreshold:
+    def test_returns_fraction_in_lowest_terms(self):
+        t = check_threshold(Fraction(2, 4))
+        assert isinstance(t, Fraction)
+        assert (t.numerator, t.denominator) == (1, 2)
 
-    def test_rejects_non_lowest_terms(self):
-        with pytest.raises(ContractViolationError):
-            ThresholdFM(2, 4)
+    def test_rejects_t_outside_unit_interval(self):
+        # f > m is one such case; validate audits any f/m but checks the range
+        data = _dataset(np.arange(2.0), [0, 1])
+        decomp = FairletDecomposition(row_to_fairlet=np.zeros(2, dtype=int), centers=[0])
+        for t in (Fraction(3, 2), Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(ContractViolationError, match=r"t must lie in \(0, 1\]"):
+                check_threshold(t)
+            with pytest.raises(ContractViolationError, match=r"t must lie in \(0, 1\]"):
+                validate(decomp, data, t)
 
-    def test_rejects_f_above_m(self):
-        with pytest.raises(ContractViolationError):
-            ThresholdFM(3, 2)
+    def test_rejects_numerator_above_one(self):
+        with pytest.raises(UnsupportedThresholdError, match="got 2/3"):
+            check_threshold(Fraction(2, 3))
 
 
 class TestVanillaDecompose:
@@ -142,7 +147,7 @@ class TestVanillaDecompose:
     def test_f_above_one_unsupported(self):
         data = _dataset(np.arange(10.0), [1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
         with pytest.raises(UnsupportedThresholdError):
-            vanilla_decompose(data, ThresholdFM(2, 3), seed=0)
+            vanilla_decompose(data, Fraction(2, 3), seed=0)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(0)
@@ -186,7 +191,7 @@ class TestMcfDecompose:
         rng = np.random.default_rng(21)
         trial = 0
         for m in (2, 3):
-            t = ThresholdFM(1, m)
+            t = Fraction(1, m)
             for minority in (2, 3):
                 for majority in range(minority, m * minority + 1):
                     protected = np.array([1] * minority + [0] * majority)
@@ -233,9 +238,9 @@ class TestMatchesReference:
         # every fifth instance rounded to one decimal so that distances tie
         rng = np.random.default_rng(41)
         for trial in range(200):
-            t = ThresholdFM(1, int(rng.integers(2, 5)))
+            t = Fraction(1, int(rng.integers(2, 5)))
             minority = int(rng.integers(1, 12))
-            majority = int(rng.integers(minority, t.m * minority + 1))
+            majority = int(rng.integers(minority, t.denominator * minority + 1))
             protected = np.array([1] * minority + [0] * majority)
             rng.shuffle(protected)
             features = rng.uniform(0, 1, size=(len(protected), int(rng.integers(2, 5))))
@@ -299,21 +304,22 @@ class TestValidate:
         rng = np.random.default_rng(17)
         for trial in range(200):
             n = int(rng.integers(1, 30))
-            t = ThresholdFM(1, int(rng.integers(1, 5)))
+            t = Fraction(1, int(rng.integers(1, 5)))
             data = _dataset(rng.uniform(size=(n, 2)), rng.integers(0, 2, size=n))
             labels = rng.integers(0, max(1, n // 2), size=n)
             labels = np.unique(labels, return_inverse=True)[1]
             centers = np.unique(labels, return_index=True)[1]
             decomp = FairletDecomposition(row_to_fairlet=labels, centers=centers)
             expected = []
+            bound = t.numerator + t.denominator
             for j in range(len(decomp)):
                 members = np.flatnonzero(labels == j)
-                if len(members) > t.max_size:
-                    expected.append(f"fairlet {j}: size {len(members)} exceeds bound {t.max_size}")
+                if len(members) > bound:
+                    expected.append(f"fairlet {j}: size {len(members)} exceeds bound {bound}")
                 ones = int(data.protected[members].sum())
                 bal = balance_of(len(members) - ones, ones)
-                if bal < t.value:
-                    expected.append(f"fairlet {j}: balance {bal} below threshold {t.value}")
+                if bal < t:
+                    expected.append(f"fairlet {j}: balance {bal} below threshold {t}")
             assert validate(decomp, data, t).violations == tuple(expected)
 
     def test_constructed_output_is_clean(self):

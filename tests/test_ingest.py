@@ -77,7 +77,6 @@ class TestLoadCsv:
         a, b = load_csv(spec), load_csv(spec)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.protected, b.protected)
-        assert a.row_ids == b.row_ids
 
     def test_counts_match_raw_file_oracle(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -185,7 +184,6 @@ class TestDatasetBalance:
         return Dataset(
             features=np.arange(float(zeros + ones))[:, None],
             protected=protected,
-            row_ids=tuple(str(i) for i in range(zeros + ones)),
         )
 
     def test_equal_groups(self):

@@ -48,6 +48,11 @@ class TestMakeBlobs:
         uniq, counts = np.unique(data.features, axis=0, return_counts=True)
         assert sorted(counts.tolist()) == [30, 70]
 
+    def test_rejects_non_finite_or_nonpositive_blob_weights(self):
+        for bad in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ContractViolationError, match="blob_weights"):
+                make_blobs(n=20, clusters=2, blob_weights=(bad, 1.0))
+
     def test_deterministic(self):
         a = make_blobs(n=40, balance=0.8, seed=5)
         b = make_blobs(n=40, balance=0.8, seed=5)
