@@ -98,7 +98,7 @@ def kcenter_greedy(
 
     Weights are ignored for center selection; the first center is sampled by
     the seeded stream and each point lands with its nearest center. Returns
-    the fairlet-level assignment.
+    the fairlet-level assignment, with labels 0..k-1 in center order.
     """
     positions, _ = capclust.check_weighted_points(positions, weights)
     l = len(positions)
@@ -110,11 +110,15 @@ def kcenter_greedy(
     rng = rng_stream(seed, "baselines.kcenter")
     centers = [int(rng.integers(l))]
     nearest = dists[:, centers[0]].copy()
+    nearest[centers[0]] = -1  # a chosen center is never picked again
     while len(centers) < k:
         nxt = int(np.argmax(nearest))
         centers.append(nxt)
         nearest = np.minimum(nearest, dists[:, nxt])
-    return np.argmin(dists[:, centers], axis=1)
+        nearest[nxt] = -1
+    assignment = np.argmin(dists[:, centers], axis=1)
+    assignment[centers] = np.arange(k)  # coincident centers each keep their own point
+    return assignment
 
 
 def decompose(

@@ -4,10 +4,11 @@ Subcommands:
 
 * ``generate`` writes a synthetic blob CSV with a binary protected column.
 * ``run`` executes a k-sweep over the selected methods per an INI config file
-  and writes ``runs.jsonl`` plus ``summary.csv`` to ``--output`` or
-  ``[sweep] output_dir``. ``[dataset]`` names the CSV file (relative to the
-  config file) and its protected column, ``[sweep]`` the methods, k values
-  and parameters; any other key is a config error.
+  and writes ``runs.jsonl``, ``summary.csv``, the heuristics' ``trace.jsonl``
+  and each fairlet decomposition as ``fairlets_<flavor>.json`` to
+  ``--output`` (default ``sweep-out``). ``[dataset]`` names the CSV file
+  (relative to the config file) and its protected column, ``[sweep]`` the
+  methods, k values and parameters; any other key is a config error.
 * ``report`` renders cost/balance/size SVG panels and a text table from a
   sweep output.
 * ``validate`` audits an exported fairlet decomposition against the data and
@@ -115,7 +116,6 @@ _SECTIONS = {
     "sweep": {
         "methods": "all", "k": "2:14:2", "t": "1/2", "lambda": "0.3",
         "epsilon_hierarchical": "1.2", "epsilon_partitioning": "1.01", "seed": "0",
-        "output_dir": "sweep-out",
     },
 }
 
@@ -183,11 +183,9 @@ class SweepConfig:
         self.t, self.lam, self.eps_hier, self.eps_part, self.seed = numbers.values()
         self.k_values = _parse_k_values(sweep["k"] or _SECTIONS["sweep"]["k"])
         self.methods = _parse_methods(sweep["methods"])
-        self.output_dir = sweep["output_dir"]
 
 
-def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
-              export_decompositions: bool = False) -> int:
+def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
     """Execute the sweep and write artifacts; returns the process exit code."""
     spec = cfg.dataset_spec
     data = ingest.load_csv(spec)
@@ -271,14 +269,11 @@ def run_sweep(cfg: SweepConfig, out_dir: Path, write_trace: bool = False,
             else:
                 writer.writerow([row["method"], row["k"], row["status"], "", "", "", "", "", "", ""])
 
-    if write_trace:
-        with (out_dir / "trace.jsonl").open("w", encoding="utf-8") as fh:
-            for event in traces:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
-    if export_decompositions:
-        for flavor, decomp in sorted(decomp_cache.items()):
-            if flavor == "rows":  # singletons: nothing to audit
-                continue
+    with (out_dir / "trace.jsonl").open("w", encoding="utf-8") as fh:
+        for event in traces:
+            fh.write(json.dumps(event, sort_keys=True) + "\n")
+    for flavor, decomp in sorted(decomp_cache.items()):
+        if flavor != "rows":  # singletons: nothing to audit
             (out_dir / f"fairlets_{flavor}.json").write_text(
                 fairlets.decomposition_to_json(decomp, data), encoding="utf-8"
             )
@@ -301,12 +296,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = SweepConfig(args.config)
-    out_dir = Path(args.output or cfg.output_dir)
-    code = run_sweep(
-        cfg, out_dir, write_trace=args.trace,
-        export_decompositions=args.export_decompositions,
-    )
+    out_dir = Path(args.output)
+    code = run_sweep(SweepConfig(args.config), out_dir)
     print(f"wrote {out_dir / 'runs.jsonl'}")
     return code
 
@@ -474,12 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a k-sweep per a config file")
     run.add_argument("config")
-    run.add_argument("--output", default=None, help="output directory override")
-    run.add_argument("--trace", action="store_true", help="also write trace.jsonl")
-    run.add_argument(
-        "--export-decompositions", action="store_true",
-        help="also write the fairlet decompositions as JSON",
-    )
+    run.add_argument("--output", default="sweep-out", help="output directory")
     run.set_defaults(func=_cmd_run)
 
     rep = sub.add_parser("report", help="render charts from a sweep output")

@@ -89,6 +89,9 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     if not rows:
         raise EmptyFileError(f"{path}: file is empty")
     header = [h.strip() for h in rows[0]]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise IngestError(f"{path}: header repeats column names {repeated}")
     data_rows = rows[1:]
     if not data_rows:
         raise EmptyFileError(f"{path}: header only, no data rows")
@@ -151,6 +154,12 @@ def load_csv(spec: DatasetSpec) -> Dataset:
                     )
         if all(v is not None for v in parsed):
             col = np.array(parsed, dtype=np.float64)
+            finite = np.isfinite(col)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise CellParseError(
+                    f"{path}:{i + 2}: column {name!r} cell {raw[i]!r} is not a finite number"
+                )
             if spec.scale == "minmax":
                 lo, hi = col.min(), col.max()
                 col = (col - lo) / (hi - lo) if hi > lo else np.zeros_like(col)

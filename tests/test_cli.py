@@ -133,8 +133,26 @@ class TestRun:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(config), "--output", str(out1)]) == EXIT_OK
         assert main(["run", str(config), "--output", str(out2)]) == EXIT_OK
-        assert (out1 / "runs.jsonl").read_bytes() == (out2 / "runs.jsonl").read_bytes()
-        assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert names == [
+            "fairlets_mcf.json", "fairlets_vanilla.json", "runs.jsonl", "summary.csv",
+            "trace.jsonl",
+        ]
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_output_defaults_to_sweep_out(self, tmp_path, monkeypatch):
+        write_config(tmp_path, SMALL_SWEEP.replace("{data}", "data.csv"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "sweep.ini"]) == EXIT_OK
+        assert (tmp_path / "sweep-out" / "runs.jsonl").exists()
+        assert (tmp_path / "sweep-out" / "trace.jsonl").exists()
+        # the sidecars are always written; the flags that once asked for them are gone
+        for flag in ("--trace", "--export-decompositions"):
+            with pytest.raises(SystemExit) as err:
+                main(["run", "sweep.ini", flag])
+            assert err.value.code == EXIT_USAGE, flag
 
     def test_records_in_canonical_order(self, sweep_dir):
         lines = (sweep_dir / "runs.jsonl").read_text().splitlines()[1:]
@@ -215,7 +233,10 @@ seed = 3
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a typo once ran silently with the default lambda, and a generator
         # key once chose inline data over the CSV path
-        for section, key in (("sweep", "lamda"), ("dataset", "generate"), ("dataset", "dims")):
+        for section, key in (
+            ("sweep", "lamda"), ("sweep", "output_dir"), ("dataset", "generate"),
+            ("dataset", "dims"),
+        ):
             body = SMALL_SWEEP.replace(f"[{section}]\n", f"[{section}]\n{key} = 0.5\n")
             config = write_config(tmp_path, body)
             out = tmp_path / "o"
@@ -279,14 +300,30 @@ seed = 1
         assert all(r["status"] == "infeasible" for r in rows)
         assert all("error" in r for r in rows)
 
+    def test_kcenter_keeps_k_when_fairlet_centers_coincide(self, tmp_path):
+        # three positions, six rows each: k = 4 and 5 once picked a center
+        # again, and every record said k = 3
+        points = [(0, 0), (1, 1), (2, 0)] * 6
+        cells = "".join(f"{x},{y},{i % 2}\n" for i, (x, y) in enumerate(points))
+        (tmp_path / "d.csv").write_text("x,y,group\n" + cells, encoding="utf-8")
+        config = write_config(
+            tmp_path,
+            "[dataset]\npath = d.csv\nprotected_column = group\n[sweep]\n"
+            "methods = mcf_fairlet_kcenter,vanilla_fairlet_kcenter\nk = 3,4,5\nseed = 0\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--output", str(out)]) == EXIT_OK
+        rows = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()[1:]]
+        assert [(r["method"], r["k"], len(r["sizes"])) for r in rows] == [
+            (method, k, k)
+            for method in ("mcf_fairlet_kcenter", "vanilla_fairlet_kcenter")
+            for k in (3, 4, 5)
+        ]
+
     def test_trace_and_decomposition_exports(self, tmp_path):
         config = write_config(tmp_path, SMALL_SWEEP)
         out = tmp_path / "out"
-        code = main([
-            "run", str(config), "--output", str(out),
-            "--trace", "--export-decompositions",
-        ])
-        assert code == EXIT_OK
+        assert main(["run", str(config), "--output", str(out)]) == EXIT_OK
         assert (out / "trace.jsonl").exists()
         assert (out / "fairlets_vanilla.json").exists()
         assert (out / "fairlets_mcf.json").exists()
@@ -379,7 +416,7 @@ class TestValidate:
     def test_valid_decomposition_accepted(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_SWEEP)
         out = tmp_path / "out"
-        main(["run", str(config), "--output", str(out), "--export-decompositions"])
+        main(["run", str(config), "--output", str(out)])
         code = main(["validate", str(config), "--decomposition", str(out / "fairlets_mcf.json")])
         assert code == EXIT_OK
         assert "valid decomposition" in capsys.readouterr().out
@@ -391,7 +428,7 @@ class TestValidate:
         qs.mkdir()
         write_config(qs, SMALL_SWEEP.replace("{data}", "data.csv"))
         monkeypatch.chdir(tmp_path)
-        code = main(["run", "qs/sweep.ini", "--output", "qs/out", "--export-decompositions"])
+        code = main(["run", "qs/sweep.ini", "--output", "qs/out"])
         assert code == EXIT_OK
         provenance = json.loads((qs / "out" / "runs.jsonl").read_text().splitlines()[0])
         assert provenance["dataset"]["path"] == "data.csv"  # as written
@@ -408,7 +445,7 @@ class TestValidate:
             data_flags=("--n", "42", "--balance", "0.4", "--seed", "7"),
         )
         out = tmp_path / "out"
-        code = main(["run", str(config), "--output", str(out), "--export-decompositions"])
+        code = main(["run", str(config), "--output", str(out)])
         assert code == EXIT_OK
         decomposition = str(out / "fairlets_mcf.json")
         assert main(["validate", str(config), "--decomposition", decomposition]) == EXIT_OK

@@ -9,6 +9,7 @@ from faircap.errors import (
     ContractViolationError,
     EmptyFileError,
     InfeasibilityError,
+    IngestError,
     MissingColumnError,
     MissingValueError,
     ProtectedLevelsError,
@@ -146,6 +147,21 @@ class TestLoadCsvDiagnostics:
                 )
             )
         assert ":3:" in str(err.value)
+
+    def test_non_finite_numeric_cell_names_row(self, tmp_path):
+        for cell in ("nan", "inf", "1e400"):
+            for scale in ("minmax", "none"):
+                path = write(tmp_path, f"x,sex\n1,F\n{cell},M\n")
+                with pytest.raises(CellParseError) as err:
+                    load_csv(DatasetSpec(path=path, protected_column="sex", scale=scale))
+                assert ":3: column 'x' cell " + repr(cell) in str(err.value), (cell, scale)
+
+    def test_repeated_header_name(self, tmp_path):
+        # drop_columns once dropped the first age and kept the second
+        path = write(tmp_path, "age,age,group\n1,2,a\n3,4,b\n")
+        with pytest.raises(IngestError, match=r"repeats column names \['age'\]") as err:
+            load_csv(DatasetSpec(path=path, protected_column="group", drop_columns=("age",)))
+        assert str(path) in str(err.value)
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyFileError):
