@@ -390,8 +390,8 @@ def kmedoids_fair_capacitated(
     """
     positions, weights = _check_capacity_inputs(positions, weights, k, q)
     l = len(weights)
-    if not lam > 0:
-        raise ContractViolationError("lambda must be positive")
+    if not (isfinite(lam) and lam > 0):
+        raise ContractViolationError(f"lambda must be finite and positive, got {lam}")
 
     dists = pairwise_distances(positions)
     decay = np.exp(-dists / lam)

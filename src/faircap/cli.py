@@ -39,7 +39,6 @@ from .errors import (
     FaircapError,
     InfeasibilityError,
     IngestError,
-    UnsupportedThresholdError,
 )
 
 EXIT_OK = 0
@@ -98,6 +97,8 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     if text in ("", "all"):
         return tuple(baselines.METHODS)
     names = _names(text)
+    if not names:
+        raise ConfigError(f"sweep.methods: no method named in {text!r}")
     unknown = [m for m in names if m not in baselines.METHODS]
     if unknown:
         raise ConfigError(
@@ -178,7 +179,7 @@ class SweepConfig:
                 Params(k=1, **{param: numbers[key]})
                 if key == "t":
                     fairlets.check_threshold(numbers[key])
-            except (ValueError, ZeroDivisionError, UnsupportedThresholdError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"{path}: [sweep] {key}: {exc}") from exc
         self.t, self.lam, self.eps_hier, self.eps_part, self.seed = numbers.values()
         self.k_values = _parse_k_values(sweep["k"] or _SECTIONS["sweep"]["k"])

@@ -1,9 +1,18 @@
 """Exception hierarchy shared across the toolkit.
 
-Precondition violations raise :class:`ContractViolationError`; problem
-instances that cannot be solved (insufficient balance, capacity too tight)
-raise :class:`InfeasibilityError` with a message naming what was required
-and what was found.
+Each class is one outcome of ``faircap run``, ``report`` and ``validate``:
+
+* :class:`ConfigError` -- a malformed or inconsistent config file:
+  ``config error:``, exit 1.
+* :class:`IngestError` -- a data file that cannot be read (a missing
+  column, a bad cell, the wrong protected levels): ``data error:``, exit 2.
+* :class:`InfeasibilityError` -- an instance that admits no solution under
+  its constraints, with a message naming what was required and what was
+  found: ``infeasible:``, exit 2, and status ``infeasible`` within a sweep.
+* :class:`ContractViolationError` -- a broken precondition: ``error:``,
+  exit 2, and status ``error`` within a sweep.
+
+An ``OSError`` prints ``i/o error:`` and exits 2.
 """
 
 
@@ -19,32 +28,8 @@ class InfeasibilityError(FaircapError):
     """The instance admits no solution under the given constraints."""
 
 
-class UnsupportedThresholdError(FaircapError):
-    """Balance threshold shape not handled by the decomposition routines."""
-
-
 class IngestError(FaircapError):
-    """Base class for dataset loading problems."""
-
-
-class EmptyFileError(IngestError):
-    """The CSV file has no header or no data rows."""
-
-
-class MissingColumnError(IngestError):
-    """A column named in the spec does not exist in the file."""
-
-
-class ProtectedLevelsError(IngestError):
-    """The protected column does not carry exactly two distinct values."""
-
-
-class CellParseError(IngestError):
-    """A cell in a numeric column could not be parsed."""
-
-
-class MissingValueError(IngestError):
-    """A row contains an empty cell."""
+    """A dataset or sweep output file cannot be loaded."""
 
 
 class ConfigError(FaircapError):

@@ -30,11 +30,7 @@ from .core import (
     pairwise_distances,
     rng_stream,
 )
-from .errors import (
-    ContractViolationError,
-    InfeasibilityError,
-    UnsupportedThresholdError,
-)
+from .errors import ContractViolationError, InfeasibilityError
 
 
 def _in_range(t: Fraction) -> Fraction:
@@ -49,7 +45,7 @@ def check_threshold(t: Fraction) -> Fraction:
     shape the decompositions handle."""
     t = _in_range(t)
     if t.numerator != 1:
-        raise UnsupportedThresholdError(f"only thresholds 1/m are supported, got {t}")
+        raise ContractViolationError(f"only thresholds 1/m are supported, got {t}")
     return t
 
 

@@ -1,7 +1,7 @@
 """CSV loading: one-hot encoding, min-max scaling, protected-column selection.
 
 The loader is deliberately strict. Rows with empty cells are rejected with
-the offending row number, the protected column must carry exactly two
+the offending line number, the protected column must carry exactly two
 distinct values, and numeric parsing failures name the cell. Encoding is
 deterministic: categorical levels are expanded in lexicographic order, so
 re-loading a file always yields an identical dataset.
@@ -18,16 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, balance_of
-from .errors import (
-    CellParseError,
-    ContractViolationError,
-    EmptyFileError,
-    InfeasibilityError,
-    IngestError,
-    MissingColumnError,
-    MissingValueError,
-    ProtectedLevelsError,
-)
+from .errors import ContractViolationError, InfeasibilityError, IngestError
 
 
 @dataclass(frozen=True)
@@ -84,23 +75,22 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     never enters the feature matrix.
     """
     path = Path(spec.path)
-    rows = list(csv.reader(io.StringIO(read_utf8(path), newline=""), delimiter=spec.delimiter))
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
-    if not rows:
-        raise EmptyFileError(f"{path}: file is empty")
-    header = [h.strip() for h in rows[0]]
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""), delimiter=spec.delimiter)
+    # Each record with the file line it ends on; blank lines are skipped but counted.
+    records = [(reader.line_num, r) for r in reader if r]
+    if not records:
+        raise IngestError(f"{path}: file is empty")
+    header = [h.strip() for h in records[0][1]]
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
         raise IngestError(f"{path}: header repeats column names {repeated}")
-    data_rows = rows[1:]
+    data_rows = records[1:]
     if not data_rows:
-        raise EmptyFileError(f"{path}: header only, no data rows")
+        raise IngestError(f"{path}: header only, no data rows")
 
     def col_index(name: str) -> int:
         if name not in header:
-            raise MissingColumnError(
-                f"{path}: column {name!r} not in header {header}"
-            )
+            raise IngestError(f"{path}: column {name!r} not in header {header}")
         return header.index(name)
 
     protected_idx = col_index(spec.protected_column)
@@ -109,17 +99,22 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     for name in spec.numeric_columns:
         col_index(name)
     dropped = {col_index(n) for n in spec.drop_columns} | {protected_idx}
+    if len(dropped) == len(header):
+        raise IngestError(
+            f"{path}: no feature column remains once the protected and dropped columns are removed"
+        )
 
+    lines = [lineno for lineno, _ in data_rows]
     cleaned: list[list[str]] = []
-    for lineno, row in enumerate(data_rows, start=2):
+    for lineno, row in data_rows:
         if len(row) != len(header):
-            raise CellParseError(
+            raise IngestError(
                 f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
             )
         cells = [c.strip() for c in row]
         for j, cell in enumerate(cells):
             if cell == "":
-                raise MissingValueError(
+                raise IngestError(
                     f"{path}:{lineno}: empty cell in column {header[j]!r}"
                 )
         cleaned.append(cells)
@@ -127,13 +122,13 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     protected_values = [r[protected_idx] for r in cleaned]
     levels = sorted(set(protected_values))
     if len(levels) != 2:
-        raise ProtectedLevelsError(
+        raise IngestError(
             f"{path}: protected column {spec.protected_column!r} has "
             f"{len(levels)} distinct values {levels[:6]}, expected exactly 2"
         )
     positive = spec.positive_label if spec.positive_label is not None else levels[1]
     if positive not in levels:
-        raise ProtectedLevelsError(
+        raise IngestError(
             f"{path}: positive label {positive!r} not among observed values {levels}"
         )
     protected = np.array([1 if v == positive else 0 for v in protected_values])
@@ -146,19 +141,19 @@ def load_csv(spec: DatasetSpec) -> Dataset:
         raw = [r[j] for r in cleaned]
         parsed = [_parse_float(c) for c in raw]
         if name in forced_numeric:
-            for lineno, value in enumerate(parsed, start=2):
+            for lineno, cell, value in zip(lines, raw, parsed):
                 if value is None:
-                    raise CellParseError(
+                    raise IngestError(
                         f"{path}:{lineno}: column {name!r} is numeric but cell "
-                        f"{raw[lineno - 2]!r} does not parse"
+                        f"{cell!r} does not parse"
                     )
         if all(v is not None for v in parsed):
             col = np.array(parsed, dtype=np.float64)
             finite = np.isfinite(col)
             if not finite.all():
                 i = int(np.argmin(finite))
-                raise CellParseError(
-                    f"{path}:{i + 2}: column {name!r} cell {raw[i]!r} is not a finite number"
+                raise IngestError(
+                    f"{path}:{lines[i]}: column {name!r} cell {raw[i]!r} is not a finite number"
                 )
             if spec.scale == "minmax":
                 lo, hi = col.min(), col.max()

@@ -541,6 +541,13 @@ class TestKMedoidsFairCapacitated:
         with pytest.raises(InfeasibilityError):
             kmedoids_fair_capacitated(positions, weights, k=2, q=1, lam=0.3, seed=0)
 
+    def test_rejects_lambda_not_finite_and_positive(self):
+        # at lam = inf every decay value is 1 and the knapsacks pack by count alone
+        positions, weights = unit_points([0.0, 1.0, 2.0, 3.0])
+        for lam in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ContractViolationError, match="lambda must be finite and positive"):
+                kmedoids_fair_capacitated(positions, weights, k=2, q=2, lam=lam, seed=0)
+
     def test_seed_determinism(self):
         rng = np.random.default_rng(9)
         positions, weights = unit_points(rng.uniform(0, 1, size=(14, 2)))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from faircap import errors, ingest
 from faircap.cli import (
     _SECTIONS,
     EXIT_ALL_INFEASIBLE,
@@ -15,7 +16,6 @@ from faircap.cli import (
     SweepConfig,
     main,
 )
-from faircap.ingest import load_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,7 +74,7 @@ class TestConfigReference:
         assert cfg.dataset_spec.drop_columns == ("G1", "G2")
         assert cfg.k_values == (2, 4, 6, 8, 10, 12, 14)
         assert (cfg.t, cfg.lam, cfg.seed) == (Fraction(1, 2), 0.3, 0)
-        rows = load_csv(cfg.dataset_spec)
+        rows = ingest.load_csv(cfg.dataset_spec)
         # age plus the two one-hot school levels; sex is the protected column
         assert rows.features.shape == (2, 3)
         assert rows.protected.tolist() == [0, 1]
@@ -194,12 +194,39 @@ seed = 3
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.ini")]) == EXIT_USAGE
 
-    def test_bad_method_is_usage_error(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            SMALL_SWEEP.replace("methods = all", "methods = kmeans"),
-        )
-        assert main(["run", str(config), "--output", str(tmp_path / "o")]) == EXIT_USAGE
+    def test_bad_method_is_usage_error(self, tmp_path, capsys):
+        # a list naming no method once ran nothing and exited 0
+        for value in ("kmeans", ","):
+            body = SMALL_SWEEP.replace("methods = all", f"methods = {value}")
+            config = write_config(tmp_path, body)
+            out = tmp_path / "o"
+            assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE, value
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "sweep.methods" in err, value
+            assert not out.exists()
+
+    def test_each_error_class_has_one_outcome(self, tmp_path, monkeypatch, capsys):
+        outcomes = {
+            errors.ConfigError: ("config error: ", EXIT_USAGE),
+            errors.IngestError: ("data error: ", EXIT_DATA),
+            errors.InfeasibilityError: ("infeasible: ", EXIT_DATA),
+            errors.ContractViolationError: ("error: ", EXIT_DATA),
+            OSError: ("i/o error: ", EXIT_DATA),
+        }
+        # a new error class must be given an outcome here
+        defined = {
+            c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.FaircapError)
+        }
+        assert defined - {errors.FaircapError} == set(outcomes) - {OSError}
+        config = write_config(tmp_path, SMALL_SWEEP)
+        for cls, (prefix, code) in outcomes.items():
+            def fail(spec, cls=cls):
+                raise cls("boom")
+
+            monkeypatch.setattr(ingest, "load_csv", fail)
+            assert main(["run", str(config), "--output", str(tmp_path / "o")]) == code, cls
+            assert capsys.readouterr().err == f"{prefix}boom\n", cls
 
     def test_bad_sweep_number_is_config_error(self, tmp_path, capsys):
         for key, value in (
@@ -258,6 +285,20 @@ seed = 3
         assert main(["run", str(config), "--output", str(tmp_path / "o")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and f"{data}: not UTF-8 text" in err
+
+    def test_no_feature_column_is_data_error(self, tmp_path, capsys):
+        # both once ended in a numpy traceback and exit 1
+        for text, drop in (("x,group\n1,a\n2,b\n", "x"), ("group\na\nb\n", "")):
+            data = tmp_path / "d.csv"
+            data.write_text(text, encoding="utf-8")
+            config = write_config(
+                tmp_path,
+                "[dataset]\npath = d.csv\nprotected_column = group\n"
+                f"drop_columns = {drop}\n[sweep]\nk = 2\n",
+            )
+            assert main(["run", str(config), "--output", str(tmp_path / "o")]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {data}: no feature column remains"), text
 
     def test_bad_dataset_spec_is_config_error(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text("x,group\n1,a\n2,b\n", encoding="utf-8")

@@ -15,11 +15,7 @@ from faircap.core import (
     pairwise_distances,
     rng_stream,
 )
-from faircap.errors import (
-    ContractViolationError,
-    InfeasibilityError,
-    UnsupportedThresholdError,
-)
+from faircap.errors import ContractViolationError, InfeasibilityError
 from faircap.fairlets import (
     check_threshold,
     decomposition_from_json,
@@ -116,7 +112,7 @@ class TestCheckThreshold:
                 validate(decomp, data, t)
 
     def test_rejects_numerator_above_one(self):
-        with pytest.raises(UnsupportedThresholdError, match="got 2/3"):
+        with pytest.raises(ContractViolationError, match="only thresholds 1/m .*, got 2/3"):
             check_threshold(Fraction(2, 3))
 
 
@@ -146,7 +142,7 @@ class TestVanillaDecompose:
 
     def test_f_above_one_unsupported(self):
         data = _dataset(np.arange(10.0), [1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
-        with pytest.raises(UnsupportedThresholdError):
+        with pytest.raises(ContractViolationError, match="only thresholds 1/m"):
             vanilla_decompose(data, Fraction(2, 3), seed=0)
 
     def test_seed_determinism(self):
