@@ -21,6 +21,7 @@ so these routines only guard weights.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, isfinite
@@ -77,12 +78,15 @@ class KnapsackInstance:
 def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
     """Indices of a maximum-value selection with total weight <= capacity.
 
-    Defined by an exact dynamic program over the weight dimension. Ties
-    between equal-value selections are broken toward smaller total weight,
-    then the lexicographically smallest index set, so results are
-    reproducible. Instances with at most two distinct weights are first
-    tried by prefix enumeration (:func:`_two_class_select`), which returns
-    only a selection the DP would return too.
+    When every item fits and every value is positive, all are taken.
+    Otherwise the selection is defined by an exact dynamic program over the
+    weight dimension, whose backtrack walk reads one boolean decision table
+    of n * (min(capacity, total weight) + 1) bytes. Ties between equal-value
+    selections are broken toward smaller total weight, then the
+    lexicographically smallest index set, so results are reproducible.
+    Instances with at most two distinct weights are first tried by prefix
+    enumeration (:func:`_two_class_select`), which returns only a selection
+    the DP would return too.
     """
     values, weights, capacity = inst.values, inst.weights, inst.capacity
     n = values.size
@@ -92,49 +96,34 @@ def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
     cap = min(capacity, total_w)
     if total_w <= capacity and values.min() > 0:
         return np.arange(n, dtype=np.int64)
-    chosen = _two_class_select(values, weights, capacity)
+    chosen = _two_class_select(values, weights, cap)
     if chosen is not None:
         return chosen
 
-    # Suffix tables: best[i][w] = (max value, min weight at that value) over
-    # items i..n-1 within capacity w. Kept per-row for the backtrack walk.
-    best_v: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    best_w: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    best_v[n] = np.zeros(cap + 1)
-    best_w[n] = np.zeros(cap + 1, dtype=np.int64)
+    # take[i, w]: taking item i reaches the optimum (max value, then min
+    # weight) of items i..n-1 within capacity w, strictly or in an exact tie.
+    # best_v/best_w roll that optimum back from the last item to the first.
+    take = np.zeros((n, cap + 1), dtype=bool)
+    best_v = np.zeros(cap + 1)
+    best_w = np.zeros(cap + 1, dtype=np.int64)
     for i in range(n - 1, -1, -1):
-        vi = values[i]
         wi = int(weights[i])
-        nv = best_v[i + 1].copy()
-        nw = best_w[i + 1].copy()
         if wi <= cap:
-            take_v = best_v[i + 1][: cap + 1 - wi] + vi
-            take_w = best_w[i + 1][: cap + 1 - wi] + wi
-            seg_v = nv[wi:]
-            seg_w = nw[wi:]
-            upd = (take_v > seg_v) | ((take_v == seg_v) & (take_w < seg_w))
-            seg_v[upd] = take_v[upd]
-            seg_w[upd] = take_w[upd]
-        best_v[i] = nv
-        best_w[i] = nw
+            take_v = best_v[: cap + 1 - wi] + values[i]
+            take_w = best_w[: cap + 1 - wi] + wi
+            seg_v, seg_w, row = best_v[wi:], best_w[wi:], take[i, wi:]
+            row[:] = (take_v > seg_v) | ((take_v == seg_v) & (take_w <= seg_w))
+            seg_v[row] = take_v[row]
+            seg_w[row] = take_w[row]
 
     # Walk forward preferring inclusion: among all (max value, min weight)
     # optima this yields the lexicographically smallest index set.
     selected = []
     w = cap
-    target_v = best_v[0][w]
-    target_w = best_w[0][w]
     for i in range(n):
-        vi = values[i]
-        wi = int(weights[i])
-        if wi <= w:
-            rest_v = best_v[i + 1][w - wi]
-            rest_w = best_w[i + 1][w - wi]
-            if rest_v + vi == target_v and rest_w + wi == target_w:
-                selected.append(i)
-                w -= wi
-                target_v = rest_v
-                target_w = rest_w
+        if take[i, w]:
+            selected.append(i)
+            w -= int(weights[i])
     return np.array(selected, dtype=np.int64)
 
 
@@ -346,11 +335,6 @@ def _repair_room(
     return int(src)
 
 
-# The swap loop must converge within this many rounds per point; more
-# signals a cycling cost and raises instead of looping forever.
-MAX_ROUNDS_FACTOR = 10
-
-
 @dataclass(frozen=True, eq=False)
 class KMedoidsResult:
     """Fairlet-level assignment, final medoid point indices, and the cost trace."""
@@ -389,6 +373,8 @@ def kmedoids_fair_capacitated(
     evaluated in an earlier round cannot improve on it and is skipped.
     """
     positions, weights = _check_capacity_inputs(positions, weights, k, q)
+    # q above the total weight never binds; capped, room fits in int64 at any epsilon
+    q = min(q, int(weights.sum()))
     l = len(weights)
     if not (isfinite(lam) and lam > 0):
         raise ContractViolationError(f"lambda must be finite and positive, got {lam}")
@@ -433,10 +419,10 @@ def kmedoids_fair_capacitated(
     # best_cost never rises and every evaluated tuple costs at least it, so
     # a tuple evaluated before (or found infeasible) can never be the
     # strictly improving swap of a later round: skip it instead of assigning.
+    # Each round thus strictly lowers best_cost with a tuple first evaluated
+    # in that round, so the loop ends within C(l, k) rounds and cannot cycle.
     seen = {medoids}
-
-    max_rounds = MAX_ROUNDS_FACTOR * l
-    for round_no in range(1, max_rounds + 1):
+    for round_no in itertools.count(1):
         best_swap: tuple[tuple[int, ...], np.ndarray] | None = None
         others = [p for p in range(l) if p not in medoids]
         for s in medoids:
@@ -457,9 +443,4 @@ def kmedoids_fair_capacitated(
             break
         medoids, taken = best_swap
         trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
-    else:
-        raise ContractViolationError(
-            f"swap loop did not converge within {max_rounds} rounds"
-        )
-
     return KMedoidsResult(assignment=taken, medoids=medoids, trace=tuple(trace))

@@ -127,7 +127,7 @@ class SweepConfig:
     def __init__(self, path: str | Path):
         cfg = configparser.ConfigParser()
         try:
-            read = cfg.read(path, encoding="utf-8")
+            read = cfg.read(path, encoding="utf-8-sig")
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         if not read:
@@ -303,8 +303,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return code
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
 
 
 def _is_fraction_text(value: Any) -> bool:
@@ -317,30 +321,28 @@ def _is_fraction_text(value: Any) -> bool:
     return True
 
 
-_INT = ("an integer", _is_int)
-_NUMBER = (
-    "a finite number",
-    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v),
-)
+_COUNT = ("a positive integer", _is_count)
+_NUMBER = ("a finite number", _is_number)
+_EPSILON = ("a finite number >= 1", lambda v: _is_number(v) and v >= 1)
 _TEXT = ("a string", lambda v: isinstance(v, str))
-_INT_LIST = (
-    "a nonempty list of integers",
-    lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)),
+_COUNT_LIST = (
+    "a nonempty list of positive integers",
+    lambda v: isinstance(v, list) and bool(v) and all(map(_is_count, v)),
 )
 
 # The keys `faircap report` reads from each kind of runs.jsonl line, with
-# the type each must have (description, check).
+# the type and range each must have (description, check).
 _REPORT_KEYS = {
     "provenance": {
-        "dataset.n": _INT, "dataset.balance": _NUMBER,
-        "params.t": ("a fraction such as \"1/2\"", _is_fraction_text), "params.k": _INT_LIST,
-        "params.epsilon_hierarchical": _NUMBER, "params.epsilon_partitioning": _NUMBER,
+        "dataset.n": _COUNT, "dataset.balance": _NUMBER,
+        "params.t": ("a fraction such as \"1/2\"", _is_fraction_text), "params.k": _COUNT_LIST,
+        "params.epsilon_hierarchical": _EPSILON, "params.epsilon_partitioning": _EPSILON,
     },
     "ok": {
-        "method": _TEXT, "k": _INT, "cost": _NUMBER, "balance": _NUMBER,
-        "sizes": _INT_LIST, "q": _INT,
+        "method": _TEXT, "k": _COUNT, "cost": _NUMBER, "balance": _NUMBER,
+        "sizes": _COUNT_LIST, "q": _COUNT,
     },
-    "failed": {"method": _TEXT, "k": _INT},
+    "failed": {"method": _TEXT, "k": _COUNT},
 }
 
 
@@ -400,10 +402,11 @@ def _read_sweep(path: Path) -> tuple[dict, list[dict], list[dict]]:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    provenance, records, failures = _read_sweep(Path(args.sweep))
+    sweep = Path(args.sweep)
+    provenance, records, failures = _read_sweep(sweep)
     if not records and not failures:
         raise IngestError(f"{args.sweep}: no run records to report on")
-    out_dir = Path(args.output or args.sweep)
+    out_dir = Path(args.output or (sweep if sweep.is_dir() else sweep.parent))
     out_dir.mkdir(parents=True, exist_ok=True)
     params = provenance["params"]
     n = provenance["dataset"]["n"]
@@ -471,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="render charts from a sweep output")
     rep.add_argument("sweep", help="sweep directory or runs.jsonl path")
-    rep.add_argument("--output", default=None)
+    rep.add_argument("--output", default=None, help="output directory (default: runs.jsonl's)")
     rep.set_defaults(func=_cmd_report)
 
     val = sub.add_parser(

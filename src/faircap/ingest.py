@@ -60,9 +60,10 @@ def _parse_float(cell: str) -> float | None:
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file, newlines untranslated; :class:`IngestError` if not UTF-8."""
+    """The text of a UTF-8 file, less any byte-order mark, newlines untranslated;
+    :class:`IngestError` if not UTF-8."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text: {exc}") from None
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,13 @@ class TestKnapsackSelect:
         inst = KnapsackInstance(values=[0.5, 0.7], weights=[2, 3], capacity=10)
         assert knapsack_select(inst).tolist() == [0, 1]
 
+    def test_capacity_beyond_int64_is_total_weight(self):
+        # a zero value skips the all-fit return; 2**70 once overflowed the
+        # two-class path's int64 arithmetic
+        for values, weights in (([1.0, 0.0], [2, 3]), ([1.0, 0.0, 0.5], [2, 3, 4])):
+            huge = knapsack_select(KnapsackInstance(values, weights, 2**70))
+            assert huge.tolist() == knapsack_select(KnapsackInstance(values, weights, 9)).tolist()
+
     def test_zero_value_item_dropped_when_equal_value(self):
         # value optimum 1.0 either way; smaller total weight excludes item 1
         inst = KnapsackInstance(values=[1.0, 0.0], weights=[1, 1], capacity=2)
@@ -233,6 +242,20 @@ class TestKnapsackSelect:
                 declined.add(_two_class_select(values, weights, capacity) is None)
         assert classes_seen == {1, 2, 3}
         assert declined == {True, False}  # both the fast path and the fallback ran
+
+    def test_dp_keeps_one_decision_table(self):
+        # three weight classes force the DP; a boolean table of 2,000 x 1,001
+        # cells is 1.9 MiB, where per-item value and weight rows took 31 MiB
+        rng = np.random.default_rng(2024)
+        inst = KnapsackInstance(rng.uniform(0, 1, 2000), rng.choice([2, 3, 4], 2000), 1000)
+        tracemalloc.start()
+        try:
+            chosen = knapsack_select(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert chosen.tolist() == reference_knapsack(inst.values, inst.weights, 1000).tolist()
 
     def test_two_class_helper_takes_and_declines(self):
         values = np.array([0.9, 0.1, 0.8, 0.5, 0.3])
@@ -540,6 +563,19 @@ class TestKMedoidsFairCapacitated:
         positions, weights = unit_points([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(InfeasibilityError):
             kmedoids_fair_capacitated(positions, weights, k=2, q=1, lam=0.3, seed=0)
+
+    def test_capacity_above_total_weight_is_total_weight(self):
+        # q = 2**70 overflows int64; any q >= total weight never binds
+        rng = np.random.default_rng(44)
+        for seed, lam in enumerate((0.3, 1e-4)):  # 1e-4 decays most values to 0.0
+            positions, weights = random_points(rng, 12)
+            results = [
+                kmedoids_fair_capacitated(positions, weights, k=3, q=q, lam=lam, seed=seed)
+                for q in (2**70, int(weights.sum()))
+            ]
+            assert results[0].assignment.tolist() == results[1].assignment.tolist()
+            assert results[0].medoids == results[1].medoids
+            assert results[0].trace == results[1].trace
 
     def test_rejects_lambda_not_finite_and_positive(self):
         # at lam = inf every decay value is 1 and the knapsacks pack by count alone

@@ -286,6 +286,29 @@ seed = 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and f"{data}: not UTF-8 text" in err
 
+    def test_config_with_byte_order_mark_parses(self, tmp_path):
+        # it once hid the [dataset] header: "File contains no section headers"
+        config = write_config(tmp_path, SMALL_SWEEP)
+        plain = SweepConfig(config)
+        config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        marked = SweepConfig(config)
+        assert (marked.dataset_spec, marked.methods, marked.k_values) == (
+            plain.dataset_spec, plain.methods, plain.k_values
+        )
+
+    def test_huge_epsilon_runs_kmed(self, tmp_path):
+        # q = ceil(48 * 1e19 / 2) is past int64, which kmed's room arithmetic
+        # once overflowed; a capacity above the total weight never binds
+        body = SMALL_SWEEP.replace(
+            "methods = all", "methods = kmed_fair_cap_mcf,kmed_fair_cap_vanilla"
+        ).replace("seed = 7", "seed = 7\nepsilon_partitioning = 1e19")
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, body)), "--output", str(out)]) == EXIT_OK
+        rows = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()[1:]]
+        q = {2: 24 * 10**19, 3: 16 * 10**19}
+        assert [(r["status"], r["q"]) for r in rows] == [("ok", q[2]), ("ok", q[3])] * 2
+        assert main(["report", str(out)]) == EXIT_OK
+
     def test_no_feature_column_is_data_error(self, tmp_path, capsys):
         # both once ended in a numpy traceback and exit 1
         for text, drop in (("x,group\n1,a\n2,b\n", "x"), ("group\na\nb\n", "")):
@@ -390,6 +413,12 @@ class TestReport:
         assert 'class="threshold-t"' in svg
         assert 'data-t="0.5"' in svg
 
+    def test_runs_jsonl_path_reports_beside_it(self, sweep_dir):
+        # without --output, the file form once tried to make runs.jsonl a directory
+        assert main(["report", str(sweep_dir / "runs.jsonl")]) == EXIT_OK
+        for name in ("cost.svg", "balance.svg", "sizes.svg", "summary.txt"):
+            assert (sweep_dir / name).exists(), name
+
     def test_missing_sweep_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nowhere")]) == EXIT_DATA
 
@@ -422,10 +451,12 @@ class TestReport:
                 ":2: ok line lacks k",
             ),
         }
+        # mistyped or out of range; a k or n below 1 and an epsilon below 1
+        # once reached capacity_threshold and failed with no path or line
         mistyped = {
-            ("ok", "k"): ("2", True), ("ok", "q"): (6.0,), ("ok", "cost"): ("x", None),
-            ("ok", "balance"): ("0.5",), ("ok", "sizes"): ([5, "5"], [], 10),
-            ("ok", "method"): (3,), ("failed", "k"): ("2",), ("failed", "method"): (None,),
+            ("ok", "k"): ("2", True, 0, -3), ("ok", "q"): (6.0, 0), ("ok", "cost"): ("x", None),
+            ("ok", "balance"): ("0.5",), ("ok", "sizes"): ([5, "5"], [], 10, [11, -1]),
+            ("ok", "method"): (3,), ("failed", "k"): ("2", 0), ("failed", "method"): (None,),
         }
         failed = {"type": "run", "status": "infeasible", "method": "hier_fair_cap_mcf", "k": 2}
         for (kind, key), values in mistyped.items():
@@ -439,10 +470,18 @@ class TestReport:
             good[0] + "\n" + json.dumps(dict(record, cost=float("nan"))),
             ":2: ok line's cost must be a finite number",
         )
-        bad["provenance t=abc"] = (
-            json.dumps(dict(provenance, params=dict(provenance["params"], t="abc"))),
-            ":1: provenance line's params.t must be",
-        )
+        params = provenance["params"]
+        for key, change in {
+            "params.t": {"params": dict(params, t="abc")},
+            "dataset.n": {"dataset": {"n": 0, "balance": 1.0}},
+            "params.k": {"params": dict(params, k=[2, 0])},
+            "params.epsilon_hierarchical": {"params": dict(params, epsilon_hierarchical=0.5)},
+            "params.epsilon_partitioning": {"params": dict(params, epsilon_partitioning=-2)},
+        }.items():
+            bad[f"provenance {key}"] = (
+                json.dumps(dict(provenance, **change)) + "\n" + good[1],
+                f":1: provenance line's {key} must be",
+            )
         path = tmp_path / "runs.jsonl"
         path.write_text("\n".join(good) + "\n")
         assert main(["report", str(path), "--output", str(tmp_path / "rep")]) == EXIT_OK
@@ -450,7 +489,7 @@ class TestReport:
             path.write_text(text + "\n")
             assert main(["report", str(path), "--output", str(tmp_path / "rep")]) == EXIT_DATA
             err = capsys.readouterr().err
-            assert err.startswith("data error: ") and message in err, name
+            assert err.startswith(f"data error: {path}:") and message in err, name
 
 
 class TestValidate:

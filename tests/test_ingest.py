@@ -70,6 +70,15 @@ class TestLoadCsv:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.protected, b.protected)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheets' "CSV UTF-8" starts with one; it once hid the first column's name
+        text = "sex,age\nF,10\nM,20\nF,30\n"
+        plain = load_csv(DatasetSpec(path=write(tmp_path, text), protected_column="sex"))
+        marked = write(tmp_path, "\ufeff" + text, name="marked.csv")
+        data = load_csv(DatasetSpec(path=marked, protected_column="sex"))
+        assert np.array_equal(data.features, plain.features)
+        assert np.array_equal(data.protected, plain.protected)
+
     def test_counts_match_raw_file_oracle(self, tmp_path):
         rng = np.random.default_rng(6)
         rows = ["x,sex"]
