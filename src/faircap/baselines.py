@@ -28,7 +28,7 @@ from .core import (
     pairwise_distances,
     rng_stream,
 )
-from .errors import ContractViolationError, InfeasibilityError
+from .errors import ContractViolationError
 from .metrics import RunRecord, evaluate
 
 # method name -> (fairlet decomposition, clustering stage)
@@ -58,12 +58,8 @@ def kmedoids_vanilla(
     rows. Returns the point-level assignment, with labels 0..k-1 in medoid
     order.
     """
-    positions, _ = capclust.check_weighted_points(positions, weights)
+    positions, _ = capclust.check_weighted_points(positions, weights, k)
     n = len(positions)
-    if k < 1:
-        raise ContractViolationError("k must be positive")
-    if n < k:
-        raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {n} rows")
     dists = pairwise_distances(positions)
     rng = rng_stream(seed, "baselines.kmedoids")
     medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
@@ -100,12 +96,8 @@ def kcenter_greedy(
     the seeded stream and each point lands with its nearest center. Returns
     the fairlet-level assignment, with labels 0..k-1 in center order.
     """
-    positions, _ = capclust.check_weighted_points(positions, weights)
+    positions, _ = capclust.check_weighted_points(positions, weights, k)
     l = len(positions)
-    if k < 1:
-        raise ContractViolationError("k must be positive")
-    if l < k:
-        raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {l} points")
     dists = pairwise_distances(positions)
     rng = rng_stream(seed, "baselines.kcenter")
     centers = [int(rng.integers(l))]

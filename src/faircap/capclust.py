@@ -232,9 +232,10 @@ def hierarchical_fair_capacitated(
 
 
 def check_weighted_points(
-    positions: np.ndarray, weights: np.ndarray
+    positions: np.ndarray, weights: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (l, d) float positions and length-l int weights of l points."""
+    """Validated (l, d) float positions and length-l int weights of l points
+    that are to form k nonempty clusters."""
     positions = np.asarray(positions, dtype=np.float64)
     weights = np.asarray(weights)
     if positions.ndim != 2:
@@ -250,20 +251,19 @@ def check_weighted_points(
         raise ContractViolationError("positions must be finite")
     if not np.issubdtype(weights.dtype, np.integer) or (weights < 1).any():
         raise ContractViolationError("weights must be positive integers")
+    if k < 1:
+        raise ContractViolationError("k must be positive")
+    if len(weights) < k:
+        raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {len(weights)} points")
     return positions, weights.astype(np.int64)
 
 
 def _check_capacity_inputs(
     positions: np.ndarray, weights: np.ndarray, k: int, q: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    positions, weights = check_weighted_points(positions, weights)
-    l = len(weights)
-    if k < 1 or q < 1:
-        raise ContractViolationError("k and q must be positive")
-    if l < k:
-        raise InfeasibilityError(
-            f"cannot form k={k} nonempty clusters from {l} points"
-        )
+    positions, weights = check_weighted_points(positions, weights, k)
+    if q < 1:
+        raise ContractViolationError("q must be positive")
     total = int(weights.sum())
     if total > k * q:
         raise InfeasibilityError(

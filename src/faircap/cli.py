@@ -276,7 +276,7 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
     for flavor, decomp in sorted(decomp_cache.items()):
         if flavor != "rows":  # singletons: nothing to audit
             (out_dir / f"fairlets_{flavor}.json").write_text(
-                fairlets.decomposition_to_json(decomp, data), encoding="utf-8"
+                fairlets.decomposition_to_json(decomp), encoding="utf-8"
             )
 
     statuses = [row["status"] for row in rows]
@@ -439,7 +439,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = SweepConfig(args.config)
     data = ingest.load_csv(cfg.dataset_spec)
-    decomp = fairlets.decomposition_from_json(ingest.read_utf8(args.decomposition), data)
+    decomp = fairlets.decomposition_from_json(ingest.read_utf8(args.decomposition))
     result = fairlets.validate(decomp, data, cfg.t)
     if result.ok:
         print(f"valid decomposition: {len(decomp)} fairlets cover {data.n} rows")

@@ -184,58 +184,32 @@ def validate(
     return ValidationReport(violations=tuple(violations))
 
 
-def decomposition_to_json(decomp: FairletDecomposition, data: Dataset) -> str:
-    """Serialize for audit/replay: one record per fairlet, rows named by index."""
-    records = [
-        {
-            "fairlet_id": j,
-            "center_row_id": str(fairlet.center),
-            "member_row_ids": [str(m) for m in fairlet.members],
-        }
-        for j, fairlet in enumerate(decomp.fairlets)
-    ]
-    return json.dumps(records, indent=2)
+def decomposition_to_json(decomp: FairletDecomposition) -> str:
+    """Serialize for audit/replay as the decomposition's two arrays."""
+    return json.dumps(
+        {"row_to_fairlet": decomp.row_to_fairlet.tolist(), "centers": decomp.centers.tolist()}
+    )
 
 
-def decomposition_from_json(text: str, data: Dataset) -> FairletDecomposition:
+def decomposition_from_json(text: str) -> FairletDecomposition:
     """Rebuild a decomposition exported by :func:`decomposition_to_json`.
 
-    Record j becomes fairlet j. Malformed text, unknown row ids and rows in
-    no fairlet or in two raise :class:`ContractViolationError`.
+    Malformed text, a key that is not a list of int64 integers, and arrays
+    that :class:`FairletDecomposition` rejects raise
+    :class:`ContractViolationError`.
     """
     try:
-        records = json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ContractViolationError(f"decomposition is not valid JSON: {exc}") from None
-    if not isinstance(records, list):
-        raise ContractViolationError("decomposition must be a JSON list of fairlet records")
-    index = {str(i): i for i in range(data.n)}
-
-    def lookup(j: int, rid: object) -> int:
-        if not isinstance(rid, str) or rid not in index:
-            raise ContractViolationError(f"fairlet record {j}: unknown row id {rid!r}")
-        return index[rid]
-
-    row_to_fairlet = np.full(data.n, -1, dtype=np.int64)
-    centers = []
-    for j, record in enumerate(records):
-        members = record.get("member_row_ids") if isinstance(record, dict) else None
-        if not isinstance(members, list) or "center_row_id" not in record:
-            raise ContractViolationError(
-                f"fairlet record {j} needs a center_row_id and a member_row_ids list"
-            )
-        for rid in members:
-            i = lookup(j, rid)
-            if row_to_fairlet[i] != -1:
-                raise ContractViolationError(
-                    f"fairlet record {j}: row id {rid!r} is already in fairlet {row_to_fairlet[i]}"
-                )
-            row_to_fairlet[i] = j
-        centers.append(lookup(j, record["center_row_id"]))
-    missing = np.flatnonzero(row_to_fairlet == -1)
-    if missing.size:
-        ids = [str(i) for i in missing[:5].tolist()]
-        raise ContractViolationError(f"rows {ids} are in no fairlet record")
-    return FairletDecomposition(
-        row_to_fairlet=row_to_fairlet, centers=np.array(centers, dtype=np.int64)
-    )
+    if not isinstance(obj, dict):
+        raise ContractViolationError("decomposition must be a JSON object")
+    arrays = {}
+    for key in ("row_to_fairlet", "centers"):
+        values = obj.get(key)
+        if not isinstance(values, list) or not all(
+            type(v) is int and -(2**63) <= v < 2**63 for v in values
+        ):
+            raise ContractViolationError(f"decomposition's {key} must be a list of int64 integers")
+        arrays[key] = np.array(values, dtype=np.int64)
+    return FairletDecomposition(**arrays)

@@ -191,15 +191,23 @@ def balance_chart(records: list[dict], t: float, dataset_balance: float) -> str:
 def sizes_chart(records: list[dict], q_lines: dict[str, dict[int, int]]) -> str:
     """Cluster-size boxplots per (k, method); capacity thresholds as steps.
 
-    ``q_lines`` maps a line label (e.g. "q hierarchical") to {k: q}.
+    ``q_lines`` maps a line label (e.g. "q hierarchical") to {k: q}. No
+    cluster can reach a q above the row count n, so such a segment is not
+    drawn, nor a line left with no segment; the y axis spans the sizes and
+    the drawn q values.
     """
     _check_records(records)
     grouped = _by_method(records)
     methods = sorted(grouped)
     ks = sorted({r["k"] for r in records})
-    max_size = max(max(r["sizes"]) for r in records)
-    for per_k in q_lines.values():
-        max_size = max(max_size, *per_k.values())
+    n = max(sum(r["sizes"]) for r in records)  # each clustering covers all n rows
+    q_lines = {
+        label: {k: q for k, q in per_k.items() if k in ks and q <= n}
+        for label, per_k in q_lines.items()
+    }
+    q_lines = {label: per_k for label, per_k in q_lines.items() if per_k}  # no empty legend entry
+    drawn = [q for per_k in q_lines.values() for q in per_k.values()]
+    max_size = max([max(r["sizes"]) for r in records] + drawn)
     canvas = _Canvas(-0.5, len(ks) - 0.5, 0.0, max_size * 1.08)
     canvas.axes("Cluster sizes", "number of clusters k", "cluster size", [])
     y0 = HEIGHT - MARGIN_B

@@ -42,6 +42,7 @@ def make_blobs(
     ``blob_weights`` sets relative blob sizes (default equal); sizes are
     rounded largest-remainder so they sum to n.
     """
+    minority = minority_count(n, balance)  # checks n >= 2 before the blobs are sized
     if clusters < 1 or dims < 1:
         raise ContractViolationError("clusters and dims must be positive")
     weights = blob_weights if blob_weights is not None else (1.0,) * clusters
@@ -69,7 +70,6 @@ def make_blobs(
     ]
     features = np.vstack(blocks)
 
-    minority = minority_count(n, balance)
     protected = np.zeros(n, dtype=np.int64)
     protected[:minority] = 1
     rng.shuffle(protected)

@@ -72,7 +72,7 @@ def reference_pam(data, k, seed):
     first strictly cheapest swap."""
     n = data.n
     if n < k:
-        raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {n} rows")
+        raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {n} points")
     dists = pairwise_distances(data.features)
     rng = rng_stream(seed, "baselines.kmedoids")
     medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))

@@ -92,11 +92,12 @@ def random_points(rng, l):
     return positions, weights
 
 
-# Every public entry that takes weighted points, called with k=1, q=10.
+# Every public entry that takes weighted points, called with k=1 (and q=10 if it takes q).
 ENTRIES = (
     lambda pos, w: hierarchical_fair_capacitated(pos, w, k=1, q=10),
     lambda pos, w: kmedoids_fair_capacitated(pos, w, k=1, q=10, lam=0.3, seed=0),
     lambda pos, w: kcenter_greedy(pos, w, k=1, seed=0),
+    lambda pos, w: kmedoids_vanilla(pos, w, k=1, seed=0),
 )
 
 
@@ -158,6 +159,19 @@ class TestWeightedPointChecks:
             lambda: kmedoids_vanilla(positions, weights, k=-1, seed=0),
         ):
             with pytest.raises(ContractViolationError, match="positive"):
+                entry()
+
+    def test_rejects_fewer_points_than_k(self):
+        positions, weights = np.zeros((2, 2)), np.ones(2, dtype=np.int64)
+        for entry in (
+            lambda: hierarchical_fair_capacitated(positions, weights, k=3, q=10),
+            lambda: kmedoids_fair_capacitated(positions, weights, k=3, q=10, lam=0.3, seed=0),
+            lambda: kcenter_greedy(positions, weights, k=3, seed=0),
+            lambda: kmedoids_vanilla(positions, weights, k=3, seed=0),
+        ):
+            with pytest.raises(
+                InfeasibilityError, match="cannot form k=3 nonempty clusters from 2 points"
+            ):
                 entry()
 
 

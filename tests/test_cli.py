@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from faircap import errors, ingest
+from faircap import errors, fairlets, ingest
 from faircap.cli import (
     _SECTIONS,
     EXIT_ALL_INFEASIBLE,
@@ -80,6 +80,15 @@ class TestConfigReference:
         assert rows.protected.tolist() == [0, 1]
 
 
+class TestSidecarReference:
+    def test_readme_sidecar_example_reads(self):
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+        decomp = fairlets.decomposition_from_json(block)
+        assert fairlets.decomposition_to_json(decomp) == block.strip()
+        assert [fl.members for fl in decomp.fairlets] == [(0, 1), (2, 4), (3, 5)]
+
+
 class TestGenerate:
     def test_writes_loadable_csv(self, tmp_path, capsys):
         out = tmp_path / "toy.csv"
@@ -109,6 +118,13 @@ class TestGenerate:
             assert "--blob-weights" in capsys.readouterr().err, value
         code = main(["generate", "--out", out, "--clusters", "2", "--blob-weights", "3,1"])
         assert code == EXIT_OK
+
+    def test_fewer_than_two_rows_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "toy.csv"
+        for n in ("-5", "0", "1"):
+            assert main(["generate", "--out", str(out), "--n", n]) == EXIT_DATA, n
+            assert capsys.readouterr().err == "error: need at least 2 rows\n", n
+            assert not out.exists(), n
 
 
 class TestRun:
@@ -543,34 +559,55 @@ class TestValidate:
         from faircap.ingest import DatasetSpec, load_csv
 
         data = load_csv(DatasetSpec(path=tmp_path / "data.csv", protected_column="group"))
-        ones = [str(i) for i in range(8) if data.protected[i] == 1]
-        zeros = [str(i) for i in range(8) if data.protected[i] == 0]
-        bad = json.dumps(
-            [
-                {"fairlet_id": 0, "center_row_id": ones[0], "member_row_ids": ones},
-                {"fairlet_id": 1, "center_row_id": zeros[0], "member_row_ids": zeros},
-            ]
-        )
+        labels = data.protected.tolist()
+        bad = json.dumps({"row_to_fairlet": labels, "centers": [labels.index(0), labels.index(1)]})
         decomp_path = tmp_path / "bad.json"
         decomp_path.write_text(bad)
         code = main(["validate", str(config), "--decomposition", str(decomp_path)])
         assert code == EXIT_DATA
         assert "violation" in capsys.readouterr().out
 
+    def test_file_of_fewer_rows_reports_the_row_count(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, SMALL_SWEEP, data_flags=("--n", "8", "--balance", "1.0", "--seed", "2")
+        )
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"row_to_fairlet": [0] * 7, "centers": [0]}))
+        code = main(["validate", str(config), "--decomposition", str(path)])
+        assert code == EXIT_DATA
+        out = capsys.readouterr().out
+        assert out.endswith("\nviolation: decomposition covers 7 rows, dataset has 8\n")
+
     def test_malformed_input_is_an_error_not_a_traceback(self, tmp_path, capsys):
         config = write_config(
             tmp_path, SMALL_SWEEP, data_flags=("--n", "8", "--balance", "1.0", "--seed", "2")
         )
-        good = {"fairlet_id": 0, "center_row_id": "0", "member_row_ids": ["0"]}
+        good = {"row_to_fairlet": [0, 0, 1, 1, 2, 2, 3, 3], "centers": [0, 2, 4, 6]}
         path = tmp_path / "bad.json"
+        entries = "must be a list of int64 integers"
         bad_files = {
             "not JSON": ("{not json", "not valid JSON"),
-            "record without members": (
-                json.dumps([good, {"fairlet_id": 1, "center_row_id": "1"}]),
-                "fairlet record 1 needs",
+            "a list, not an object": (json.dumps([good]), "must be a JSON object"),
+            "missing key": (json.dumps({"centers": good["centers"]}), f"row_to_fairlet {entries}"),
+            "bool entry": (json.dumps(dict(good, centers=[0, 2, 4, True])), f"centers {entries}"),
+            "float entry": (json.dumps(dict(good, centers=[0, 2, 4, 6.0])), f"centers {entries}"),
+            "string entry": (
+                json.dumps(dict(good, row_to_fairlet=["0", 0, 1, 1, 2, 2, 3, 3])),
+                f"row_to_fairlet {entries}",
             ),
-            "object, not a list": (json.dumps(good), "must be a JSON list"),
-            "not UTF-8": (b'[{"center_row_id": "\xff"}]', f"{path}: not UTF-8 text"),
+            "entry beyond int64": (
+                json.dumps(dict(good, row_to_fairlet=[2**70, 0, 1, 1, 2, 2, 3, 3])),
+                f"row_to_fairlet {entries}",
+            ),
+            "id out of range": (
+                json.dumps(dict(good, row_to_fairlet=[0, 0, 1, 1, 2, 2, 3, 4])),
+                "fairlet ids must lie in 0..3",
+            ),
+            "center outside its fairlet": (
+                json.dumps(dict(good, centers=[0, 2, 4, 5])),
+                "fairlets [3] have a center that is not one of their rows",
+            ),
+            "not UTF-8": (b'{"centers": "\xff"}', f"{path}: not UTF-8 text"),
         }
         for name, (text, message) in bad_files.items():
             if isinstance(text, bytes):
@@ -579,7 +616,10 @@ class TestValidate:
                 path.write_text(text)
             code = main(["validate", str(config), "--decomposition", str(path)])
             assert code == EXIT_DATA, name
-            assert message in capsys.readouterr().err, name
+            err = capsys.readouterr().err
+            assert message in err, name
+            prefix = "data error: " if name == "not UTF-8" else "error: "
+            assert err.startswith(prefix), name
         # the threshold comes from the config, checked like `faircap run` checks it
         for t in ("abc", "1/0", "2/3"):
             bad_t = tmp_path / "bad_t.ini"

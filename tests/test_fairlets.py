@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -252,16 +253,11 @@ class TestMatchesReference:
                     labels[list(members)] = j
                 assert decomp.row_to_fairlet.tolist() == labels.tolist()
                 assert decomp.centers.tolist() == [center for _, center in expected]
-                assert decomposition_to_json(decomp, data) == json.dumps(
-                    [
-                        {
-                            "fairlet_id": j,
-                            "center_row_id": str(center),
-                            "member_row_ids": [str(m) for m in members],
-                        }
-                        for j, (members, center) in enumerate(expected)
-                    ],
-                    indent=2,
+                assert decomposition_to_json(decomp) == json.dumps(
+                    {
+                        "row_to_fairlet": labels.tolist(),
+                        "centers": [center for _, center in expected],
+                    }
                 )
                 assert validate(decomp, data, t).ok
 
@@ -354,27 +350,44 @@ class TestFairletCost:
 class TestJsonRoundTrip:
     def test_export_import_identity(self):
         rng = np.random.default_rng(2)
-        data = _random_feasible(rng)
-        decomp = vanilla_decompose(data, T_HALF, seed=9)
-        text = decomposition_to_json(decomp, data)
-        rebuilt = decomposition_from_json(text, data)
-        assert _same(rebuilt, decomp)
+        for trial in range(40):
+            t = Fraction(1, int(rng.integers(2, 4)))
+            data = _random_feasible(rng, t)
+            for build in (vanilla_decompose, mcf_decompose):
+                decomp = build(data, t, seed=trial)
+                rebuilt = decomposition_from_json(decomposition_to_json(decomp))
+                assert _same(rebuilt, decomp)
 
     def test_unknown_row_id_rejected(self):
-        data = _dataset(np.arange(4.0), [1, 0, 1, 0])
-        bad = '[{"fairlet_id": 0, "center_row_id": "99", "member_row_ids": ["99"]}]'
-        with pytest.raises(ContractViolationError):
-            decomposition_from_json(bad, data)
+        # ids outside 0..l-1 and 0..n-1, and a center outside its fairlet,
+        # are the constructor's to reject
+        for text, message in (
+            ('{"row_to_fairlet": [0, 0, 2, 1], "centers": [0, 3]}', "ids must lie in 0..1"),
+            ('{"row_to_fairlet": [0, -1, 1, 1], "centers": [0, 2]}', "ids must lie in 0..1"),
+            ('{"row_to_fairlet": [0, 0, 1, 1], "centers": [0, 99]}', "rows must lie in 0..3"),
+            ('{"row_to_fairlet": [0, 0, 1, 1], "centers": [2, 0]}', "not one of their rows"),
+        ):
+            with pytest.raises(ContractViolationError, match=re.escape(message)):
+                decomposition_from_json(text)
 
-    def test_repeated_or_missing_row_rejected(self):
-        data = _dataset(np.arange(4.0), [1, 0, 1, 0])
-
-        def record(j, center, members):
-            return {"fairlet_id": j, "center_row_id": center, "member_row_ids": members}
-
-        repeated = json.dumps([record(0, "1", ["0", "1"]), record(1, "2", ["2", "3", "0"])])
-        with pytest.raises(ContractViolationError, match="fairlet record 1: row id '0' is already"):
-            decomposition_from_json(repeated, data)
-        missing = json.dumps([record(0, "0", ["0", "1"]), record(1, "2", ["2"])])
-        with pytest.raises(ContractViolationError, match=r"rows \['3'\] are in no fairlet record"):
-            decomposition_from_json(missing, data)
+    def test_entries_must_be_int64_integers(self):
+        good = {"row_to_fairlet": [0, 0, 1, 1], "centers": [0, 2]}
+        for key in good:
+            for bad in (True, 1.0, "1", 2**70, -(2**63) - 1):
+                values = list(good[key])
+                values[1] = bad
+                text = json.dumps(dict(good, **{key: values}))
+                with pytest.raises(ContractViolationError, match=f"{key} must be a list of int64"):
+                    decomposition_from_json(text)
+            for bad in (None, 3, {"0": 0}):
+                text = json.dumps(dict(good, **{key: bad}))
+                with pytest.raises(ContractViolationError, match=f"{key} must be a list of int64"):
+                    decomposition_from_json(text)
+            text = json.dumps({k: v for k, v in good.items() if k != key})
+            with pytest.raises(ContractViolationError, match=f"{key} must be a list of int64"):
+                decomposition_from_json(text)
+        # the int64 bounds themselves are read, then range-checked as ids
+        for edge in (2**63 - 1, -(2**63)):
+            text = json.dumps(dict(good, centers=[0, edge]))
+            with pytest.raises(ContractViolationError, match="center rows must lie"):
+                decomposition_from_json(text)

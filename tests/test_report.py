@@ -38,6 +38,10 @@ def _records():
     ]
 
 
+def _y_ticks(svg):
+    return [float(v) for v in re.findall(r'text-anchor="end" font-size="10">([^<]+)<', svg)]
+
+
 class TestCostChart:
     def test_renders_valid_xml_with_one_line_per_method(self):
         svg = cost_chart(_records())
@@ -90,6 +94,20 @@ class TestSizesChart:
         assert 'data-label="q eps=1.2"' in svg
         assert 'data-q="30"' in svg
         assert 'data-q="16"' in svg
+
+    def test_q_above_n_neither_drawn_nor_scaling_the_axis(self):
+        # epsilon = 1e19 on 150 rows: clusters of 148 and 2 under q = 7.5e20
+        record = dict(_records()[0], k=2, sizes=[148, 2], q=750000000000000000000)
+        svg = sizes_chart([record], q_lines={"q eps=1e+19": {2: record["q"]}})
+        ET.fromstring(svg)
+        assert "data-q=" not in svg and "1e+19" not in svg  # no segment, no legend entry
+        assert max(_y_ticks(svg)) < 1.08 * 150
+        # a q within n is drawn and scales the axis; the one above n is not
+        even = dict(record, sizes=[80, 70])
+        svg = sizes_chart([even], q_lines={"q eps=1.6": {2: 120}, "q eps=1e+19": {2: record["q"]}})
+        assert re.findall(r'data-q="([^"]+)"', svg) == ["120"]
+        assert max(_y_ticks(sizes_chart([even], q_lines={}))) == 80
+        assert max(_y_ticks(svg)) == 100
 
 
 class TestTextTable:

@@ -53,6 +53,11 @@ class TestMakeBlobs:
             with pytest.raises(ContractViolationError, match="blob_weights"):
                 make_blobs(n=20, clusters=2, blob_weights=(bad, 1.0))
 
+    def test_rejects_fewer_than_two_rows(self):
+        for n in (-5, 0, 1):
+            with pytest.raises(ContractViolationError, match="need at least 2 rows"):
+                make_blobs(n=n)
+
     def test_deterministic(self):
         a = make_blobs(n=40, balance=0.8, seed=5)
         b = make_blobs(n=40, balance=0.8, seed=5)
