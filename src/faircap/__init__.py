@@ -48,7 +48,7 @@ from .fairlets import (
 )
 from .ingest import DatasetSpec, dataset_balance, load_csv
 from .metrics import RunRecord, evaluate, size_dispersion
-from .synth import make_blobs, write_blobs_csv
+from .synth import make_blobs
 
 __all__ = [
     "Clustering",
@@ -86,5 +86,4 @@ __all__ = [
     "size_dispersion",
     "validate",
     "vanilla_decompose",
-    "write_blobs_csv",
 ]

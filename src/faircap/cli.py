@@ -27,7 +27,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from math import inf, isfinite
+from math import isfinite
 from pathlib import Path
 from typing import Any
 
@@ -73,19 +73,11 @@ def _parse_k_values(text: str) -> tuple[int, ...]:
             values = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"sweep.k: cannot parse {text!r} (use '2:14:2' or '2,4,6')") from exc
-    if not values or min(values) < 1:
+    if not values:
+        raise ConfigError(f"sweep.k: {text!r} names no k value")
+    if min(values) < 1:
         raise ConfigError(f"sweep.k: needs positive values, got {text!r}")
     return tuple(sorted(set(values)))  # canonical record order is (method, k)
-
-
-def _parse_blob_weights(text: str) -> tuple[float, ...]:
-    try:
-        weights = tuple(float(w) for w in text.split(","))
-    except ValueError:
-        weights = ()
-    if not weights or not all(0 < w < inf for w in weights):
-        raise argparse.ArgumentTypeError(f"not a comma list of positive numbers: {text!r}")
-    return weights
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -288,10 +280,10 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    path = synth.write_blobs_csv(
-        args.out, n=args.n, balance=args.balance, clusters=args.clusters,
-        noise=args.noise, seed=args.seed, blob_weights=args.blob_weights, dims=args.dims,
+    data = synth.make_blobs(
+        args.n, balance=args.balance, clusters=args.clusters, noise=args.noise, seed=args.seed
     )
+    path = synth.write_csv(args.out, data)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -461,10 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--clusters", type=int, default=3)
     gen.add_argument("--noise", type=float, default=0.06)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--dims", type=int, default=2)
-    gen.add_argument(
-        "--blob-weights", type=_parse_blob_weights, help="comma list of relative blob sizes"
-    )
     gen.set_defaults(func=_cmd_generate)
 
     run = sub.add_parser("run", help="run a k-sweep per a config file")

@@ -24,7 +24,7 @@ from .errors import ContractViolationError
 _U64 = (1 << 64) - 1
 
 
-def rng_stream(seed: int, *labels: str | int) -> np.random.Generator:
+def rng_stream(seed: int, *labels: str) -> np.random.Generator:
     """Return a generator for the substream named by ``labels``.
 
     Distinct label paths under the same seed yield statistically independent
@@ -34,12 +34,9 @@ def rng_stream(seed: int, *labels: str | int) -> np.random.Generator:
     """
     entropy: list[int] = [int(seed) & _U64]
     for label in labels:
-        if isinstance(label, int):
-            entropy.append(label & _U64)
-        else:
-            digest = hashlib.sha256(label.encode("utf-8")).digest()
-            entropy.append(int.from_bytes(digest[:8], "little"))
-            entropy.append(int.from_bytes(digest[8:16], "little"))
+        digest = hashlib.sha256(label.encode("utf-8")).digest()
+        entropy.append(int.from_bytes(digest[:8], "little"))
+        entropy.append(int.from_bytes(digest[8:16], "little"))
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -47,6 +44,38 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _check_partition(
+    labels: np.ndarray, centers: np.ndarray, names: tuple[str, str], group: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check that ``labels`` splits the rows into ``len(centers) >= 1`` nonempty
+    groups and that ``centers[j]`` is a row of group j; return both as frozen
+    int64 arrays. ``names`` and ``group`` name the two fields and one group in messages.
+    """
+    labels, centers = np.asarray(labels), np.asarray(centers)
+    for name, a in zip(names, (labels, centers)):
+        if a.ndim != 1 or a.dtype.kind not in "iu":
+            raise ContractViolationError(
+                f"{name} must be a 1-d integer array, got {a.dtype} of shape {a.shape}"
+            )
+    labels, centers = labels.astype(np.int64), centers.astype(np.int64)
+    n, l = labels.size, centers.size
+    if not l:
+        raise ContractViolationError(f"no {group}s for {n} rows")
+    if n and (labels.min() < 0 or labels.max() >= l):
+        raise ContractViolationError(f"{group} ids must lie in 0..{l - 1}")
+    empty = np.flatnonzero(np.bincount(labels, minlength=l) == 0)
+    if empty.size:
+        raise ContractViolationError(f"{group}s {empty.tolist()[:5]} have no rows")
+    if centers.min() < 0 or centers.max() >= n:
+        raise ContractViolationError(f"center rows must lie in 0..{n - 1}")
+    stray = np.flatnonzero(labels[centers] != np.arange(l))
+    if stray.size:
+        raise ContractViolationError(
+            f"{group}s {stray.tolist()[:5]} have a center that is not one of their rows"
+        )
+    return _frozen(labels), _frozen(centers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,37 +148,20 @@ class FairletDecomposition:
     """A partition of rows 0..n-1 into fairlets, held as two int arrays.
 
     ``row_to_fairlet[i]`` is the fairlet of row i and ``centers[j]`` the
-    center row of fairlet j. Construction checks that every fairlet has rows
-    and contains its center; per-fairlet balance and size bounds are checked
-    by :func:`faircap.fairlets.validate`.
+    center row of fairlet j. Construction checks that there is a fairlet,
+    that every fairlet has rows and that it contains its center; per-fairlet
+    balance and size bounds are checked by :func:`faircap.fairlets.validate`.
     """
 
     row_to_fairlet: np.ndarray
     centers: np.ndarray
 
     def __post_init__(self) -> None:
-        labels, centers = np.asarray(self.row_to_fairlet), np.asarray(self.centers)
-        for name, a in (("row_to_fairlet", labels), ("centers", centers)):
-            if a.ndim != 1 or a.dtype.kind not in "iu":
-                raise ContractViolationError(
-                    f"{name} must be a 1-d integer array, got {a.dtype} of shape {a.shape}"
-                )
-        labels, centers = labels.astype(np.int64), centers.astype(np.int64)
-        l = len(centers)
-        if labels.size and (labels.min() < 0 or labels.max() >= l):
-            raise ContractViolationError(f"fairlet ids must lie in 0..{l - 1}")
-        empty = np.flatnonzero(np.bincount(labels, minlength=l) == 0)
-        if empty.size:
-            raise ContractViolationError(f"fairlets {empty.tolist()[:5]} have no rows")
-        if centers.size and (centers.min() < 0 or centers.max() >= labels.size):
-            raise ContractViolationError(f"center rows must lie in 0..{labels.size - 1}")
-        stray = np.flatnonzero(labels[centers] != np.arange(l))
-        if stray.size:
-            raise ContractViolationError(
-                f"fairlets {stray.tolist()[:5]} have a center that is not one of their rows"
-            )
-        object.__setattr__(self, "row_to_fairlet", _frozen(labels))
-        object.__setattr__(self, "centers", _frozen(centers))
+        labels, centers = _check_partition(
+            self.row_to_fairlet, self.centers, ("row_to_fairlet", "centers"), "fairlet"
+        )
+        object.__setattr__(self, "row_to_fairlet", labels)
+        object.__setattr__(self, "centers", centers)
 
     @property
     def n(self) -> int:
@@ -175,30 +187,25 @@ class FairletDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class Clustering:
-    """An assignment of rows to k clusters with one representative row per cluster."""
+    """A partition of rows 0..n-1 into k clusters, checked like a fairlet decomposition.
+
+    ``assignment[i]`` is the cluster of row i and ``representatives[c]`` the
+    representative row of cluster c, one of its own rows; k is ``len(representatives)``.
+    """
 
     assignment: np.ndarray
-    representatives: tuple[int, ...]
-    k: int
+    representatives: np.ndarray
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.int64)
-        if assignment.ndim != 1 or assignment.size == 0:
-            raise ContractViolationError("assignment must be a nonempty 1-d array")
-        if self.k < 1:
-            raise ContractViolationError("k must be positive")
-        if assignment.min() < 0 or assignment.max() >= self.k:
-            raise ContractViolationError("cluster ids must lie in [0, k)")
-        sizes = np.bincount(assignment, minlength=self.k)
-        if (sizes == 0).any():
-            empty = np.flatnonzero(sizes == 0).tolist()
-            raise ContractViolationError(f"clusters {empty} are empty")
-        if len(self.representatives) != self.k:
-            raise ContractViolationError("one representative per cluster is required")
-        object.__setattr__(self, "assignment", _frozen(assignment))
-        object.__setattr__(
-            self, "representatives", tuple(int(r) for r in self.representatives)
+        assignment, reps = _check_partition(
+            self.assignment, self.representatives, ("assignment", "representatives"), "cluster"
         )
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "representatives", reps)
+
+    @property
+    def k(self) -> int:
+        return self.representatives.size
 
     @property
     def sizes(self) -> np.ndarray:
@@ -258,8 +265,7 @@ def clustering_balance(clustering: Clustering, data: Dataset) -> Fraction:
 
 def clustering_cost(clustering: Clustering, data: Dataset) -> float:
     """Sum over rows of the distance to their cluster's representative."""
-    reps = np.asarray(clustering.representatives, dtype=np.intp)
-    rep_rows = data.features[reps[clustering.assignment]]
+    rep_rows = data.features[clustering.representatives[clustering.assignment]]
     return float(np.linalg.norm(data.features - rep_rows, axis=1).sum())
 
 
@@ -286,4 +292,4 @@ def compose_assignment(
         medoid_index(data.features, np.flatnonzero(assignment == cid))
         for cid in range(k)
     )
-    return Clustering(assignment=assignment, representatives=reps, k=k)
+    return Clustering(assignment=assignment, representatives=reps)

@@ -35,16 +35,15 @@ def make_blobs(
     noise: float = 0.06,
     seed: int = 0,
     blob_weights: tuple[float, ...] | None = None,
-    dims: int = 2,
 ) -> Dataset:
-    """Generate an n-row blob dataset with the requested protected balance.
+    """Generate an n-row dataset of two features with the requested protected balance.
 
     ``blob_weights`` sets relative blob sizes (default equal); sizes are
     rounded largest-remainder so they sum to n.
     """
     minority = minority_count(n, balance)  # checks n >= 2 before the blobs are sized
-    if clusters < 1 or dims < 1:
-        raise ContractViolationError("clusters and dims must be positive")
+    if clusters < 1:
+        raise ContractViolationError("clusters must be positive")
     weights = blob_weights if blob_weights is not None else (1.0,) * clusters
     if len(weights) != clusters or not all(0 < w < math.inf for w in weights):
         raise ContractViolationError("blob_weights needs one positive finite entry per blob")
@@ -60,12 +59,10 @@ def make_blobs(
 
     rng = rng_stream(seed, "synth.blobs")
     angles = 2 * math.pi * np.arange(clusters) / clusters
-    centers = np.zeros((clusters, dims))
-    centers[:, 0] = 0.5 + 0.38 * np.cos(angles)
-    centers[:, 1 % dims] = 0.5 + 0.38 * np.sin(angles)
+    centers = 0.5 + 0.38 * np.column_stack((np.cos(angles), np.sin(angles)))
 
     blocks = [
-        centers[i] + noise * rng.standard_normal((sizes[i], dims))
+        centers[i] + noise * rng.standard_normal((sizes[i], 2))
         for i in range(clusters)
     ]
     features = np.vstack(blocks)
@@ -77,18 +74,8 @@ def make_blobs(
     return Dataset(features=features, protected=protected)
 
 
-def write_blobs_csv(
-    path: str | Path,
-    n: int,
-    balance: float = 1.0,
-    clusters: int = 3,
-    noise: float = 0.06,
-    seed: int = 0,
-    blob_weights: tuple[float, ...] | None = None,
-    dims: int = 2,
-) -> Path:
-    """Write a generated blob dataset as CSV with a ``group`` protected column."""
-    data = make_blobs(n, balance, clusters, noise, seed, blob_weights, dims)
+def write_csv(path: str | Path, data: Dataset) -> Path:
+    """Write ``data`` as CSV: feature columns ``x0, x1, ...`` and a ``group`` protected column."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

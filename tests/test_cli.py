@@ -109,16 +109,6 @@ class TestGenerate:
         target = tmp_path / "no-such-dir" / "toy.csv"
         assert main(["generate", "--out", str(target), "--n", "10"]) == EXIT_DATA
 
-    def test_bad_blob_weights_is_usage_error(self, tmp_path, capsys):
-        out = str(tmp_path / "toy.csv")
-        for value in ("a,b", "1,,2", "", "nan,1", "inf,1", "0,1", "-1,2"):
-            with pytest.raises(SystemExit) as err:
-                main(["generate", "--out", out, "--clusters", "2", "--blob-weights", value])
-            assert err.value.code == EXIT_USAGE, value
-            assert "--blob-weights" in capsys.readouterr().err, value
-        code = main(["generate", "--out", out, "--clusters", "2", "--blob-weights", "3,1"])
-        assert code == EXIT_OK
-
     def test_fewer_than_two_rows_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "toy.csv"
         for n in ("-5", "0", "1"):
@@ -266,12 +256,15 @@ seed = 3
 
     def test_bad_k_is_config_error(self, tmp_path, capsys):
         # a negative step once ran 10:2:-2 as k = 4, 6, 8, 10 and dropped 2
-        for value in ("10:2:-2", "2:10:0", "2:x", "0,2"):
+        # an empty range once read as "needs positive values"
+        for value in ("10:2:-2", "2:10:0", "2:x", "0,2", "10:2"):
             config = write_config(tmp_path, SMALL_SWEEP.replace("k = 2,3", f"k = {value}"))
             out = tmp_path / "o"
             assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE, value
-            assert "sweep.k" in capsys.readouterr().err, value
+            err = capsys.readouterr().err
+            assert "sweep.k" in err, value
             assert not out.exists()
+        assert err == "config error: sweep.k: '10:2' names no k value\n"
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a typo once ran silently with the default lambda, and a generator
@@ -606,6 +599,10 @@ class TestValidate:
             "center outside its fairlet": (
                 json.dumps(dict(good, centers=[0, 2, 4, 5])),
                 "fairlets [3] have a center that is not one of their rows",
+            ),
+            "rows but no centers": (
+                json.dumps({"row_to_fairlet": [0, 0], "centers": []}),
+                "no fairlets for 2 rows",
             ),
             "not UTF-8": (b'{"centers": "\xff"}', f"{path}: not UTF-8 text"),
         }

@@ -104,7 +104,7 @@ def _clustering_from_labels(labels, data):
     reps = tuple(
         medoid_index(data.features, np.flatnonzero(labels == c)) for c in range(k)
     )
-    return Clustering(assignment=labels, representatives=reps, k=int(k))
+    return Clustering(assignment=labels, representatives=reps)
 
 
 class TestClusteringBalance:
@@ -144,14 +144,12 @@ class TestClusteringBalance:
 class TestClusteringCost:
     def test_singletons_cost_zero(self):
         data = _dataset(np.arange(4.0), [0, 1, 0, 1])
-        c = Clustering(
-            assignment=np.arange(4), representatives=(0, 1, 2, 3), k=4
-        )
+        c = Clustering(assignment=np.arange(4), representatives=(0, 1, 2, 3))
         assert clustering_cost(c, data) == 0.0
 
     def test_two_points_one_representative(self):
         data = _dataset([[0.0], [2.0]], [0, 1])
-        c = Clustering(assignment=np.array([0, 0]), representatives=(0,), k=1)
+        c = Clustering(assignment=np.array([0, 0]), representatives=(0,))
         assert clustering_cost(c, data) == 2.0
 
     def test_matches_double_loop_oracle(self):
@@ -306,8 +304,35 @@ class TestValidation:
             _dataset([[0.0], [1.0]], [0, 2])
 
     def test_clustering_rejects_empty_cluster(self):
-        with pytest.raises(ContractViolationError):
-            Clustering(assignment=np.array([0, 0]), representatives=(0, 1), k=2)
+        with pytest.raises(ContractViolationError, match=r"clusters \[1\] have no rows"):
+            Clustering(assignment=np.array([0, 0]), representatives=(0, 1))
+        for assignment in ([0, 0], []):
+            message = f"no clusters for {len(assignment)} rows"
+            with pytest.raises(ContractViolationError, match=message):
+                Clustering(
+                    assignment=np.array(assignment, dtype=int), representatives=np.array([], int)
+                )
+
+    def test_clustering_is_checked_like_a_partition(self):
+        # each was once accepted: a representative past the last row (the
+        # cost then raised IndexError), one truncated to row 2, and two that
+        # sit in each other's cluster
+        for assignment, reps, message in (
+            ([0, 0, 0, 0], (7,), "center rows must lie in 0..3"),
+            ([0, 0, 0, 0], (2.5,), "representatives must be a 1-d integer array"),
+            ([0, 0, 1, 1], (2, 0), r"clusters \[0, 1\] have a center that is not one"),
+        ):
+            with pytest.raises(ContractViolationError, match=message):
+                Clustering(assignment=np.array(assignment), representatives=reps)
+
+    def test_clustering_arrays_are_frozen_int64(self):
+        c = Clustering(assignment=np.array([1, 0, 1], dtype=np.int32), representatives=(1, 0))
+        assert c.k == 2
+        assert c.sizes.tolist() == [1, 2]
+        for a in (c.assignment, c.representatives):
+            assert a.dtype == np.int64
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_decomposition_must_partition(self):
         # a label vector places every row in exactly one fairlet; what is
@@ -316,6 +341,9 @@ class TestValidation:
             FairletDecomposition(row_to_fairlet=np.array([0, 0, 1]), centers=np.array([0]))
         with pytest.raises(ContractViolationError):
             FairletDecomposition(row_to_fairlet=np.array([0, 0, 0]), centers=np.array([0, 1]))
+        # no dataset has zero rows, so neither does any decomposition of one
+        with pytest.raises(ContractViolationError, match="no fairlets for 0 rows"):
+            FairletDecomposition(row_to_fairlet=np.array([], int), centers=np.array([], int))
 
     def test_params_bounds(self):
         with pytest.raises(ContractViolationError):

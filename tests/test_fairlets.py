@@ -359,13 +359,14 @@ class TestJsonRoundTrip:
                 assert _same(rebuilt, decomp)
 
     def test_unknown_row_id_rejected(self):
-        # ids outside 0..l-1 and 0..n-1, and a center outside its fairlet,
-        # are the constructor's to reject
+        # ids outside 0..l-1 and 0..n-1, a center outside its fairlet and
+        # rows without fairlets are the constructor's to reject
         for text, message in (
             ('{"row_to_fairlet": [0, 0, 2, 1], "centers": [0, 3]}', "ids must lie in 0..1"),
             ('{"row_to_fairlet": [0, -1, 1, 1], "centers": [0, 2]}', "ids must lie in 0..1"),
             ('{"row_to_fairlet": [0, 0, 1, 1], "centers": [0, 99]}', "rows must lie in 0..3"),
             ('{"row_to_fairlet": [0, 0, 1, 1], "centers": [2, 0]}', "not one of their rows"),
+            ('{"row_to_fairlet": [0, 0], "centers": []}', "no fairlets for 2 rows"),
         ):
             with pytest.raises(ContractViolationError, match=re.escape(message)):
                 decomposition_from_json(text)

@@ -3,7 +3,7 @@ import pytest
 
 from faircap.errors import ContractViolationError
 from faircap.ingest import DatasetSpec, dataset_balance, load_csv
-from faircap.synth import make_blobs, minority_count, write_blobs_csv
+from faircap.synth import make_blobs, minority_count, write_csv
 
 
 class TestMinorityCount:
@@ -67,7 +67,7 @@ class TestMakeBlobs:
 
 class TestWriteBlobsCsv:
     def test_reload_matches_request(self, tmp_path):
-        path = write_blobs_csv(tmp_path / "blobs.csv", n=120, balance=0.5, seed=3)
+        path = write_csv(tmp_path / "blobs.csv", make_blobs(n=120, balance=0.5, seed=3))
         data = load_csv(DatasetSpec(path=path, protected_column="group"))
         assert data.n == 120
         minority = min(data.group_counts())
@@ -78,7 +78,7 @@ class TestWriteBlobsCsv:
         )
 
     def test_reload_preserves_protected_labels(self, tmp_path):
-        path = write_blobs_csv(tmp_path / "blobs.csv", n=30, balance=1.0, seed=9)
         generated = make_blobs(n=30, balance=1.0, seed=9)
+        path = write_csv(tmp_path / "blobs.csv", generated)
         data = load_csv(DatasetSpec(path=path, protected_column="group"))
         assert np.array_equal(data.protected, generated.protected)
