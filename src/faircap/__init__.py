@@ -10,17 +10,8 @@ k-medoids.
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    FAIR_CAPACITATED_METHODS,
-    METHODS,
-    PipelineResult,
-    kcenter_greedy,
-    kmedoids_vanilla,
-    pipeline,
-)
+from .baselines import METHODS, kcenter_greedy, kmedoids_vanilla, pipeline
 from .capclust import (
-    HierarchicalResult,
-    KMedoidsResult,
     KnapsackInstance,
     capacity_threshold,
     hierarchical_fair_capacitated,
@@ -30,7 +21,6 @@ from .capclust import (
 from .core import (
     Clustering,
     Dataset,
-    Fairlet,
     FairletDecomposition,
     Params,
     balance_of,
@@ -39,32 +29,19 @@ from .core import (
     compose_assignment,
     rng_stream,
 )
-from .fairlets import (
-    ValidationReport,
-    fairlet_cost,
-    mcf_decompose,
-    validate,
-    vanilla_decompose,
-)
+from .fairlets import fairlet_cost, mcf_decompose, validate, vanilla_decompose
 from .ingest import DatasetSpec, dataset_balance, load_csv
-from .metrics import RunRecord, evaluate, size_dispersion
+from .metrics import evaluate, size_dispersion
 from .synth import make_blobs
 
 __all__ = [
     "Clustering",
     "Dataset",
     "DatasetSpec",
-    "FAIR_CAPACITATED_METHODS",
-    "Fairlet",
     "FairletDecomposition",
-    "HierarchicalResult",
-    "KMedoidsResult",
     "KnapsackInstance",
     "METHODS",
     "Params",
-    "PipelineResult",
-    "RunRecord",
-    "ValidationReport",
     "balance_of",
     "capacity_threshold",
     "clustering_balance",

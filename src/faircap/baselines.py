@@ -42,10 +42,6 @@ METHODS: dict[str, tuple[str, str]] = {
     "vanilla_kmedoids": ("rows", "pam"),
 }
 
-FAIR_CAPACITATED_METHODS = tuple(
-    method for method, (_, stage) in METHODS.items() if stage in ("hier", "kmed")
-)
-
 
 def kmedoids_vanilla(
     positions: np.ndarray, weights: np.ndarray, k: int, seed: int
@@ -129,7 +125,6 @@ def decompose(
 class PipelineResult:
     clustering: Clustering
     record: RunRecord
-    decomposition: FairletDecomposition
     trace: tuple[dict, ...] = field(default=(), compare=False)
 
 
@@ -162,15 +157,11 @@ def pipeline(
     else:
         q = capclust.capacity_threshold(data.n, params.k, params.epsilon)
         if stage == "hier":
-            hier = capclust.hierarchical_fair_capacitated(positions, weights, params.k, q)
-            delta, trace = hier.assignment, hier.trace
+            delta, trace = capclust.hierarchical_fair_capacitated(positions, weights, params.k, q)
         else:
-            kmed = capclust.kmedoids_fair_capacitated(
+            delta, trace = capclust.kmedoids_fair_capacitated(
                 positions, weights, params.k, q, params.lam, params.seed
             )
-            delta, trace = kmed.assignment, kmed.trace
     clustering = compose_assignment(delta, decomposition, data)
     record = evaluate(clustering, data, params, method=method)
-    return PipelineResult(
-        clustering=clustering, record=record, decomposition=decomposition, trace=trace
-    )
+    return PipelineResult(clustering=clustering, record=record, trace=trace)

@@ -13,7 +13,10 @@ two arrays: ``positions`` (one row per fairlet: its center's features) and
   each medoid greedily claims the value-maximal set of still-unassigned
   fairlets that fits its capacity, where a fairlet's value decays
   exponentially with its distance to the medoid. Medoids are then improved
-  by best-first swaps until no replacement lowers the cost.
+  by the best strictly improving swap per round until no replacement lowers
+  the cost.
+
+Both return a :class:`StageResult` ``(assignment, trace)``.
 
 Fairness needs no handling here: any union of fairlets keeps balance >= t,
 so these routines only guard weights.
@@ -22,13 +25,14 @@ so these routines only guard weights.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isfinite
+from math import ceil
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import pairwise_distances, rng_stream
+from .core import check_epsilon, check_integer, check_lambda, pairwise_distances, rng_stream
 from .errors import ContractViolationError, InfeasibilityError
 
 
@@ -39,10 +43,10 @@ def capacity_threshold(n: int, k: int, epsilon: float) -> int:
     its decimal reading) so exact multiples are not pushed over the ceiling
     by float error, e.g. n=4000, k=8, epsilon=1.01 gives 505, not 506.
     """
+    n, k = check_integer("n", n), check_integer("k", k)
     if n < 1 or k < 1:
-        raise ContractViolationError("n and k must be positive")
-    if not (isfinite(epsilon) and epsilon >= 1.0):
-        raise ContractViolationError(f"epsilon must be finite and >= 1.0, got {epsilon}")
+        raise ContractViolationError(f"n and k must be positive, got n={n}, k={k}")
+    check_epsilon(epsilon)
     return int(ceil(Fraction(n) * Fraction(str(epsilon)) / k))
 
 
@@ -65,14 +69,12 @@ class KnapsackInstance:
             not np.issubdtype(weights.dtype, np.integer) or weights.min() < 1
         ):
             raise ContractViolationError("weights must be positive integers")
-        capacity = self.capacity
-        if not isinstance(capacity, (int, np.integer)) or isinstance(capacity, bool):
-            raise ContractViolationError(f"capacity must be an integer, got {capacity!r}")
+        capacity = check_integer("capacity", self.capacity)
         if capacity < 0:
             raise ContractViolationError("capacity must be nonnegative")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights.astype(np.int64))
-        object.__setattr__(self, "capacity", int(capacity))
+        object.__setattr__(self, "capacity", capacity)
 
 
 def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
@@ -172,17 +174,17 @@ def _two_class_select(
     return np.sort(np.concatenate((idx_a[:best], idx_b[: b[best]])))
 
 
-@dataclass(frozen=True, eq=False)
-class HierarchicalResult:
-    """Fairlet-level assignment plus the merge history for auditing."""
+class StageResult(NamedTuple):
+    """What both capacity-aware stages return: one cluster label per fairlet
+    and the stage's events (merges, or the initial assignment and each swap)."""
 
     assignment: np.ndarray
-    trace: tuple[dict, ...] = field(default=(), compare=False)
+    trace: tuple[dict, ...]
 
 
 def hierarchical_fair_capacitated(
     positions: np.ndarray, weights: np.ndarray, k: int, q: int
-) -> HierarchicalResult:
+) -> StageResult:
     """Agglomerative clustering with a capacity gate on every merge.
 
     Proximity is the distance between cluster centroids (weighted means of
@@ -226,9 +228,7 @@ def hierarchical_fair_capacitated(
         below, above = alive < i, alive > i
         dist[alive[below], i] = row[below]
         dist[i, alive[above]] = row[above]
-    return HierarchicalResult(
-        assignment=np.unique(label, return_inverse=True)[1], trace=tuple(trace)
-    )
+    return StageResult(np.unique(label, return_inverse=True)[1], tuple(trace))
 
 
 def check_weighted_points(
@@ -251,7 +251,7 @@ def check_weighted_points(
         raise ContractViolationError("positions must be finite")
     if not np.issubdtype(weights.dtype, np.integer) or (weights < 1).any():
         raise ContractViolationError("weights must be positive integers")
-    if k < 1:
+    if check_integer("k", k) < 1:
         raise ContractViolationError("k must be positive")
     if len(weights) < k:
         raise InfeasibilityError(f"cannot form k={k} nonempty clusters from {len(weights)} points")
@@ -262,7 +262,7 @@ def _check_capacity_inputs(
     positions: np.ndarray, weights: np.ndarray, k: int, q: int
 ) -> tuple[np.ndarray, np.ndarray]:
     positions, weights = check_weighted_points(positions, weights, k)
-    if q < 1:
+    if check_integer("q", q) < 1:
         raise ContractViolationError("q must be positive")
     total = int(weights.sum())
     if total > k * q:
@@ -335,19 +335,6 @@ def _repair_room(
     return int(src)
 
 
-@dataclass(frozen=True, eq=False)
-class KMedoidsResult:
-    """Fairlet-level assignment, final medoid point indices, and the cost trace."""
-
-    assignment: np.ndarray
-    medoids: tuple[int, ...]
-    trace: tuple[dict, ...] = field(default=(), compare=False)
-
-    @property
-    def cost(self) -> float:
-        return float(self.trace[-1]["cost"]) if self.trace else 0.0
-
-
 def kmedoids_fair_capacitated(
     positions: np.ndarray,
     weights: np.ndarray,
@@ -355,7 +342,7 @@ def kmedoids_fair_capacitated(
     q: int,
     lam: float,
     seed: int,
-) -> KMedoidsResult:
+) -> StageResult:
     """Capacitated k-medoids over weighted points.
 
     Assignment step: medoids are processed in ascending point-index order;
@@ -376,8 +363,7 @@ def kmedoids_fair_capacitated(
     # q above the total weight never binds; capped, room fits in int64 at any epsilon
     q = min(q, int(weights.sum()))
     l = len(weights)
-    if not (isfinite(lam) and lam > 0):
-        raise ContractViolationError(f"lambda must be finite and positive, got {lam}")
+    check_lambda(lam)
 
     dists = pairwise_distances(positions)
     decay = np.exp(-dists / lam)
@@ -443,4 +429,4 @@ def kmedoids_fair_capacitated(
             break
         medoids, taken = best_swap
         trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
-    return KMedoidsResult(assignment=taken, medoids=medoids, trace=tuple(trace))
+    return StageResult(taken, tuple(trace))

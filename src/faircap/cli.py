@@ -432,11 +432,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = SweepConfig(args.config)
     data = ingest.load_csv(cfg.dataset_spec)
     decomp = fairlets.decomposition_from_json(ingest.read_utf8(args.decomposition))
-    result = fairlets.validate(decomp, data, cfg.t)
-    if result.ok:
+    violations = fairlets.validate(decomp, data, cfg.t).violations
+    if not violations:
         print(f"valid decomposition: {len(decomp)} fairlets cover {data.n} rows")
         return EXIT_OK
-    for violation in result.violations:
+    for violation in violations:
         print(f"violation: {violation}")
     return EXIT_DATA
 

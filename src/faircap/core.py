@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -32,12 +32,31 @@ def rng_stream(seed: int, *labels: str) -> np.random.Generator:
     given platform. Labels are hashed with SHA-256 so the derivation does not
     depend on Python's per-process hash salt.
     """
-    entropy: list[int] = [int(seed) & _U64]
+    entropy: list[int] = [check_integer("seed", seed) & _U64]
     for label in labels:
         digest = hashlib.sha256(label.encode("utf-8")).digest()
         entropy.append(int.from_bytes(digest[:8], "little"))
         entropy.append(int.from_bytes(digest[8:16], "little"))
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def check_integer(name: str, value: Any) -> int:
+    """``value`` as an int; raise unless it is a Python or NumPy integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise unless the capacity slack is a finite number >= 1 other than a bool."""
+    if isinstance(epsilon, bool) or not (isfinite(epsilon) and epsilon >= 1.0):
+        raise ContractViolationError(f"epsilon must be finite and >= 1.0, got {epsilon}")
+
+
+def check_lambda(lam: float) -> None:
+    """Raise unless the decay scale is a finite positive number other than a bool."""
+    if isinstance(lam, bool) or not (isfinite(lam) and lam > 0):
+        raise ContractViolationError(f"lambda must be finite and positive, got {lam}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -136,7 +155,8 @@ def balance_of(count_a: int, count_b: int) -> Fraction:
 
 
 class Fairlet(NamedTuple):
-    """Read-only view of one fairlet: its sorted member rows, center row and size."""
+    """Read-only view of one fairlet: its sorted member rows, center row and size.
+    Nothing in the package reads it; it is kept for ``perfbench/tracer.py``."""
 
     members: tuple[int, ...]
     center: int
@@ -224,16 +244,14 @@ class Params:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", Fraction(self.t))
+        object.__setattr__(self, "k", check_integer("k", self.k))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed))
         if self.k < 1:
             raise ContractViolationError("k must be a positive integer")
         if not (0 < self.t <= 1):
             raise ContractViolationError(f"t must lie in (0, 1], got {self.t}")
-        if not (isfinite(self.epsilon) and self.epsilon >= 1.0):
-            raise ContractViolationError(
-                f"epsilon must be finite and >= 1.0, got {self.epsilon}"
-            )
-        if not (isfinite(self.lam) and self.lam > 0):
-            raise ContractViolationError(f"lambda must be finite and positive, got {self.lam}")
+        check_epsilon(self.epsilon)
+        check_lambda(self.lam)
         if not (0 <= self.seed <= _U64):
             raise ContractViolationError("seed must fit in 64 unsigned bits")
 

@@ -148,10 +148,6 @@ class ValidationReport:
 
     violations: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def validate(
     decomp: FairletDecomposition, data: Dataset, t: Fraction

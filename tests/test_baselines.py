@@ -1,15 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from faircap.baselines import (
-    FAIR_CAPACITATED_METHODS,
-    METHODS,
-    kcenter_greedy,
-    kmedoids_vanilla,
-    pipeline,
-)
+from faircap.baselines import METHODS, decompose, kcenter_greedy, kmedoids_vanilla, pipeline
 from faircap.capclust import (
     capacity_threshold,
     hierarchical_fair_capacitated,
@@ -29,6 +24,11 @@ from faircap.fairlets import mcf_decompose, vanilla_decompose
 from faircap.metrics import evaluate
 from faircap.report import PALETTE
 from faircap.synth import make_blobs
+
+# The methods whose clustering stage is capacity-aware ("hier" or "kmed").
+FAIR_CAPACITATED = (
+    "hier_fair_cap_mcf", "hier_fair_cap_vanilla", "kmed_fair_cap_mcf", "kmed_fair_cap_vanilla",
+)
 
 
 def _dataset(features, protected):
@@ -147,13 +147,8 @@ class TestMethodTable:
         assert list(PALETTE) == list(METHODS)
         assert {flavor for flavor, _ in METHODS.values()} == {"mcf", "vanilla", "rows"}
         assert {stage for _, stage in METHODS.values()} == {"hier", "kmed", "kcenter", "pam"}
-        assert FAIR_CAPACITATED_METHODS == (
-            "hier_fair_cap_mcf",
-            "hier_fair_cap_vanilla",
-            "kmed_fair_cap_mcf",
-            "kmed_fair_cap_vanilla",
-        )
-        assert all(METHODS[m][1] in ("hier", "kmed") for m in FAIR_CAPACITATED_METHODS)
+        fair_capacitated = [m for m, (_, stage) in METHODS.items() if stage in ("hier", "kmed")]
+        assert fair_capacitated == list(FAIR_CAPACITATED)
 
     def test_pipeline_matches_reference_for_every_method(self):
         # coordinates rounded to one decimal on odd trials tie many costs,
@@ -305,13 +300,14 @@ class TestPipeline:
         assert res.record.method == "vanilla_kmedoids"
         assert sum(res.record.sizes) == data.n
         rows = np.arange(data.n)  # PAM clusters singleton fairlets
-        assert res.decomposition.row_to_fairlet.tolist() == rows.tolist()
-        assert res.decomposition.centers.tolist() == rows.tolist()
+        singletons = decompose("rows", data, Fraction(1, 2), seed=1)
+        assert singletons.row_to_fairlet.tolist() == rows.tolist()
+        assert singletons.centers.tolist() == rows.tolist()
 
     def test_fair_capacitated_meets_both_constraints(self):
         # mixed 2/3 fairlet weights keep tight capacities parity-feasible
         data = make_blobs(n=90, balance=0.8, clusters=3, seed=5)
-        for method in FAIR_CAPACITATED_METHODS:
+        for method in FAIR_CAPACITATED:
             eps = 1.2 if method.startswith("hier") else 1.01
             params = Params(k=3, epsilon=eps, seed=2)
             res = pipeline(method, data, params)

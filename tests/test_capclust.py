@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from faircap.capclust import (
     knapsack_select,
 )
 from faircap.baselines import kcenter_greedy, kmedoids_vanilla
-from faircap.core import pairwise_distances, rng_stream
+from faircap.core import Params, pairwise_distances, rng_stream
 from faircap.errors import ContractViolationError, InfeasibilityError
 
 
@@ -118,6 +119,9 @@ class TestCapacityThreshold:
     def test_rejects_small_epsilon(self):
         with pytest.raises(ContractViolationError):
             capacity_threshold(10, 2, 0.9)
+        for n, k in ((0, 2), (10, 0)):
+            with pytest.raises(ContractViolationError, match=f"got n={n}, k={k}"):
+                capacity_threshold(n, k, 1.0)
 
     def test_rejects_non_finite_epsilon(self):
         for epsilon in (float("nan"), float("inf")):
@@ -157,6 +161,8 @@ class TestWeightedPointChecks:
             lambda: kcenter_greedy(positions, weights, k=0, seed=0),
             lambda: kmedoids_vanilla(positions, weights, k=0, seed=0),
             lambda: kmedoids_vanilla(positions, weights, k=-1, seed=0),
+            lambda: hierarchical_fair_capacitated(positions, weights, k=1, q=0),
+            lambda: kmedoids_fair_capacitated(positions, weights, k=1, q=0, lam=0.3, seed=0),
         ):
             with pytest.raises(ContractViolationError, match="positive"):
                 entry()
@@ -173,6 +179,48 @@ class TestWeightedPointChecks:
                 InfeasibilityError, match="cannot form k=3 nonempty clusters from 2 points"
             ):
                 entry()
+
+    def test_rejects_counts_and_scales_of_the_wrong_type(self):
+        # k = 2.5 once gave k-center 3 clusters and a float q or seed was
+        # floored; a bool passed for 0 or 1. NumPy integers are integers.
+        positions, weights = np.zeros((4, 2)), np.ones(4, dtype=np.int64)
+        counts = {
+            "k": (
+                lambda k: Params(k=k),
+                lambda k: capacity_threshold(10, k, 1.0),
+                lambda k: hierarchical_fair_capacitated(positions, weights, k=k, q=10),
+                lambda k: kmedoids_fair_capacitated(positions, weights, k, 10, lam=0.3, seed=0),
+                lambda k: kcenter_greedy(positions, weights, k=k, seed=0),
+                lambda k: kmedoids_vanilla(positions, weights, k=k, seed=0),
+            ),
+            "q": (
+                lambda q: hierarchical_fair_capacitated(positions, weights, k=2, q=q),
+                lambda q: kmedoids_fair_capacitated(positions, weights, 2, q, lam=0.3, seed=0),
+            ),
+            "seed": (
+                lambda seed: Params(k=2, seed=seed),
+                lambda seed: kmedoids_fair_capacitated(positions, weights, 2, 10, 0.3, seed),
+                lambda seed: kcenter_greedy(positions, weights, k=2, seed=seed),
+                lambda seed: kmedoids_vanilla(positions, weights, k=2, seed=seed),
+                lambda seed: rng_stream(seed, "any"),
+            ),
+            "n": (lambda n: capacity_threshold(n, 2, 1.0),),
+        }
+        for name, entries in counts.items():
+            for entry in entries:
+                entry(np.int64(2))
+                for bad in (2.5, 2.0, True, "2"):
+                    message = f"{name} must be an integer, got {re.escape(repr(bad))}"
+                    with pytest.raises(ContractViolationError, match=message):
+                        entry(bad)
+        for name, entry in (
+            ("epsilon", lambda eps: Params(k=2, epsilon=eps)),
+            ("epsilon", lambda eps: capacity_threshold(10, 2, eps)),
+            ("lambda", lambda lam: Params(k=2, lam=lam)),
+            ("lambda", lambda lam: kmedoids_fair_capacitated(positions, weights, 2, 10, lam, 0)),
+        ):
+            with pytest.raises(ContractViolationError, match=f"{name} must be finite.*got True"):
+                entry(True)
 
 
 class TestKnapsackSelect:
@@ -288,6 +336,13 @@ class TestKnapsackSelect:
     def test_rejects_fractional_weights_and_capacity(self):
         with pytest.raises(ContractViolationError, match="weights must be positive integers"):
             KnapsackInstance(values=[1.0, 1.0], weights=[2.9, 1], capacity=3)
+        with pytest.raises(ContractViolationError, match="equal-length vectors"):
+            KnapsackInstance(values=[1.0, 1.0], weights=[2], capacity=3)
+        for values in ([1.0, np.nan], [1.0, -0.5]):
+            with pytest.raises(ContractViolationError, match="finite and nonnegative"):
+                KnapsackInstance(values=values, weights=[2, 1], capacity=3)
+        with pytest.raises(ContractViolationError, match="capacity must be nonnegative"):
+            KnapsackInstance(values=[1.0, 1.0], weights=[2, 1], capacity=-1)
         for capacity in (2.7, 2.0, True):
             with pytest.raises(ContractViolationError, match="capacity must be an integer"):
                 KnapsackInstance(values=[1.0, 1.0], weights=[2, 1], capacity=capacity)
@@ -431,8 +486,8 @@ class TestHierarchical:
 
 def reference_kmedoids(positions, weights, k, q, lam, seed):
     """The capacitated k-medoids swap search with the DP knapsack and every
-    candidate re-assigned in every round. Returns (assignment, medoids,
-    trace, number of candidate swaps that were infeasible)."""
+    candidate re-assigned in every round. Returns (assignment, trace, number
+    of candidate swaps that were infeasible)."""
     l = len(weights)
     dists = pairwise_distances(positions)
     decay = np.exp(-dists / lam)
@@ -482,7 +537,7 @@ def reference_kmedoids(positions, weights, k, q, lam, seed):
                 if c < best_cost:
                     best_cost, best_swap = c, (cand, cand_taken)
         if best_swap is None:
-            return taken, medoids, tuple(trace), infeasible
+            return taken, tuple(trace), infeasible
         medoids, taken = best_swap
         trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
     raise AssertionError("reference swap loop did not converge")
@@ -515,9 +570,8 @@ class TestKMedoidsFairCapacitated:
                 outcomes.add("infeasible")
                 continue
             result = kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
-            assignment, medoids, trace, infeasible = expected
+            assignment, trace, infeasible = expected
             assert result.assignment.tolist() == assignment.tolist()
-            assert result.medoids == medoids
             assert result.trace == trace
             infeasible_swaps += infeasible
             outcomes.add("swapped" if len(trace) > 1 else "converged at once")
@@ -528,7 +582,7 @@ class TestKMedoidsFairCapacitated:
         positions, weights = unit_points([0.0, 3.0, 7.0])
         result = kmedoids_fair_capacitated(positions, weights, k=3, q=1, lam=0.3, seed=0)
         assert sorted(result.assignment.tolist()) == [0, 1, 2]
-        assert result.cost == 0.0
+        assert result.trace[-1]["cost"] == 0.0
 
     def test_recovers_separated_groups(self):
         coords = np.array(
@@ -577,6 +631,14 @@ class TestKMedoidsFairCapacitated:
         positions, weights = unit_points([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(InfeasibilityError):
             kmedoids_fair_capacitated(positions, weights, k=2, q=1, lam=0.3, seed=0)
+        # total weight 7 fits k*q = 8, but the weight-5 point fits no cluster
+        weights = np.array([1, 1, 5])
+        for entry in (
+            lambda: hierarchical_fair_capacitated(positions[:3], weights, k=2, q=4),
+            lambda: kmedoids_fair_capacitated(positions[:3], weights, k=2, q=4, lam=0.3, seed=0),
+        ):
+            with pytest.raises(InfeasibilityError, match="weight 5 exceeds capacity 4"):
+                entry()
 
     def test_capacity_above_total_weight_is_total_weight(self):
         # q = 2**70 overflows int64; any q >= total weight never binds
@@ -588,7 +650,6 @@ class TestKMedoidsFairCapacitated:
                 for q in (2**70, int(weights.sum()))
             ]
             assert results[0].assignment.tolist() == results[1].assignment.tolist()
-            assert results[0].medoids == results[1].medoids
             assert results[0].trace == results[1].trace
 
     def test_rejects_lambda_not_finite_and_positive(self):
@@ -604,15 +665,7 @@ class TestKMedoidsFairCapacitated:
         a = kmedoids_fair_capacitated(positions, weights, k=3, q=6, lam=0.3, seed=12)
         b = kmedoids_fair_capacitated(positions, weights, k=3, q=6, lam=0.3, seed=12)
         assert a.assignment.tolist() == b.assignment.tolist()
-        assert a.medoids == b.medoids
         assert a.trace == b.trace
-
-    def test_medoid_fairlets_stay_in_their_own_cluster(self):
-        rng = np.random.default_rng(41)
-        positions, weights = unit_points(rng.uniform(0, 1, size=(12, 2)))
-        result = kmedoids_fair_capacitated(positions, weights, k=3, q=5, lam=0.3, seed=2)
-        for cid, medoid in enumerate(result.medoids):
-            assert result.assignment[medoid] == cid
 
     def test_completes_through_repair(self, monkeypatch):
         # total weight 8 = k*q: every cluster needs exactly one weight-3 and
@@ -629,8 +682,6 @@ class TestKMedoidsFairCapacitated:
         assert repairs
         loads = np.bincount(result.assignment, weights=weights, minlength=2)
         assert loads.tolist() == [4, 4]
-        for cid, medoid in enumerate(result.medoids):
-            assert result.assignment[medoid] == cid
 
     def test_stranded_point_that_fits_no_cluster_raises(self):
         # any two of the weight-2 points exceed q = 3, although the total

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from faircap import errors, fairlets, ingest
+from faircap import baselines, errors, fairlets, ingest
 from faircap.cli import (
     _SECTIONS,
     EXIT_ALL_INFEASIBLE,
@@ -372,6 +372,42 @@ seed = 1
         assert len(rows) == 2
         assert all(r["status"] == "infeasible" for r in rows)
         assert all("error" in r for r in rows)
+
+    def test_error_runs_marked_and_reported(self, tmp_path, monkeypatch):
+        # a broken precondition in one cell is an `error` record carrying its
+        # message and a blank summary row; the sweep exits 2 and the report
+        # lists the record and leaves the cell's box out of sizes.svg
+        pipeline = baselines.pipeline
+
+        def failing(method, data, params, **kwargs):
+            if method == "mcf_fairlet_kcenter" and params.k < 4:
+                raise errors.ContractViolationError(f"stage broke at k={params.k}")
+            return pipeline(method, data, params, **kwargs)
+
+        monkeypatch.setattr(baselines, "pipeline", failing)
+        body = SMALL_SWEEP.replace("k = 2,3", "k = 2,3,4").replace(
+            "methods = all", "methods = mcf_fairlet_kcenter,vanilla_fairlet_kcenter"
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, body)), "--output", str(out)]) == EXIT_DATA
+        rows = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()[1:]]
+        assert [(r["method"], r["k"], r["status"], r.get("error")) for r in rows] == [
+            ("mcf_fairlet_kcenter", 2, "error", "stage broke at k=2"),
+            ("mcf_fairlet_kcenter", 3, "error", "stage broke at k=3"),
+            ("mcf_fairlet_kcenter", 4, "ok", None),
+        ] + [("vanilla_fairlet_kcenter", k, "ok", None) for k in (2, 3, 4)]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[1:3] == [f"mcf_fairlet_kcenter,{k},error,,,,,,," for k in (2, 3)]
+
+        assert main(["report", str(out)]) == EXIT_OK
+        table = (out / "summary.txt").read_text().splitlines()
+        assert [line.split() for line in table if " error" in line] == [
+            ["mcf_fairlet_kcenter", "2", "error"], ["mcf_fairlet_kcenter", "3", "error"]
+        ]
+        boxes = re.findall(r'data-method="(\w+)" data-k="(\d)"', (out / "sizes.svg").read_text())
+        assert sorted(boxes) == [("mcf_fairlet_kcenter", "4")] + [
+            ("vanilla_fairlet_kcenter", k) for k in "234"
+        ]
 
     def test_kcenter_keeps_k_when_fairlet_centers_coincide(self, tmp_path):
         # three positions, six rows each: k = 4 and 5 once picked a center

@@ -161,7 +161,7 @@ class TestVanillaDecompose:
             data = _random_feasible(rng)
             decomp = vanilla_decompose(data, T_HALF, seed=i)
             report = validate(decomp, data, T_HALF)
-            assert report.ok, report.violations
+            assert report.violations == ()
             assert decomp.weights.sum() == data.n
 
 
@@ -196,7 +196,7 @@ class TestMcfDecompose:
                     data = _dataset(features, protected)
                     decomp = mcf_decompose(data, t, seed=trial)
                     trial += 1
-                    assert validate(decomp, data, t).ok
+                    assert validate(decomp, data, t).violations == ()
 
                     # rows 0..minority-1 are the anchors, the rest majority
                     dists = pairwise_distances(features[:minority], features[minority:])
@@ -225,7 +225,7 @@ class TestMcfDecompose:
             data = _random_feasible(rng)
             mcf = mcf_decompose(data, T_HALF, seed=i)
             vanilla = vanilla_decompose(data, T_HALF, seed=i)
-            assert validate(mcf, data, T_HALF).ok
+            assert validate(mcf, data, T_HALF).violations == ()
             assert fairlet_cost(mcf, data) <= fairlet_cost(vanilla, data) + 1e-9
 
 
@@ -259,7 +259,7 @@ class TestMatchesReference:
                         "centers": [center for _, center in expected],
                     }
                 )
-                assert validate(decomp, data, t).ok
+                assert validate(decomp, data, t).violations == ()
 
 
 class TestValidate:
@@ -318,7 +318,7 @@ class TestValidate:
         rng = np.random.default_rng(1)
         data = _random_feasible(rng)
         decomp = vanilla_decompose(data, T_HALF, seed=0)
-        assert validate(decomp, data, T_HALF).ok
+        assert validate(decomp, data, T_HALF).violations == ()
 
 
 class TestFairletCost:

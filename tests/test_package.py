@@ -30,3 +30,41 @@ def test_mcf_decompose_does_not_load_scipy_optimize():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_reads_every_counter(tmp_path, monkeypatch):
+    # perfbench/tracer.py wraps module attributes from outside the package
+    # and reads KnapsackInstance fields, each stage result's .trace,
+    # decomp.fairlets, fl.weight and ValidationReport.violations; a renamed
+    # one shows up here as a missing span or a reader_error
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from test_cli import SMALL_SWEEP, write_config
+    from tracer import Tracer
+
+    from faircap import cli
+
+    config = write_config(tmp_path, SMALL_SWEEP)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["run", str(config), "--output", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    assert [span for span in tracer.spans if "reader_error" in span] == []
+    decomposition = {"count", "weight_classes", "cost", "violations"}
+    counters = {
+        "capclust.knapsack_select": {"items", "cells", "classes"},
+        "capclust.hierarchical": {"merges"},
+        "capclust.kmedoids": {"swap_rounds"},
+        "fairlets.mcf_decompose": decomposition,
+        "fairlets.vanilla_decompose": decomposition,
+        "baselines.kmedoids_vanilla": set(),
+        "core.medoid_index": {"bytes"},
+    }
+    for name, keys in counters.items():
+        spans = [span for span in tracer.spans if span["name"] == name]
+        assert spans, name
+        for span in spans:
+            assert keys <= span.keys(), (name, span)
+            if keys == decomposition:
+                assert span["violations"] == [] and span["count"] > 0, span
