@@ -335,6 +335,192 @@ def _repair_room(
     return int(src)
 
 
+def _claim(
+    taken: np.ndarray, room: np.ndarray, ci: int, s: int, decay: np.ndarray,
+    weights: np.ndarray,
+) -> None:
+    """Medoid ``s`` of cluster ``ci`` claims the value-maximal knapsack of the
+    points still unassigned (-1) in ``taken``; updates ``taken`` and ``room``
+    in place."""
+    cand = np.flatnonzero(taken == -1)
+    if cand.size == 0:
+        return
+    inst = KnapsackInstance(values=decay[s, cand], weights=weights[cand], capacity=int(room[ci]))
+    chosen = cand[knapsack_select(inst)]
+    taken[chosen] = ci
+    room[ci] -= int(weights[chosen].sum())
+
+
+def _place_leftovers(
+    taken: np.ndarray, room: np.ndarray, med: np.ndarray, dists: np.ndarray,
+    weights: np.ndarray,
+) -> None:
+    """Place the points the knapsacks left over, heaviest first, with the
+    nearest medoid that has room, repairing the rooms when none has; updates
+    ``taken`` and ``room`` in place."""
+    leftovers = np.flatnonzero(taken == -1)
+    for p in leftovers[np.argsort(-weights[leftovers], kind="stable")]:
+        fits = np.flatnonzero(room >= weights[p])
+        if fits.size:
+            ci = int(fits[np.argmin(dists[p, med[fits]])])
+        else:
+            ci = _repair_room(int(p), taken, room, med, dists, weights)
+        taken[p] = ci
+        room[ci] -= weights[p]
+
+
+# Cells of one (candidates x points) matrix in a lockstep chunk: about 1 MiB
+# per int64 matrix, whatever the number of points.
+_LOCKSTEP_CELLS = 1 << 17
+
+
+class _ClassRanks(NamedTuple):
+    """The points of one weight class, ranked for every medoid once per run:
+    ``order[s]`` lists them by (-decay[s, p], p) and ``values[s]`` holds
+    their decay values in that order."""
+
+    weight: int
+    order: np.ndarray
+    values: np.ndarray
+
+
+def _rank_classes(decay: np.ndarray, weights: np.ndarray) -> list[_ClassRanks] | None:
+    """Ranks of the (at most two) weight classes, lighter first, or None when
+    there are three or more and every knapsack goes to the DP."""
+    classes = np.unique(weights)
+    if classes.size > 2:
+        return None
+    ranks = []
+    for w in classes:
+        idx = np.flatnonzero(weights == w)
+        # a stable sort of a class ranks any subset of it as the stable sort
+        # of the subset's values alone, which is _two_class_select's order
+        order = idx[np.argsort(-decay[:, idx], axis=1, kind="stable")]
+        ranks.append(_ClassRanks(int(w), order, np.take_along_axis(decay, order, axis=1)))
+    return ranks
+
+
+def _two_class_rows(
+    free: np.ndarray, cap: np.ndarray, s: np.ndarray, ranks: list[_ClassRanks]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_two_class_select` for many knapsacks at once.
+
+    Row i selects among its free points ``free[i]`` with values
+    ``decay[s[i]]`` and capacity ``cap[i]``, already capped at the free
+    weight. Each class's free points are compacted in rank order, as far as
+    the capacity reaches plus the first one left out, so their prefix sums
+    are the very float sums :func:`_two_class_select` forms, and a row is
+    certified under the same margin and class-boundary tests. A row with
+    free points of one class only is certified with the other class empty,
+    which the same argument covers. Returns (certified rows, row and point
+    of each selected pair of a certified row, selected weight per row).
+    """
+    m, l = free.shape
+    rows = np.arange(m)
+    width = min(
+        max(rank.order.shape[1] for rank in ranks), int(cap.max()) // ranks[0].weight + 1
+    )
+    blocks = []  # per class: compacted points, their values, count, value sum
+    for rank in ranks:
+        order, values = rank.order[s], rank.values[s]
+        f = np.take(free, order + (rows * l)[:, None])
+        seq = np.cumsum(f, axis=1)
+        keep = f & (seq <= width)
+        slot = (seq + (rows * width - 1)[:, None])[keep]
+        points, ranked = np.zeros(m * width, dtype=np.int64), np.zeros(m * width)
+        points[slot], ranked[slot] = order[keep], values[keep]
+        blocks.append((
+            points.reshape(m, width), ranked.reshape(m, width), seq[:, -1],
+            np.einsum("ij,ij->i", values, f),
+        ))
+    if len(blocks) == 1:  # one weight class in the run: the other is empty
+        points, values, count, total = blocks[0]
+        blocks.append((points, np.zeros_like(values), np.zeros_like(count), 0 * total))
+    (pts_a, v_a, n_a, sum_a), (pts_b, v_b, n_b, sum_b) = blocks
+    w_a, w_b = ranks[0].weight, ranks[-1].weight
+    # the value sum is taken in rank order, not index order; the margin's
+    # 8n headroom covers the difference
+    tol = 8 * (n_a + n_b) * np.finfo(np.float64).eps * (sum_a + sum_b)
+    a_max = np.minimum(n_a, cap // w_a)
+    a = np.arange(a_max.max() + 1)
+    b = np.clip((cap[:, None] - a * w_a) // w_b, 0, n_b[:, None])
+    zero = np.zeros((m, 1))
+    prefix_a = np.cumsum(np.hstack((zero, v_a)), axis=1)
+    prefix_b = np.cumsum(np.hstack((zero, v_b)), axis=1)
+    total = prefix_a[:, : a.size] + np.take_along_axis(prefix_b, b, axis=1)
+    total[a > a_max[:, None]] = -np.inf
+    take_a = total.argmax(axis=1)
+    top = total[rows, take_a]
+    total[rows, take_a] = -np.inf
+    ok = top - total.max(axis=1) > tol
+    take_b = b[rows, take_a]
+    for v, taken in ((v_a, take_a), (v_b, take_b)):
+        v = np.hstack((v, zero))
+        ok &= (taken == 0) | (v[rows, taken - 1] - v[rows, taken] > tol)
+    slots = np.arange(width)
+    ra, ca = np.nonzero(ok[:, None] & (slots < take_a[:, None]))
+    rb, cb = np.nonzero(ok[:, None] & (slots < take_b[:, None]))
+    return (
+        ok,
+        np.concatenate((ra, rb)),
+        np.concatenate((pts_a[ra, ca], pts_b[rb, cb])),
+        take_a * w_a + take_b * w_b,
+    )
+
+
+def _assign_lockstep(
+    cands: np.ndarray, q: int, decay: np.ndarray, dists: np.ndarray,
+    weights: np.ndarray, ranks: list[_ClassRanks] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The assignment step for every row of ``cands`` (sorted medoid tuples,
+    one per row) at once; returns (``taken`` per row, cost per row, +inf for
+    a row found infeasible). Each row ends exactly as a lone assignment
+    would: position by position, a row whose free points all fit takes them,
+    a row certified by :func:`_two_class_rows` takes its selection, and any
+    other row claims through :func:`knapsack_select`; leftovers are placed
+    row by row.
+    """
+    r_count, k = cands.shape
+    l = len(weights)
+    taken = np.full((r_count, l), -1, dtype=np.int64)
+    taken[np.arange(r_count)[:, None], cands] = np.arange(k)
+    room = q - weights[cands]
+    # a claim lowers the free weight and its medoid's room alike
+    unclaimed = int(weights.sum()) - weights[cands].sum(axis=1) - room.sum(axis=1)
+    for j in range(k):
+        s, cap = cands[:, j], room[:, j]
+        free_w = unclaimed + room.sum(axis=1)
+        live = (cap > 0) & (free_w > 0)
+        fit = np.flatnonzero(live & (free_w <= cap))
+        # every free point fits: take them all, unless one is worth 0
+        fit = fit[~((taken[fit] == -1) & (decay[s[fit]] == 0)).any(axis=1)]
+        taken[fit] = np.where(taken[fit] == -1, j, taken[fit])
+        room[fit, j] -= free_w[fit]
+        live[fit] = False
+        rest = np.flatnonzero(live)
+        if ranks is not None and rest.size:
+            ok, sel_rows, sel_points, sel_w = _two_class_rows(
+                taken[rest] == -1, np.minimum(cap[rest], free_w[rest]), s[rest], ranks
+            )
+            taken[rest[sel_rows], sel_points] = j
+            room[rest[ok], j] -= sel_w[ok]
+            rest = rest[~ok]
+        for r in rest:
+            _claim(taken[r], room[r], j, s[r], decay, weights)
+
+    done = (taken >= 0).all(axis=1)
+    for r in np.flatnonzero(~done):
+        try:
+            _place_leftovers(taken[r], room[r], cands[r], dists, weights)
+        except InfeasibilityError:
+            continue
+        done[r] = True
+    cost = np.full(r_count, np.inf)
+    medoid_of = np.take_along_axis(cands[done], taken[done], axis=1)
+    cost[done] = dists[np.arange(l), medoid_of].sum(axis=1)
+    return taken, cost
+
+
 def kmedoids_fair_capacitated(
     positions: np.ndarray,
     weights: np.ndarray,
@@ -357,7 +543,9 @@ def kmedoids_fair_capacitated(
     full re-assignment and the best strictly improving swap is applied,
     until none exists. The traced cost (sum of point-to-medoid distances,
     one term per point) is therefore non-increasing, so a medoid tuple
-    evaluated in an earlier round cannot improve on it and is skipped.
+    evaluated in an earlier round cannot improve on it and is skipped. A
+    round's candidate tuples are assigned together
+    (:func:`_assign_lockstep`), with the same result as one by one.
     """
     positions, weights = _check_capacity_inputs(positions, weights, k, q)
     # q above the total weight never binds; capped, room fits in int64 at any epsilon
@@ -368,40 +556,20 @@ def kmedoids_fair_capacitated(
     dists = pairwise_distances(positions)
     decay = np.exp(-dists / lam)
 
-    def assign(medoids: tuple[int, ...]) -> np.ndarray:
-        med = np.asarray(medoids)
-        taken = np.full(l, -1, dtype=np.int64)
-        taken[med] = np.arange(k)
-        room = q - weights[med]
-        for ci, s in enumerate(medoids):
-            cand = np.flatnonzero(taken == -1)
-            if cand.size == 0:
-                continue
-            inst = KnapsackInstance(
-                values=decay[s, cand], weights=weights[cand], capacity=int(room[ci])
-            )
-            chosen = cand[knapsack_select(inst)]
-            taken[chosen] = ci
-            room[ci] -= int(weights[chosen].sum())
-        leftovers = np.flatnonzero(taken == -1)
-        for p in leftovers[np.argsort(-weights[leftovers], kind="stable")]:
-            fits = np.flatnonzero(room >= weights[p])
-            if fits.size:
-                ci = int(fits[np.argmin(dists[p, med[fits]])])
-            else:
-                ci = _repair_room(int(p), taken, room, med, dists, weights)
-            taken[p] = ci
-            room[ci] -= weights[p]
-        return taken
-
-    def cost_of(medoids: tuple[int, ...], taken: np.ndarray) -> float:
-        return float(dists[np.arange(l), np.asarray(medoids)[taken]].sum())
-
     rng = rng_stream(seed, "capclust.kmedoids")
     medoids = tuple(sorted(int(i) for i in rng.choice(l, size=k, replace=False)))
-    taken = assign(medoids)
-    best_cost = cost_of(medoids, taken)
+    # the initial assignment runs alone: one knapsack_select call per medoid
+    med = np.asarray(medoids)
+    taken = np.full(l, -1, dtype=np.int64)
+    taken[med] = np.arange(k)
+    room = q - weights[med]
+    for ci, s in enumerate(medoids):
+        _claim(taken, room, ci, s, decay, weights)
+    _place_leftovers(taken, room, med, dists, weights)
+    best_cost = float(dists[np.arange(l), med[taken]].sum())
     trace: list[dict] = [{"iteration": 0, "event": "assign", "cost": best_cost}]
+    ranks = _rank_classes(decay, weights)
+    chunk = max(1, _LOCKSTEP_CELLS // l)
     # best_cost never rises and every evaluated tuple costs at least it, so
     # a tuple evaluated before (or found infeasible) can never be the
     # strictly improving swap of a later round: skip it instead of assigning.
@@ -409,22 +577,26 @@ def kmedoids_fair_capacitated(
     # in that round, so the loop ends within C(l, k) rounds and cannot cycle.
     seen = {medoids}
     for round_no in itertools.count(1):
-        best_swap: tuple[tuple[int, ...], np.ndarray] | None = None
         others = [p for p in range(l) if p not in medoids]
+        pending = []
         for s in medoids:
             for o in others:
                 cand = tuple(sorted([m for m in medoids if m != s] + [o]))
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                try:
-                    cand_taken = assign(cand)
-                except InfeasibilityError:
-                    continue
-                c = cost_of(cand, cand_taken)
-                if c < best_cost:
-                    best_cost = c
-                    best_swap = (cand, cand_taken)
+                if cand not in seen:
+                    seen.add(cand)
+                    pending.append(cand)
+        # the swap is the first candidate, in (s, o) order, of least cost
+        # below best_cost: a sequential scan with a strict <
+        best_swap: tuple[tuple[int, ...], np.ndarray] | None = None
+        for start in range(0, len(pending), chunk):
+            block = pending[start : start + chunk]
+            cand_taken, cost = _assign_lockstep(
+                np.array(block), q, decay, dists, weights, ranks
+            )
+            i = int(np.argmin(cost))
+            if cost[i] < best_cost:
+                best_cost = float(cost[i])
+                best_swap = (block[i], cand_taken[i].copy())
         if best_swap is None:
             break
         medoids, taken = best_swap

@@ -11,6 +11,7 @@ toolkit is drawn from named substreams of a single 64-bit seed via
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
@@ -47,16 +48,20 @@ def check_integer(name: str, value: Any) -> int:
     return int(value)
 
 
+def _is_real(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_epsilon(epsilon: float) -> None:
-    """Raise unless the capacity slack is a finite number >= 1 other than a bool."""
-    if isinstance(epsilon, bool) or not (isfinite(epsilon) and epsilon >= 1.0):
-        raise ContractViolationError(f"epsilon must be finite and >= 1.0, got {epsilon}")
+    """Raise unless the capacity slack is a finite real number >= 1 other than a bool."""
+    if not (_is_real(epsilon) and isfinite(epsilon) and epsilon >= 1.0):
+        raise ContractViolationError(f"epsilon must be finite and >= 1.0, got {epsilon!r}")
 
 
 def check_lambda(lam: float) -> None:
-    """Raise unless the decay scale is a finite positive number other than a bool."""
-    if isinstance(lam, bool) or not (isfinite(lam) and lam > 0):
-        raise ContractViolationError(f"lambda must be finite and positive, got {lam}")
+    """Raise unless the decay scale is a finite positive real number other than a bool."""
+    if not (_is_real(lam) and isfinite(lam) and lam > 0):
+        raise ContractViolationError(f"lambda must be finite and positive, got {lam!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -243,7 +248,13 @@ class Params:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", Fraction(self.t))
+        try:
+            if isinstance(self.t, bool):  # Fraction(True) is 1
+                raise TypeError
+            t = Fraction(self.t)
+        except (TypeError, ValueError, OverflowError):
+            raise ContractViolationError(f"t must be a fraction, got {self.t!r}") from None
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "k", check_integer("k", self.k))
         object.__setattr__(self, "seed", check_integer("seed", self.seed))
         if self.k < 1:

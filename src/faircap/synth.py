@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, rng_stream
+from .core import Dataset, check_integer, rng_stream
 from .errors import ContractViolationError
 
 
@@ -41,6 +41,7 @@ def make_blobs(
     ``blob_weights`` sets relative blob sizes (default equal); sizes are
     rounded largest-remainder so they sum to n.
     """
+    n, clusters = check_integer("n", n), check_integer("clusters", clusters)
     minority = minority_count(n, balance)  # checks n >= 2 before the blobs are sized
     if clusters < 1:
         raise ContractViolationError("clusters must be positive")

@@ -691,6 +691,155 @@ class TestKMedoidsFairCapacitated:
             kmedoids_fair_capacitated(positions, 2 * weights, k=2, q=3, lam=0.3, seed=0)
 
 
+def scalar_kmedoids(positions, weights, k, q, lam, seed):
+    """The capacitated k-medoids swap search with each candidate tuple
+    assigned on its own: one knapsack_select call per medoid, the nearest-room
+    placement and _repair_room, the same ``seen`` memo and strict-< scan."""
+    l = len(weights)
+    q = min(q, int(weights.sum()))
+    dists = pairwise_distances(positions)
+    decay = np.exp(-dists / lam)
+
+    def assign(medoids):
+        med = np.asarray(medoids)
+        taken = np.full(l, -1, dtype=np.int64)
+        taken[med] = np.arange(k)
+        room = q - weights[med]
+        for ci, s in enumerate(medoids):
+            cand = np.flatnonzero(taken == -1)
+            if cand.size:
+                inst = KnapsackInstance(decay[s, cand], weights[cand], int(room[ci]))
+                chosen = cand[knapsack_select(inst)]
+                taken[chosen] = ci
+                room[ci] -= int(weights[chosen].sum())
+        leftovers = np.flatnonzero(taken == -1)
+        for p in leftovers[np.argsort(-weights[leftovers], kind="stable")]:
+            fits = np.flatnonzero(room >= weights[p])
+            if fits.size:
+                ci = int(fits[np.argmin(dists[p, med[fits]])])
+            else:
+                ci = _repair_room(int(p), taken, room, med, dists, weights)
+            taken[p] = ci
+            room[ci] -= weights[p]
+        return taken
+
+    def cost_of(medoids, taken):
+        return float(dists[np.arange(l), np.asarray(medoids)[taken]].sum())
+
+    rng = rng_stream(seed, "capclust.kmedoids")
+    medoids = tuple(sorted(int(i) for i in rng.choice(l, size=k, replace=False)))
+    taken = assign(medoids)
+    best_cost = cost_of(medoids, taken)
+    trace = [{"iteration": 0, "event": "assign", "cost": best_cost}]
+    seen = {medoids}
+    for round_no in range(1, 10 * l + 1):
+        best_swap = None
+        for s in medoids:
+            for o in [p for p in range(l) if p not in medoids]:
+                cand = tuple(sorted([m for m in medoids if m != s] + [o]))
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                try:
+                    cand_taken = assign(cand)
+                except InfeasibilityError:
+                    continue
+                c = cost_of(cand, cand_taken)
+                if c < best_cost:
+                    best_cost, best_swap = c, (cand, cand_taken)
+        if best_swap is None:
+            return taken, tuple(trace)
+        medoids, taken = best_swap
+        trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
+    raise AssertionError("scalar swap loop did not converge")
+
+
+class TestLockstepAssignment:
+    def test_matches_scalar_assignment_per_candidate(self, monkeypatch):
+        # weights {2} and {3} have one class, {2, 3}, {1, 2} and {1, 3} two
+        # (and rows whose free points are all of one of them), {2, 3, 4}
+        # three; tied positions tie values; lam = 1e-4 decays most values to
+        # 0.0; epsilon 1.0 strands points (repairs, infeasible candidates);
+        # chunks of 1 to 6 rows split the rounds
+        seen = dict.fromkeys((
+            "certified", "declined", "one-class rows", "three-class claims", "repairs",
+            "infeasible", "zero values", "split rounds",
+        ), 0)
+        inside, claims, chunks = [], [], []  # claims: _claim calls inside lockstep
+        run = {}  # the current trial's weights and decay values
+        assign_lockstep, two_class_rows = capclust._assign_lockstep, capclust._two_class_rows
+        claim = capclust._claim
+
+        def lockstep_spy(cands, *args):
+            chunks.append(len(cands))
+            inside.append(True)
+            try:
+                taken, cost = assign_lockstep(cands, *args)
+            finally:
+                inside.pop()
+            seen["infeasible"] += int(np.isinf(cost).sum())
+            return taken, cost
+
+        def two_class_spy(free, cap, s, ranks):
+            ok, rows, points, chosen_w = two_class_rows(free, cap, s, ranks)
+            seen["certified"] += int(ok.sum())
+            seen["declined"] += int((~ok).sum())
+            has = [free[:, np.sort(rank.order[0])].any(axis=1) for rank in ranks]
+            seen["one-class rows"] += int((ok & (has[0] != has[-1])).sum())
+            for i in np.flatnonzero(ok):  # each certified row selects as knapsack_select
+                cand = np.flatnonzero(free[i])
+                inst = KnapsackInstance(run["decay"][s[i], cand], run["weights"][cand], int(cap[i]))
+                assert sorted(points[rows == i].tolist()) == cand[knapsack_select(inst)].tolist()
+                assert chosen_w[i] == run["weights"][points[rows == i]].sum()
+            return ok, rows, points, chosen_w
+
+        def claim_spy(*args):
+            claims.extend(inside)
+            return claim(*args)
+
+        def repair_spy(*args):
+            seen["repairs"] += len(inside)
+            return _repair_room(*args)
+
+        monkeypatch.setattr(capclust, "_assign_lockstep", lockstep_spy)
+        monkeypatch.setattr(capclust, "_two_class_rows", two_class_spy)
+        monkeypatch.setattr(capclust, "_claim", claim_spy)
+        monkeypatch.setattr(capclust, "_repair_room", repair_spy)
+        rng = np.random.default_rng(1717)
+        classes = ([2, 3], [2], [1, 2], [3], [2, 3, 4], [1, 3])
+        for trial in range(60):
+            l = int(rng.integers(5, 14))
+            k = int(rng.integers(2, min(l - 1, 4) + 1))
+            positions = rng.uniform(0, 1, size=(l, 2))
+            if trial % 2:
+                positions = positions.round(1)
+            if trial % 5 == 0:  # every value ties
+                positions[:] = positions[0]
+            weights = rng.choice(classes[trial % 6], size=l)
+            epsilon = (1.0, 1.05, 1.2)[trial % 3]
+            q = max(int(weights.max()), capacity_threshold(int(weights.sum()), k, epsilon))
+            lam = (0.3, 1e-4, 1.0, 0.05)[trial % 4]
+            monkeypatch.setattr(capclust, "_LOCKSTEP_CELLS", l * (1 + trial % 6))
+            try:
+                expected = scalar_kmedoids(positions, weights, k, q, lam, seed=trial)
+            except InfeasibilityError as exc:
+                with pytest.raises(InfeasibilityError) as err:
+                    kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
+                assert str(err.value) == str(exc)
+                continue
+            claims.clear()
+            chunks.clear()
+            run.update(weights=weights, decay=np.exp(-pairwise_distances(positions) / lam))
+            result = kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
+            assert result.assignment.tolist() == expected[0].tolist(), trial
+            assert result.trace == expected[1], trial
+            if len(classes[trial % 6]) == 3:
+                seen["three-class claims"] += len(claims)
+            seen["zero values"] += int((run["decay"] == 0).any())
+            seen["split rounds"] += len(chunks) > len(result.trace)
+        assert all(seen.values()), seen
+
+
 def reference_repair_room(p, taken, room, medoids, dists, weights):
     """The repair step written as plain loops over points and clusters: the
     cheapest single move by key (delta, c1, c2, x), and only when none fits,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from faircap.capclust import capacity_threshold
 from faircap.core import (
     Clustering,
     Dataset,
@@ -354,6 +355,21 @@ class TestValidation:
             Params(k=2, epsilon=0.5)
         with pytest.raises(ContractViolationError):
             Params(k=2, lam=0.0)
+
+    def test_params_reject_bool_t_and_non_number_scales(self):
+        # Fraction(True) is 1, and Fraction("a") or isfinite("1.2") raised a
+        # raw ValueError or TypeError
+        for bad in (True, False, None, "a", float("nan"), float("inf")):
+            with pytest.raises(ContractViolationError, match=f"t must be a fraction, got {bad!r}"):
+                Params(k=2, t=bad)
+        for bad in ("1.2", None, [1.2]):
+            with pytest.raises(ContractViolationError, match="epsilon must be finite"):
+                Params(k=2, epsilon=bad)
+            with pytest.raises(ContractViolationError, match="epsilon must be finite"):
+                capacity_threshold(10, 2, bad)
+            with pytest.raises(ContractViolationError, match="lambda must be finite"):
+                Params(k=2, lam=bad)
+        assert Params(k=2, t="1/3", epsilon=Fraction(6, 5), lam=np.float64(0.5)).t == Fraction(1, 3)
 
     def test_params_reject_non_finite(self):
         for bad in (float("nan"), float("inf")):

@@ -58,6 +58,15 @@ class TestMakeBlobs:
             with pytest.raises(ContractViolationError, match="need at least 2 rows"):
                 make_blobs(n=n)
 
+    def test_rejects_counts_that_are_not_integers(self):
+        # a float n or clusters once failed with a raw TypeError while sizing the blobs
+        for kwargs, name in (
+            ({"n": 20.5}, "n"), ({"n": True}, "n"), ({"n": 20, "clusters": 2.5}, "clusters"),
+        ):
+            with pytest.raises(ContractViolationError, match=f"{name} must be an integer"):
+                make_blobs(seed=1, **kwargs)
+        assert make_blobs(n=np.int64(20), clusters=np.int64(2), seed=1).n == 20
+
     def test_deterministic(self):
         a = make_blobs(n=40, balance=0.8, seed=5)
         b = make_blobs(n=40, balance=0.8, seed=5)
