@@ -20,6 +20,7 @@ import numpy as np
 
 from . import capclust, fairlets
 from .core import (
+    _LOCKSTEP_CELLS,
     Clustering,
     Dataset,
     FairletDecomposition,
@@ -50,6 +51,13 @@ def kmedoids_vanilla(
     best strictly improving (medoid, non-medoid) swap per round until a local
     optimum. No fairness or capacity handling.
 
+    Each round screens every (medoid, non-medoid) pair in one pass, from each
+    point's nearest and second-nearest medoid distance (FastPAM1, Schubert &
+    Rousseeuw, SISAP 2019), then recomputes exactly the pairs whose screened
+    cost lies near the minimum. The swap is the exactly cheapest pair, first
+    by medoid position and then by non-medoid index, if it costs strictly
+    less than the current medoids.
+
     Weights are ignored: the points are the singleton fairlets of the raw
     rows. Returns the point-level assignment, with labels 0..k-1 in medoid
     order.
@@ -61,14 +69,42 @@ def kmedoids_vanilla(
     medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
 
     best = float(dists[:, medoids].min(axis=1).sum())
+    # A swap cost sums n nonnegative terms, each at most its column's entry,
+    # so any float summation order is off from the exact cost by at most
+    # about n * eps/2 times the largest column sum. The screen adds up three
+    # such sums; tol bounds the gap between a screened and an exact cost with
+    # headroom, so a pair screened out is never the exactly cheapest.
+    tol = 8 * n * np.finfo(np.float64).eps * float(dists.sum(axis=0).max())
+    block = max(1, _LOCKSTEP_CELLS // n)
     while n > k:
-        others = np.setdiff1d(np.arange(n), medoids)
-        to_others = dists[:, others]
-        cols = dists[:, medoids]
+        to_medoids = dists[:, medoids]
+        near = np.argmin(to_medoids, axis=1)
+        ranked = np.sort(to_medoids, axis=1)
+        dn = ranked[:, 0]
+        ds = ranked[:, 1] if k > 1 else np.full(n, np.inf)
+        # removing medoid pos leaves point i at dn_i, or at ds_i if pos was
+        # its nearest: screen[pos, o] sums min(that, d_io) over the points
+        member = np.zeros((k, n))
+        member[near, np.arange(n)] = 1.0
+        screen = np.empty((k, n))
+        for c in range(0, n, block):
+            # distances are symmetric, so row block c holds column block c
+            # and is contiguous
+            rows = dists[c : c + block]
+            kept = np.minimum(dn, rows)
+            lost = np.minimum(ds, rows)
+            lost -= kept
+            screen[:, c : c + block] = kept.sum(axis=1) + member @ lost.T
+        screen[:, medoids] = np.inf
+        low = float(screen.min())
+        if low > best + tol:
+            break
         swap: tuple[int, int] | None = None
-        for pos in range(k):
-            floor = np.delete(cols, pos, axis=1).min(axis=1, initial=np.inf)
-            costs = np.minimum(floor[:, None], to_others).sum(axis=0)
+        pos_of, o_of = np.nonzero(screen <= low + 2 * tol)
+        for pos in np.unique(pos_of).tolist():
+            others = o_of[pos_of == pos]
+            floor = np.where(near == pos, ds, dn)
+            costs = _swap_costs(dists, floor, others)
             o_pos = int(np.argmin(costs))
             if costs[o_pos] < best:
                 best = float(costs[o_pos])
@@ -81,6 +117,17 @@ def kmedoids_vanilla(
     assignment = np.argmin(dists[:, medoids], axis=1)
     assignment[medoids] = np.arange(k)  # coincident medoids each keep their own row
     return assignment
+
+
+def _swap_costs(dists: np.ndarray, floor: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Exact cost of swapping each of ``others`` in, for the medoid whose
+    removal leaves point i at distance ``floor[i]``.
+
+    ``dists[:, others]`` is gathered column-major, so each column is summed
+    on its own (pairwise): a column's cost is the same bits whichever other
+    columns are gathered with it, including none.
+    """
+    return np.minimum(floor[:, None], dists[:, others]).sum(axis=0)
 
 
 def kcenter_greedy(

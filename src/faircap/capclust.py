@@ -32,7 +32,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_epsilon, check_integer, check_lambda, pairwise_distances, rng_stream
+from .core import (
+    _LOCKSTEP_CELLS,
+    check_epsilon,
+    check_integer,
+    check_lambda,
+    pairwise_distances,
+    rng_stream,
+)
 from .errors import ContractViolationError, InfeasibilityError
 
 
@@ -367,11 +374,6 @@ def _place_leftovers(
             ci = _repair_room(int(p), taken, room, med, dists, weights)
         taken[p] = ci
         room[ci] -= weights[p]
-
-
-# Cells of one (candidates x points) matrix in a lockstep chunk: about 1 MiB
-# per int64 matrix, whatever the number of points.
-_LOCKSTEP_CELLS = 1 << 17
 
 
 class _ClassRanks(NamedTuple):

@@ -267,6 +267,12 @@ class Params:
             raise ContractViolationError("seed must fit in 64 unsigned bits")
 
 
+# Cells of one blocked work matrix (a lockstep chunk of kmed candidates, a
+# block of PAM's swap screen, a row block of medoid_index): about 1 MiB per
+# 8-byte matrix, whatever the number of points.
+_LOCKSTEP_CELLS = 1 << 17
+
+
 def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Euclidean distance matrix between the rows of ``a`` and ``b`` (or ``a`` and itself)."""
     a = np.asarray(a, dtype=np.float64)
@@ -280,7 +286,12 @@ def medoid_index(features: np.ndarray, members: Sequence[int]) -> int:
     if members.size == 0:
         raise ContractViolationError("cannot take the medoid of an empty set")
     sub = np.asarray(features, dtype=np.float64)[members]
-    totals = pairwise_distances(sub).sum(axis=1)
+    # row blocks bound the working set; each row total is the same pairwise
+    # sum as in the full |C| x |C| matrix, so the result is too
+    rows = max(1, _LOCKSTEP_CELLS // len(sub))
+    totals = np.concatenate(
+        [pairwise_distances(sub[r : r + rows], sub).sum(axis=1) for r in range(0, len(sub), rows)]
+    )
     return int(members[int(np.argmin(totals))])
 
 

@@ -1,10 +1,19 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from faircap.baselines import METHODS, decompose, kcenter_greedy, kmedoids_vanilla, pipeline
+from faircap import baselines
+from faircap.baselines import (
+    METHODS,
+    _swap_costs,
+    decompose,
+    kcenter_greedy,
+    kmedoids_vanilla,
+    pipeline,
+)
 from faircap.capclust import (
     capacity_threshold,
     hierarchical_fair_capacitated,
@@ -209,6 +218,67 @@ class TestKMedoidsVanilla:
             else:
                 outcomes.add("ok")
         assert outcomes == {"ok", "k == n", "coincident medoids"}
+
+    def test_matches_plain_reference_at_larger_n(self, monkeypatch):
+        # n up to 80 gives swap costs of many terms, where the screen's sums
+        # and the exact ones round differently. Every seventh instance lies
+        # on an integer grid, where many swap costs tie exactly, and odd
+        # ones are rounded; small cell budgets cut the screen into blocks
+        # of one or more rows with a shorter last one.
+        rng = np.random.default_rng(1818)
+        outcomes = set()
+        for trial in range(140):
+            n = int(rng.integers(25, 81))
+            d = int(rng.integers(1, 4))
+            k = {0: 1, 1: n}.get(trial % 10, int(rng.integers(1, 17)))
+            if trial % 7 == 0:
+                coords = rng.integers(0, 5, size=(n, d)).astype(float)
+                outcomes.add("grid")
+            else:
+                coords = rng.uniform(0, 1, size=(n, d))
+                if trial % 2:
+                    coords = coords.round(1)
+            monkeypatch.setattr(baselines, "_LOCKSTEP_CELLS", n * (1 + trial % 5))
+            data = _dataset(coords, np.arange(n) % 2)
+            seed = int(rng.integers(0, 1000))
+            assignment, _ = reference_pam(data, k, seed)
+            labels = kmedoids_vanilla(*unit_points(coords), k, seed)
+            assert labels.tolist() == assignment.tolist(), trial
+            outcomes.add({1: "k == 1", n: "k == n"}.get(k, "ok"))
+        assert outcomes == {"ok", "k == 1", "k == n", "grid"}
+
+    def test_exact_cost_of_one_candidate_is_the_full_matrix_column(self):
+        # the full matrix of every non-medoid is how the swap costs were
+        # first computed; numpy sums each gathered column pairwise on its
+        # own, so gathering one column alone must give the same bits. The
+        # sizes cross numpy's pairwise blocks of 8 and 128 terms.
+        rng = np.random.default_rng(7)
+        for n in (2, 9, 127, 128, 129, 300, 1000):
+            dists = pairwise_distances(rng.uniform(0, 10, size=(n, 2)) * rng.uniform(1, 1e3))
+            medoids = rng.choice(n, size=min(n - 1, 3), replace=False)
+            others = np.setdiff1d(np.arange(n), medoids)
+            for floor in (
+                dists[:, medoids].min(axis=1),
+                np.full(n, np.inf),  # k = 1: removing the medoid leaves nothing
+            ):
+                full = np.minimum(floor[:, None], dists[:, others]).sum(axis=0)
+                for j in rng.choice(others.size, size=min(others.size, 5), replace=False):
+                    one = _swap_costs(dists, floor, others[[j]])
+                    assert one.shape == (1,)
+                    assert one[0] == full[j], (n, j)
+
+    def test_swap_search_keeps_a_small_working_set(self):
+        # at n = 600 the distance matrix is 2.7 MiB; building k minimum
+        # matrices of n x (n - k) per round peaked at 8.3 MiB, and the screen
+        # in blocks of about 1 MiB stays near 6 MiB
+        data = make_blobs(n=600, balance=0.5, clusters=4, seed=7)
+        tracemalloc.start()
+        try:
+            kmedoids_vanilla(*unit_points(data.features), k=16, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
 
     def test_coincident_medoids_keep_their_own_rows(self):
         # three equal rows and k = 3: some medoids coincide, and the plain

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from faircap import core
 from faircap.capclust import capacity_threshold
 from faircap.core import (
     Clustering,
@@ -68,6 +70,39 @@ class TestDistance:
             assert dab >= 0
             assert dab == dba
             assert distance(a, c) <= dab + distance(b, c) + 1e-12
+
+
+class TestMedoidIndex:
+    def test_row_blocks_match_full_matrix(self, monkeypatch):
+        # integer and one-decimal coordinates repeat rows, so exact ties in
+        # the totals put the smallest-index rule to work; small cell budgets
+        # cut the rows into blocks of one or more with a shorter last one
+        rng = np.random.default_rng(10)
+        for trial in range(80):
+            m = int(rng.integers(1, 120))
+            features = rng.uniform(0, 4, size=(m + 5, int(rng.integers(1, 4))))
+            features = features.round(trial % 2)
+            members = rng.choice(m + 5, size=m, replace=False)
+            monkeypatch.setattr(core, "_LOCKSTEP_CELLS", m * (1 + trial % 7))
+            ordered = np.sort(members)
+            totals = pairwise_distances(features[ordered]).sum(axis=1)
+            assert medoid_index(features, members) == ordered[np.argmin(totals)], trial
+
+    def test_keeps_a_small_working_set(self):
+        # the full matrix of a 3,000-member set is 69 MiB; a row block is
+        # about 1 MiB
+        features = np.random.default_rng(3).uniform(0, 1, size=(3000, 2))
+        tracemalloc.start()
+        try:
+            medoid_index(features, range(3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_rejects_empty_set(self):
+        with pytest.raises(ContractViolationError, match="empty set"):
+            medoid_index(np.zeros((3, 2)), [])
 
 
 class TestBalanceOf:
