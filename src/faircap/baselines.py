@@ -76,6 +76,7 @@ def kmedoids_vanilla(
     # headroom, so a pair screened out is never the exactly cheapest.
     tol = 8 * n * np.finfo(np.float64).eps * float(dists.sum(axis=0).max())
     block = max(1, _LOCKSTEP_CELLS // n)
+    kept_buf, lost_buf = np.empty((2, min(block, n), n))
     while n > k:
         to_medoids = dists[:, medoids]
         near = np.argmin(to_medoids, axis=1)
@@ -91,8 +92,8 @@ def kmedoids_vanilla(
             # distances are symmetric, so row block c holds column block c
             # and is contiguous
             rows = dists[c : c + block]
-            kept = np.minimum(dn, rows)
-            lost = np.minimum(ds, rows)
+            kept = np.minimum(dn, rows, out=kept_buf[: len(rows)])
+            lost = np.minimum(ds, rows, out=lost_buf[: len(rows)])
             lost -= kept
             screen[:, c : c + block] = kept.sum(axis=1) + member @ lost.T
         screen[:, medoids] = np.inf

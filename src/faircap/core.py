@@ -18,7 +18,6 @@ from math import isfinite
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ContractViolationError
 
@@ -267,17 +266,58 @@ class Params:
             raise ContractViolationError("seed must fit in 64 unsigned bits")
 
 
-# Cells of one blocked work matrix (a lockstep chunk of kmed candidates, a
-# block of PAM's swap screen, a row block of medoid_index): about 1 MiB per
-# 8-byte matrix, whatever the number of points.
+# Cells of one blocked work matrix (a row block of pairwise_distances, a
+# lockstep chunk of kmed candidates, a block of PAM's swap screen, a row
+# block of medoid_index): about 1 MiB per 8-byte matrix, whatever the number
+# of points.
 _LOCKSTEP_CELLS = 1 << 17
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean distance matrix between the rows of ``a`` and ``b`` (or ``a`` and itself)."""
+    """Euclidean distance matrix between the rows of ``a`` and ``b`` (or ``a`` and itself).
+
+    Entry (i, j) adds the squared feature differences one feature at a time,
+    in column order, then takes the square root: the IEEE operations of a
+    sequential loop over the features, so an entry has the same bits whichever
+    other rows are computed with it, and ``pairwise_distances(x)`` is exactly
+    symmetric. Rows go in blocks of at most ``_LOCKSTEP_CELLS`` cells through
+    one reused temporary. Zero columns give zero distances.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = a if b is None else np.asarray(b, dtype=np.float64)
-    return cdist(a, b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ContractViolationError(
+            "distances need two 2-d arrays with equal column counts, "
+            f"got shapes {a.shape} and {b.shape}"
+        )
+    out = np.zeros((len(a), len(b)))
+    d = a.shape[1]
+    if not (d and out.size):
+        return out
+    if len(a) == 1:
+        # one row against many (a merged cluster's row): square the
+        # differences once, then add their columns in order
+        diffs = b - a[0]
+        diffs *= diffs
+        row = out[0]
+        row[:] = diffs[:, 0]
+        for j in range(1, d):
+            row += diffs[:, j]
+    else:
+        cols = np.ascontiguousarray(b.T)
+        step = max(1, _LOCKSTEP_CELLS // len(b))
+        scratch = np.empty((min(step, len(a)), len(b)))
+        for r in range(0, len(a), step):
+            rows, block = a[r : r + step], out[r : r + step]
+            sq = scratch[: len(block)]
+            np.subtract(rows[:, :1], cols[0], out=block)
+            block *= block
+            for j in range(1, d):
+                np.subtract(rows[:, j : j + 1], cols[j], out=sq)
+                sq *= sq
+                block += sq
+    np.sqrt(out, out=out)
+    return out
 
 
 def medoid_index(features: np.ndarray, members: Sequence[int]) -> int:

@@ -36,7 +36,7 @@ def _dataset(features, protected):
 def naive_distance(a, b):
     total = 0.0
     for x, y in zip(a, b):
-        total += (x - y) ** 2
+        total += (x - y) * (x - y)
     return math.sqrt(total)
 
 
@@ -54,13 +54,62 @@ class TestDistance:
     def test_3_4_5_triangle(self):
         assert distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
 
-    def test_matches_naive_loop(self):
+    def test_matches_naive_loop(self, monkeypatch):
+        # every entry has the sequential loop's bits: 1-40 features, empty
+        # and one-row inputs, self and cross distances, and cell budgets
+        # that end row blocks mid-matrix
         rng = np.random.default_rng(42)
-        for _ in range(50):
-            a = rng.normal(size=10)
-            b = rng.normal(size=10)
-            expected = naive_distance(a, b)
-            assert distance(a, b) == pytest.approx(expected, rel=1e-12)
+        for trial in range(160):
+            d = 1 + trial % 40
+            n, m = (int(v) for v in rng.integers(0, 25, size=2))
+            if trial % 6 == 0:
+                n = 1
+            scale = 10.0 ** rng.uniform(-3, 3)
+            a = rng.normal(size=(n, d)) * scale
+            b = None if trial % 3 == 0 else rng.normal(size=(m, d)) * scale
+            other = a if b is None else b
+            monkeypatch.setattr(core, "_LOCKSTEP_CELLS", int(rng.integers(1, 4 * len(other) + 2)))
+            got = pairwise_distances(a, b)
+            assert got.shape == (len(a), len(other))
+            assert got.tolist() == [[naive_distance(x, y) for y in other] for x in a]
+
+    def test_self_distances_are_exactly_symmetric(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        for trial, d in enumerate((1, 2, 7, 33)):
+            if trial % 2:
+                # blocks of three rows, the last one shorter
+                monkeypatch.setattr(core, "_LOCKSTEP_CELLS", 3 * 40 + 1)
+            x = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-3, 3)
+            dists = pairwise_distances(x)
+            assert np.array_equal(dists, dists.T)
+            assert not np.diagonal(dists).any()
+
+    def test_peak_memory_is_output_plus_one_block(self):
+        x = np.random.default_rng(3).uniform(0, 1, size=(3000, 2))
+        tracemalloc.start()
+        try:
+            dists = pairwise_distances(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dists.nbytes + 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.zeros(3), None),
+            (np.zeros((2, 2, 2)), None),
+            (np.zeros((2, 2)), np.zeros(2)),
+            (np.zeros((2, 3)), np.zeros((2, 2))),
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, a, b):
+        with pytest.raises(ContractViolationError, match="2-d arrays with equal column counts"):
+            pairwise_distances(a, b)
+
+    def test_zero_columns_give_zero_distances(self):
+        assert pairwise_distances(np.zeros((3, 0)), np.zeros((2, 0))).tolist() == [[0.0] * 2] * 3
+        assert pairwise_distances(np.zeros((1, 0)), np.zeros((2, 0))).tolist() == [[0.0] * 2]
 
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(7)

@@ -12,17 +12,8 @@ def test_all_names_resolve_without_duplicates():
         assert getattr(faircap, name) is not None, name
 
 
-def test_mcf_decompose_does_not_load_scipy_optimize():
-    # scipy.optimize costs about 10 MiB of resident memory and 0.15 s of
-    # import time; the fairlet matching must stay on scipy.sparse.csgraph
-    script = (
-        "import sys\n"
-        "from fractions import Fraction\n"
-        "import faircap\n"
-        "data = faircap.make_blobs(n=12, balance=0.5, clusters=2, seed=1)\n"
-        "faircap.mcf_decompose(data, Fraction(1, 2), seed=1)\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
-    )
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout's faircap."""
     src = str(Path(faircap.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -30,6 +21,34 @@ def test_mcf_decompose_does_not_load_scipy_optimize():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_mcf_decompose_does_not_load_scipy_optimize():
+    # scipy.optimize costs about 10 MiB of resident memory and 0.15 s of
+    # import time; the fairlet matching must stay on scipy.sparse.csgraph
+    _run_fresh(
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import faircap\n"
+        "data = faircap.make_blobs(n=12, balance=0.5, clusters=2, seed=1)\n"
+        "faircap.mcf_decompose(data, Fraction(1, 2), seed=1)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+
+
+def test_cli_sweep_does_not_load_scipy_spatial(tmp_path):
+    # scipy.spatial costs about 7 MiB of resident memory and 0.15 s of
+    # import time in every CLI process; distances come from numpy alone
+    from test_cli import SMALL_SWEEP, write_config
+
+    config = write_config(tmp_path, SMALL_SWEEP)
+    _run_fresh(
+        "import sys\n"
+        "from faircap import cli\n"
+        f"assert cli.main(['run', {str(config)!r}, '--output', {str(tmp_path / 'out')!r}]) == 0\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy.spatial')]\n"
+        "assert not loaded, loaded\n"
+    )
 
 
 def test_benchmark_tracer_reads_every_counter(tmp_path, monkeypatch):
