@@ -13,7 +13,7 @@ fairness or capacity handling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -173,7 +173,7 @@ def decompose(
 class PipelineResult:
     clustering: Clustering
     record: RunRecord
-    trace: tuple[dict, ...] = field(default=(), compare=False)
+    trace: tuple[dict, ...]
 
 
 def pipeline(

@@ -93,9 +93,10 @@ def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
     of n * (min(capacity, total weight) + 1) bytes. Ties between equal-value
     selections are broken toward smaller total weight, then the
     lexicographically smallest index set, so results are reproducible.
-    Instances with at most two distinct weights are first tried by prefix
-    enumeration (:func:`_two_class_select`), which returns only a selection
-    the DP would return too.
+    Instances with at most two distinct weights are first tried as one row
+    of the prefix-pair certificate (:func:`_two_class_rows`) that the
+    batched k-medoids swap rounds use, which returns only a selection the DP
+    would return too.
     """
     values, weights, capacity = inst.values, inst.weights, inst.capacity
     n = values.size
@@ -105,9 +106,13 @@ def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
     cap = min(capacity, total_w)
     if total_w <= capacity and values.min() > 0:
         return np.arange(n, dtype=np.int64)
-    chosen = _two_class_select(values, weights, cap)
-    if chosen is not None:
-        return chosen
+    ranks = _rank_classes(values[None], weights)
+    if ranks is not None:
+        ok, _, points, _ = _two_class_rows(
+            np.ones((1, n), dtype=bool), np.array([cap]), np.zeros(1, dtype=np.int64), ranks
+        )
+        if ok[0]:
+            return np.sort(points)
 
     # take[i, w]: taking item i reaches the optimum (max value, then min
     # weight) of items i..n-1 within capacity w, strictly or in an exact tie.
@@ -134,51 +139,6 @@ def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
             selected.append(i)
             w -= int(weights[i])
     return np.array(selected, dtype=np.int64)
-
-
-def _two_class_select(
-    values: np.ndarray, weights: np.ndarray, capacity: int
-) -> np.ndarray | None:
-    """The DP's selection when the items have at most two distinct weights,
-    or None when that cannot be proven here and the DP must decide.
-
-    With weights w_a < w_b, some optimum takes the a most valuable items of
-    weight w_a and the b(a) = min(n_b, (capacity - a*w_a) // w_b) most
-    valuable of weight w_b, so enumerating a over prefix sums finds it. The
-    selection is returned only if (1) its total beats that of every other a
-    by more than ``tol``, (2) the last item it takes from each class is
-    worth more than ``tol`` and (3) more than ``tol`` above the first item
-    of its class left out. Every other feasible set then has a smaller
-    float value under the DP's own sums, so the DP's weight and index tie
-    rules never come into play.
-    """
-    w_a = weights.min()
-    in_b = weights != w_a
-    w_b = weights[in_b].max(initial=w_a)
-    if (weights[in_b] != w_b).any():
-        return None
-    # A DP right fold, or a prefix sum plus one addition, adds at most n + 1
-    # nonnegative values, so it is off from its exact value by at most about
-    # (n + 1) * eps/2 * sum(values). A margin of twice the DP's error plus
-    # twice the prefix sums' error, (2n + 1) * eps * sum(values), makes a win
-    # in the sums below a win under the DP's float sums; 8n leaves headroom.
-    tol = 8 * values.size * np.finfo(np.float64).eps * float(values.sum())
-    idx_a, idx_b = np.flatnonzero(~in_b), np.flatnonzero(in_b)
-    idx_a = idx_a[np.argsort(-values[idx_a], kind="stable")]
-    idx_b = idx_b[np.argsort(-values[idx_b], kind="stable")]
-    v_a, v_b = values[idx_a], values[idx_b]
-    a = np.arange(min(idx_a.size, capacity // w_a) + 1)
-    b = np.minimum(idx_b.size, (capacity - a * w_a) // w_b)
-    total = np.append(0.0, np.cumsum(v_a))[a] + np.append(0.0, np.cumsum(v_b))[b]
-    best = int(np.argmax(total))
-    if total[best] - np.delete(total, best).max(initial=-np.inf) <= tol:
-        return None
-    for v, taken in ((v_a, best), (v_b, int(b[best]))):
-        # values are nonnegative, so with 0 standing for "no item left out",
-        # condition (3) implies condition (2)
-        if taken and v[taken - 1] - np.append(v, 0.0)[taken] <= tol:
-            return None
-    return np.sort(np.concatenate((idx_a[:best], idx_b[: b[best]])))
 
 
 class StageResult(NamedTuple):
@@ -395,8 +355,8 @@ def _rank_classes(decay: np.ndarray, weights: np.ndarray) -> list[_ClassRanks] |
     ranks = []
     for w in classes:
         idx = np.flatnonzero(weights == w)
-        # a stable sort of a class ranks any subset of it as the stable sort
-        # of the subset's values alone, which is _two_class_select's order
+        # a stable sort of a class ranks any subset of it (a row's free
+        # points) as a stable sort of the subset's values alone would
         order = idx[np.argsort(-decay[:, idx], axis=1, kind="stable")]
         ranks.append(_ClassRanks(int(w), order, np.take_along_axis(decay, order, axis=1)))
     return ranks
@@ -405,17 +365,27 @@ def _rank_classes(decay: np.ndarray, weights: np.ndarray) -> list[_ClassRanks] |
 def _two_class_rows(
     free: np.ndarray, cap: np.ndarray, s: np.ndarray, ranks: list[_ClassRanks]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_two_class_select` for many knapsacks at once.
+    """The selection :func:`knapsack_select`'s DP makes, for each of many
+    knapsacks whose points have at most two distinct weights, where it can
+    be proven here; the other rows are left to the DP.
 
-    Row i selects among its free points ``free[i]`` with values
-    ``decay[s[i]]`` and capacity ``cap[i]``, already capped at the free
-    weight. Each class's free points are compacted in rank order, as far as
-    the capacity reaches plus the first one left out, so their prefix sums
-    are the very float sums :func:`_two_class_select` forms, and a row is
-    certified under the same margin and class-boundary tests. A row with
-    free points of one class only is certified with the other class empty,
-    which the same argument covers. Returns (certified rows, row and point
-    of each selected pair of a certified row, selected weight per row).
+    Row i selects among its free points ``free[i]``, point
+    ``ranks[c].order[s[i], j]`` being worth ``ranks[c].values[s[i], j]``,
+    with capacity ``cap[i]``, already capped at the free weight. With
+    weights w_a < w_b, some optimum takes the a most valuable free points of
+    weight w_a and the b(a) = min(n_b, (cap - a*w_a) // w_b) most valuable
+    of weight w_b, so enumerating a over prefix sums finds it. Each class's
+    free points are compacted in rank order, as far as the capacity reaches
+    plus the first one left out, to form those sums. A row is certified
+    only if (1) its best total beats that of every other a by more than
+    ``tol``, (2) the last point it takes from each class is worth more than
+    ``tol`` and (3) more than ``tol`` above the first point of its class
+    left out. Every other feasible set then has a smaller float value under
+    the DP's own sums, so the DP's weight and index tie rules never come
+    into play. A row with free points of one class only is certified with
+    the other class empty, which the same argument covers. Returns
+    (certified rows, row and point of each selected pair of a certified
+    row, selected weight per row).
     """
     m, l = free.shape
     rows = np.arange(m)
@@ -440,8 +410,12 @@ def _two_class_rows(
         blocks.append((points, np.zeros_like(values), np.zeros_like(count), 0 * total))
     (pts_a, v_a, n_a, sum_a), (pts_b, v_b, n_b, sum_b) = blocks
     w_a, w_b = ranks[0].weight, ranks[-1].weight
-    # the value sum is taken in rank order, not index order; the margin's
-    # 8n headroom covers the difference
+    # A DP right fold, or a prefix sum plus one addition, adds at most n + 1
+    # nonnegative values, so it is off from its exact value by at most about
+    # (n + 1) * eps/2 * sum(values). A margin of twice the DP's error plus
+    # twice the prefix sums' error, (2n + 1) * eps * sum(values), makes a win
+    # in the sums below a win under the DP's float sums; 8n leaves headroom,
+    # which also covers taking the value sum in rank order, not index order.
     tol = 8 * (n_a + n_b) * np.finfo(np.float64).eps * (sum_a + sum_b)
     a_max = np.minimum(n_a, cap // w_a)
     a = np.arange(a_max.max() + 1)
@@ -457,6 +431,7 @@ def _two_class_rows(
     ok = top - total.max(axis=1) > tol
     take_b = b[rows, take_a]
     for v, taken in ((v_a, take_a), (v_b, take_b)):
+        # 0 stands for "no point left out"; values are nonnegative, so (3) implies (2)
         v = np.hstack((v, zero))
         ok &= (taken == 0) | (v[rows, taken - 1] - v[rows, taken] > tol)
     slots = np.arange(width)

@@ -404,12 +404,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     n = provenance["dataset"]["n"]
     ks = sorted({r["k"] for r in records}) or list(params["k"])
     q_lines = {
-        f"q eps={params['epsilon_hierarchical']}": {
-            k: capclust.capacity_threshold(n, k, params["epsilon_hierarchical"]) for k in ks
-        },
-        f"q eps={params['epsilon_partitioning']}": {
-            k: capclust.capacity_threshold(n, k, params["epsilon_partitioning"]) for k in ks
-        },
+        f"q eps={params[key]}": {k: capclust.capacity_threshold(n, k, params[key]) for k in ks}
+        for key in ("epsilon_hierarchical", "epsilon_partitioning")
     }
     if records:
         t = float(Fraction(params["t"]))

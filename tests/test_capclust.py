@@ -7,8 +7,9 @@ import pytest
 from faircap import capclust
 from faircap.capclust import (
     KnapsackInstance,
+    _rank_classes,
     _repair_room,
-    _two_class_select,
+    _two_class_rows,
     capacity_threshold,
     hierarchical_fair_capacitated,
     kmedoids_fair_capacitated,
@@ -73,6 +74,18 @@ def reference_knapsack(values, weights, capacity):
                 w -= wi
                 target_v, target_w = rest_v, rest_w
     return np.array(selected, dtype=np.int64)
+
+
+def certify_one_row(values, weights, capacity):
+    """The two-class certificate on one all-free row, as knapsack_select runs
+    it: the sorted selection, or None when the row is left to the DP."""
+    values, weights = np.asarray(values, dtype=np.float64), np.asarray(weights)
+    cap = np.array([min(capacity, int(weights.sum()))])
+    ranks = _rank_classes(values[None], weights)
+    ok, _, points, _ = _two_class_rows(
+        np.ones((1, values.size), dtype=bool), cap, np.zeros(1, dtype=np.int64), ranks
+    )
+    return np.sort(points) if ok[0] else None
 
 
 def unit_points(coords):
@@ -301,7 +314,7 @@ class TestKnapsackSelect:
             assert chosen.tolist() == expected.tolist(), (values, weights, capacity)
             classes_seen.add(len(set(weights.tolist())))
             if len(set(weights.tolist())) <= 2 and capacity:
-                declined.add(_two_class_select(values, weights, capacity) is None)
+                declined.add(certify_one_row(values, weights, capacity) is None)
         assert classes_seen == {1, 2, 3}
         assert declined == {True, False}  # both the fast path and the fallback ran
 
@@ -323,15 +336,15 @@ class TestKnapsackSelect:
         values = np.array([0.9, 0.1, 0.8, 0.5, 0.3])
         weights = np.array([2, 3, 3, 2, 2])
         # best: both top weight-2 items (0.9, 0.5) and the top weight-3 (0.8)
-        assert _two_class_select(values, weights, 7).tolist() == [0, 2, 3]
+        assert certify_one_row(values, weights, 7).tolist() == [0, 2, 3]
         assert reference_knapsack(values, weights, 7).tolist() == [0, 2, 3]
         # a value tie at the weight-2 boundary (items 3 and 4) is left to the DP
         values[4] = values[3]
-        assert _two_class_select(values, weights, 7) is None
+        assert certify_one_row(values, weights, 7) is None
         # so is a taken item worth nothing, where the DP prefers less weight
-        assert _two_class_select(np.array([1.0, 0.0]), np.array([2, 3]), 5) is None
-        # and three weight classes
-        assert _two_class_select(np.ones(3), np.array([1, 2, 3]), 3) is None
+        assert certify_one_row(np.array([1.0, 0.0]), np.array([2, 3]), 5) is None
+        # and three weight classes, which are never ranked for the certificate
+        assert _rank_classes(np.ones((1, 3)), np.array([1, 2, 3])) is None
 
     def test_rejects_fractional_weights_and_capacity(self):
         with pytest.raises(ContractViolationError, match="weights must be positive integers"):
@@ -763,10 +776,9 @@ class TestLockstepAssignment:
         # chunks of 1 to 6 rows split the rounds
         seen = dict.fromkeys((
             "certified", "declined", "one-class rows", "three-class claims", "repairs",
-            "infeasible", "zero values", "split rounds",
+            "infeasible", "zero values", "split rounds", "one-row knapsack calls",
         ), 0)
         inside, claims, chunks = [], [], []  # claims: _claim calls inside lockstep
-        run = {}  # the current trial's weights and decay values
         assign_lockstep, two_class_rows = capclust._assign_lockstep, capclust._two_class_rows
         claim = capclust._claim
 
@@ -784,13 +796,20 @@ class TestLockstepAssignment:
             ok, rows, points, chosen_w = two_class_rows(free, cap, s, ranks)
             seen["certified"] += int(ok.sum())
             seen["declined"] += int((~ok).sum())
+            seen["one-row knapsack calls"] += ranks[0].order.shape[0] == 1
             has = [free[:, np.sort(rank.order[0])].any(axis=1) for rank in ranks]
             seen["one-class rows"] += int((ok & (has[0] != has[-1])).sum())
-            for i in np.flatnonzero(ok):  # each certified row selects as knapsack_select
+            for i in np.flatnonzero(ok):  # each certified row selects as the DP
+                # the row's values and weights as the ranks give them, which
+                # covers lockstep rows and knapsack_select's one-row calls alike
+                values, weights = np.zeros(free.shape[1]), np.zeros(free.shape[1], dtype=np.int64)
+                for rank in ranks:
+                    values[rank.order[s[i]]] = rank.values[s[i]]
+                    weights[rank.order[s[i]]] = rank.weight
                 cand = np.flatnonzero(free[i])
-                inst = KnapsackInstance(run["decay"][s[i], cand], run["weights"][cand], int(cap[i]))
-                assert sorted(points[rows == i].tolist()) == cand[knapsack_select(inst)].tolist()
-                assert chosen_w[i] == run["weights"][points[rows == i]].sum()
+                expected = cand[reference_knapsack(values[cand], weights[cand], int(cap[i]))]
+                assert sorted(points[rows == i].tolist()) == expected.tolist()
+                assert chosen_w[i] == weights[points[rows == i]].sum()
             return ok, rows, points, chosen_w
 
         def claim_spy(*args):
@@ -829,13 +848,12 @@ class TestLockstepAssignment:
                 continue
             claims.clear()
             chunks.clear()
-            run.update(weights=weights, decay=np.exp(-pairwise_distances(positions) / lam))
             result = kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
             assert result.assignment.tolist() == expected[0].tolist(), trial
             assert result.trace == expected[1], trial
             if len(classes[trial % 6]) == 3:
                 seen["three-class claims"] += len(claims)
-            seen["zero values"] += int((run["decay"] == 0).any())
+            seen["zero values"] += int((np.exp(-pairwise_distances(positions) / lam) == 0).any())
             seen["split rounds"] += len(chunks) > len(result.trace)
         assert all(seen.values()), seen
 
