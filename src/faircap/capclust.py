@@ -87,16 +87,13 @@ class KnapsackInstance:
 def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
     """Indices of a maximum-value selection with total weight <= capacity.
 
-    When every item fits and every value is positive, all are taken.
-    Otherwise the selection is defined by an exact dynamic program over the
-    weight dimension, whose backtrack walk reads one boolean decision table
-    of n * (min(capacity, total weight) + 1) bytes. Ties between equal-value
-    selections are broken toward smaller total weight, then the
-    lexicographically smallest index set, so results are reproducible.
-    Instances with at most two distinct weights are first tried as one row
-    of the prefix-pair certificate (:func:`_two_class_rows`) that the
-    batched k-medoids swap rounds use, which returns only a selection the DP
-    would return too.
+    When every item fits and every value is positive, all are taken: a rule
+    of the definition, not a shortcut, since the DP can drop an item whose
+    value vanishes in a float sum (1e-20 beside 1.0). Otherwise an exact
+    dynamic program over the weight dimension decides; its backtrack walk
+    reads one boolean decision table of n * (min(capacity, total weight) + 1)
+    bytes. Ties between equal-value selections go to smaller total weight,
+    then the lexicographically smallest index set, so results are reproducible.
     """
     values, weights, capacity = inst.values, inst.weights, inst.capacity
     n = values.size
@@ -106,13 +103,6 @@ def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
     cap = min(capacity, total_w)
     if total_w <= capacity and values.min() > 0:
         return np.arange(n, dtype=np.int64)
-    ranks = _rank_classes(values[None], weights)
-    if ranks is not None:
-        ok, _, points, _ = _two_class_rows(
-            np.ones((1, n), dtype=bool), np.array([cap]), np.zeros(1, dtype=np.int64), ranks
-        )
-        if ok[0]:
-            return np.sort(points)
 
     # take[i, w]: taking item i reaches the optimum (max value, then min
     # weight) of items i..n-1 within capacity w, strictly or in an exact tie.

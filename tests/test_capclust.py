@@ -77,8 +77,8 @@ def reference_knapsack(values, weights, capacity):
 
 
 def certify_one_row(values, weights, capacity):
-    """The two-class certificate on one all-free row, as knapsack_select runs
-    it: the sorted selection, or None when the row is left to the DP."""
+    """The lockstep's two-class certificate on one row whose points are all
+    free: the sorted selection, or None when the row is left to the DP."""
     values, weights = np.asarray(values, dtype=np.float64), np.asarray(weights)
     cap = np.array([min(capacity, int(weights.sum()))])
     ranks = _rank_classes(values[None], weights)
@@ -275,10 +275,14 @@ class TestKnapsackSelect:
     def test_all_fit_shortcut_keeps_everything(self):
         inst = KnapsackInstance(values=[0.5, 0.7], weights=[2, 3], capacity=10)
         assert knapsack_select(inst).tolist() == [0, 1]
+        # the rule is part of the definition: 1.0 + 1e-20 == 1.0, so the DP
+        # alone would tie both selections and drop item 0 for its weight
+        inst = KnapsackInstance(values=[1e-20, 1.0], weights=[1, 1], capacity=2)
+        assert knapsack_select(inst).tolist() == [0, 1]
 
     def test_capacity_beyond_int64_is_total_weight(self):
-        # a zero value skips the all-fit return; 2**70 once overflowed the
-        # two-class path's int64 arithmetic
+        # a zero value skips the all-fit return, so the DP must size its
+        # table by the total weight: 2**70 overflows int64
         for values, weights in (([1.0, 0.0], [2, 3]), ([1.0, 0.0, 0.5], [2, 3, 4])):
             huge = knapsack_select(KnapsackInstance(values, weights, 2**70))
             assert huge.tolist() == knapsack_select(KnapsackInstance(values, weights, 9)).tolist()
@@ -314,9 +318,12 @@ class TestKnapsackSelect:
             assert chosen.tolist() == expected.tolist(), (values, weights, capacity)
             classes_seen.add(len(set(weights.tolist())))
             if len(set(weights.tolist())) <= 2 and capacity:
-                declined.add(certify_one_row(values, weights, capacity) is None)
+                certified = certify_one_row(values, weights, capacity)
+                declined.add(certified is None)
+                if certified is not None:
+                    assert certified.tolist() == expected.tolist(), (values, weights, capacity)
         assert classes_seen == {1, 2, 3}
-        assert declined == {True, False}  # both the fast path and the fallback ran
+        assert declined == {True, False}  # the certificate both took and declined rows
 
     def test_dp_keeps_one_decision_table(self):
         # three weight classes force the DP; a boolean table of 2,000 x 1,001
@@ -776,7 +783,7 @@ class TestLockstepAssignment:
         # chunks of 1 to 6 rows split the rounds
         seen = dict.fromkeys((
             "certified", "declined", "one-class rows", "three-class claims", "repairs",
-            "infeasible", "zero values", "split rounds", "one-row knapsack calls",
+            "infeasible", "zero values", "split rounds",
         ), 0)
         inside, claims, chunks = [], [], []  # claims: _claim calls inside lockstep
         assign_lockstep, two_class_rows = capclust._assign_lockstep, capclust._two_class_rows
@@ -793,15 +800,15 @@ class TestLockstepAssignment:
             return taken, cost
 
         def two_class_spy(free, cap, s, ranks):
+            # only the lockstep certifies: a declined row goes to the DP alone
+            assert inside, "_two_class_rows ran outside _assign_lockstep"
             ok, rows, points, chosen_w = two_class_rows(free, cap, s, ranks)
             seen["certified"] += int(ok.sum())
             seen["declined"] += int((~ok).sum())
-            seen["one-row knapsack calls"] += ranks[0].order.shape[0] == 1
             has = [free[:, np.sort(rank.order[0])].any(axis=1) for rank in ranks]
             seen["one-class rows"] += int((ok & (has[0] != has[-1])).sum())
             for i in np.flatnonzero(ok):  # each certified row selects as the DP
-                # the row's values and weights as the ranks give them, which
-                # covers lockstep rows and knapsack_select's one-row calls alike
+                # the row's values and weights as the ranks give them
                 values, weights = np.zeros(free.shape[1]), np.zeros(free.shape[1], dtype=np.int64)
                 for rank in ranks:
                     values[rank.order[s[i]]] = rank.values[s[i]]

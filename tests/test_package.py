@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,15 @@ def test_all_names_resolve_without_duplicates():
 
 
 def _run_fresh(script):
-    """Run ``script`` in a fresh interpreter that imports this checkout's faircap."""
+    """Run ``script`` in a fresh interpreter that imports this checkout's faircap.
+    A child stuck in native code fails the test at the timeout instead of
+    holding the whole run."""
     src = str(Path(faircap.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -87,3 +91,16 @@ def test_benchmark_tracer_reads_every_counter(tmp_path, monkeypatch):
             assert keys <= span.keys(), (name, span)
             if keys == decomposition:
                 assert span["violations"] == [] and span["count"] > 0, span
+
+
+def test_readme_library_use_runs():
+    # the two python blocks of README "Library use" share one namespace:
+    # the second reads the first's data
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["clustering"].representatives) == 4
