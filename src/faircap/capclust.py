@@ -87,21 +87,20 @@ class KnapsackInstance:
 def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
     """Indices of a maximum-value selection with total weight <= capacity.
 
-    When every item fits and every value is positive, all are taken: a rule
-    of the definition, not a shortcut, since the DP can drop an item whose
-    value vanishes in a float sum (1e-20 beside 1.0). Otherwise an exact
-    dynamic program over the weight dimension decides; its backtrack walk
-    reads one boolean decision table of n * (min(capacity, total weight) + 1)
-    bytes. Ties between equal-value selections go to smaller total weight,
-    then the lexicographically smallest index set, so results are reproducible.
+    When every item fits and every value is positive, all are taken (none
+    of an empty instance): a rule of the definition, not a shortcut, since
+    the DP can drop an item whose value vanishes in a float sum (1e-20 beside
+    1.0). Otherwise an exact dynamic program over the weight dimension
+    decides, and selects nothing at capacity 0; its backtrack walk reads one
+    boolean decision table of n * (min(capacity, total weight) + 1) bytes.
+    Ties between equal-value selections go to smaller total weight, then the
+    lexicographically smallest index set, so results are reproducible.
     """
     values, weights, capacity = inst.values, inst.weights, inst.capacity
     n = values.size
-    if n == 0 or capacity == 0:
-        return np.empty(0, dtype=np.int64)
     total_w = int(weights.sum())
     cap = min(capacity, total_w)
-    if total_w <= capacity and values.min() > 0:
+    if total_w <= capacity and (values > 0).all():
         return np.arange(n, dtype=np.int64)
 
     # take[i, w]: taking item i reaches the optimum (max value, then min
@@ -300,8 +299,6 @@ def _claim(
     points still unassigned (-1) in ``taken``; updates ``taken`` and ``room``
     in place."""
     cand = np.flatnonzero(taken == -1)
-    if cand.size == 0:
-        return
     inst = KnapsackInstance(values=decay[s, cand], weights=weights[cand], capacity=int(room[ci]))
     chosen = cand[knapsack_select(inst)]
     taken[chosen] = ci
@@ -452,11 +449,11 @@ def _assign_lockstep(
     taken = np.full((r_count, l), -1, dtype=np.int64)
     taken[np.arange(r_count)[:, None], cands] = np.arange(k)
     room = q - weights[cands]
-    # a claim lowers the free weight and its medoid's room alike
-    unclaimed = int(weights.sum()) - weights[cands].sum(axis=1) - room.sum(axis=1)
     for j in range(k):
         s, cap = cands[:, j], room[:, j]
-        free_w = unclaimed + room.sum(axis=1)
+        # room starts at k*q less the medoids' weight, and a claim lowers
+        # the free weight and its medoid's room alike
+        free_w = int(weights.sum()) - k * q + room.sum(axis=1)
         live = (cap > 0) & (free_w > 0)
         fit = np.flatnonzero(live & (free_w <= cap))
         # every free point fits: take them all, unless one is worth 0

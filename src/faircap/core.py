@@ -280,8 +280,8 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
     in column order, then takes the square root: the IEEE operations of a
     sequential loop over the features, so an entry has the same bits whichever
     other rows are computed with it, and ``pairwise_distances(x)`` is exactly
-    symmetric. Rows go in blocks of at most ``_LOCKSTEP_CELLS`` cells through
-    one reused temporary. Zero columns give zero distances.
+    symmetric. One kernel serves every shape, one row against many included,
+    in blocks of at most ``_LOCKSTEP_CELLS`` cells. Zero columns give zeros.
     """
     a = np.asarray(a, dtype=np.float64)
     b = a if b is None else np.asarray(b, dtype=np.float64)
@@ -294,28 +294,18 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
     d = a.shape[1]
     if not (d and out.size):
         return out
-    if len(a) == 1:
-        # one row against many (a merged cluster's row): square the
-        # differences once, then add their columns in order
-        diffs = b - a[0]
-        diffs *= diffs
-        row = out[0]
-        row[:] = diffs[:, 0]
+    cols = np.ascontiguousarray(b.T)
+    step = max(1, _LOCKSTEP_CELLS // len(b))
+    scratch = np.empty((min(step, len(a)), len(b)))
+    for r in range(0, len(a), step):
+        rows, block = a[r : r + step], out[r : r + step]
+        sq = scratch[: len(block)]
+        np.subtract(rows[:, :1], cols[0], out=block)
+        block *= block
         for j in range(1, d):
-            row += diffs[:, j]
-    else:
-        cols = np.ascontiguousarray(b.T)
-        step = max(1, _LOCKSTEP_CELLS // len(b))
-        scratch = np.empty((min(step, len(a)), len(b)))
-        for r in range(0, len(a), step):
-            rows, block = a[r : r + step], out[r : r + step]
-            sq = scratch[: len(block)]
-            np.subtract(rows[:, :1], cols[0], out=block)
-            block *= block
-            for j in range(1, d):
-                np.subtract(rows[:, j : j + 1], cols[j], out=sq)
-                sq *= sq
-                block += sq
+            np.subtract(rows[:, j : j + 1], cols[j], out=sq)
+            sq *= sq
+            block += sq
     np.sqrt(out, out=out)
     return out
 

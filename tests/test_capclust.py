@@ -240,6 +240,16 @@ class TestKnapsackSelect:
     def test_zero_capacity_selects_nothing(self):
         inst = KnapsackInstance(values=[1.0, 2.0], weights=[1, 1], capacity=0)
         assert knapsack_select(inst).size == 0
+        # no items: the all-fit rule takes the empty set, at any capacity
+        for capacity in (0, 3):
+            chosen = knapsack_select(KnapsackInstance(values=[], weights=[], capacity=capacity))
+            assert chosen.dtype == np.int64 and chosen.shape == (0,)
+
+    def test_claim_with_no_free_point_changes_nothing(self):
+        taken, room = np.array([0, 1, 0]), np.array([2, 5])
+        decay, weights = np.ones((3, 3)), np.array([1, 2, 3])
+        capclust._claim(taken, room, 1, 1, decay, weights)
+        assert taken.tolist() == [0, 1, 0] and room.tolist() == [2, 5]
 
     def test_small_instance_against_subset_enumeration(self):
         # brute force over all 8 subsets: {0,2} carries weight 6 and value 8

@@ -1,6 +1,7 @@
 import configparser
 import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +54,28 @@ def sweep_dir(tmp_path):
     code = main(["run", str(config), "--output", str(out)])
     assert code == EXIT_OK
     return out
+
+
+class TestQuickstartReference:
+    def test_readme_quickstart_runs(self, tmp_path, monkeypatch):
+        # the block's four faircap commands, with its heredoc as sweep.ini
+        text = README.read_text(encoding="utf-8")
+        section = re.split(r"\n##+ ", text.split("## CLI quickstart", 1)[1], 1)[0]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        heredoc = re.search(r"cat > sweep\.ini <<'EOF'\n(.*?\n)EOF\n", block, re.S).group(1)
+        commands = [shlex.split(line) for line in block.splitlines() if line.startswith("faircap ")]
+        assert [c[1] for c in commands] == ["generate", "run", "report", "validate"]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.ini").write_text(heredoc, encoding="utf-8")
+        for command in commands:
+            assert main(command[1:]) == EXIT_OK, command
+        # every file the section names, fairlets_<flavor>.json for both flavors
+        named = set(re.findall(r"`(\w+\.(?:jsonl|csv|json|svg|txt))`", section))
+        named |= {"fairlets_mcf.json", "fairlets_vanilla.json"}
+        assert {"runs.jsonl", "trace.jsonl", "cost.svg", "summary.txt"} <= named
+        for name in named:
+            assert (tmp_path / "out" / name).is_file(), name
+        assert (tmp_path / "toy.csv").is_file()
 
 
 class TestConfigReference:
