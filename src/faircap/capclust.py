@@ -291,38 +291,6 @@ def _repair_room(
     return int(src)
 
 
-def _claim(
-    taken: np.ndarray, room: np.ndarray, ci: int, s: int, decay: np.ndarray,
-    weights: np.ndarray,
-) -> None:
-    """Medoid ``s`` of cluster ``ci`` claims the value-maximal knapsack of the
-    points still unassigned (-1) in ``taken``; updates ``taken`` and ``room``
-    in place."""
-    cand = np.flatnonzero(taken == -1)
-    inst = KnapsackInstance(values=decay[s, cand], weights=weights[cand], capacity=int(room[ci]))
-    chosen = cand[knapsack_select(inst)]
-    taken[chosen] = ci
-    room[ci] -= int(weights[chosen].sum())
-
-
-def _place_leftovers(
-    taken: np.ndarray, room: np.ndarray, med: np.ndarray, dists: np.ndarray,
-    weights: np.ndarray,
-) -> None:
-    """Place the points the knapsacks left over, heaviest first, with the
-    nearest medoid that has room, repairing the rooms when none has; updates
-    ``taken`` and ``room`` in place."""
-    leftovers = np.flatnonzero(taken == -1)
-    for p in leftovers[np.argsort(-weights[leftovers], kind="stable")]:
-        fits = np.flatnonzero(room >= weights[p])
-        if fits.size:
-            ci = int(fits[np.argmin(dists[p, med[fits]])])
-        else:
-            ci = _repair_room(int(p), taken, room, med, dists, weights)
-        taken[p] = ci
-        room[ci] -= weights[p]
-
-
 class _ClassRanks(NamedTuple):
     """The points of one weight class, ranked for every medoid once per run:
     ``order[s]`` lists them by (-decay[s, p], p) and ``values[s]`` holds
@@ -435,14 +403,15 @@ def _two_class_rows(
 def _assign_lockstep(
     cands: np.ndarray, q: int, decay: np.ndarray, dists: np.ndarray,
     weights: np.ndarray, ranks: list[_ClassRanks] | None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, InfeasibilityError | None]:
     """The assignment step for every row of ``cands`` (sorted medoid tuples,
     one per row) at once; returns (``taken`` per row, cost per row, +inf for
-    a row found infeasible). Each row ends exactly as a lone assignment
-    would: position by position, a row whose free points all fit takes them,
-    a row certified by :func:`_two_class_rows` takes its selection, and any
-    other row claims through :func:`knapsack_select`; leftovers are placed
-    row by row.
+    a row found infeasible, the error of the first such row or None). Each
+    row ends exactly as a lone assignment would: position by position, a row
+    whose free points all fit takes them, a row certified by
+    :func:`_two_class_rows` takes its selection (none if ``ranks`` is None),
+    and any other row claims through :func:`knapsack_select`; leftovers are
+    placed row by row.
     """
     r_count, k = cands.shape
     l = len(weights)
@@ -470,19 +439,32 @@ def _assign_lockstep(
             room[rest[ok], j] -= sel_w[ok]
             rest = rest[~ok]
         for r in rest:
-            _claim(taken[r], room[r], j, s[r], decay, weights)
+            cand = np.flatnonzero(taken[r] == -1)
+            inst = KnapsackInstance(decay[s[r], cand], weights[cand], int(room[r, j]))
+            chosen = cand[knapsack_select(inst)]
+            taken[r, chosen] = j
+            room[r, j] -= int(weights[chosen].sum())
 
-    done = (taken >= 0).all(axis=1)
-    for r in np.flatnonzero(~done):
+    error = None
+    for r in np.flatnonzero((taken == -1).any(axis=1)):
+        row, row_room, med = taken[r], room[r], cands[r]
+        leftovers = np.flatnonzero(row == -1)
         try:
-            _place_leftovers(taken[r], room[r], cands[r], dists, weights)
-        except InfeasibilityError:
-            continue
-        done[r] = True
+            for p in leftovers[np.argsort(-weights[leftovers], kind="stable")]:
+                fits = np.flatnonzero(row_room >= weights[p])
+                if fits.size:
+                    ci = int(fits[np.argmin(dists[p, med[fits]])])
+                else:
+                    ci = _repair_room(int(p), row, row_room, med, dists, weights)
+                row[p] = ci
+                row_room[ci] -= weights[p]
+        except InfeasibilityError as exc:
+            error = error or exc
+    done = (taken >= 0).all(axis=1)
     cost = np.full(r_count, np.inf)
     medoid_of = np.take_along_axis(cands[done], taken[done], axis=1)
     cost[done] = dists[np.arange(l), medoid_of].sum(axis=1)
-    return taken, cost
+    return taken, cost, error
 
 
 def kmedoids_fair_capacitated(
@@ -501,15 +483,15 @@ def kmedoids_fair_capacitated(
     knapsacks leave over are placed, heaviest first, with the nearest medoid
     that still has room; when rooms are too fragmented, the cheapest single
     relocation or swap frees room first, and only if that also fails is the
-    instance declared infeasible.
+    instance declared infeasible. :func:`_assign_lockstep` is this step, for
+    the initial sample (one row, without the two-class certificate) and for
+    each round's candidate tuples together, as if one by one.
 
     Improvement step: every (medoid, non-medoid) swap is evaluated with a
     full re-assignment and the best strictly improving swap is applied,
     until none exists. The traced cost (sum of point-to-medoid distances,
     one term per point) is therefore non-increasing, so a medoid tuple
-    evaluated in an earlier round cannot improve on it and is skipped. A
-    round's candidate tuples are assigned together
-    (:func:`_assign_lockstep`), with the same result as one by one.
+    evaluated in an earlier round cannot improve on it and is skipped.
     """
     positions, weights = _check_capacity_inputs(positions, weights, k, q)
     # q above the total weight never binds; capped, room fits in int64 at any epsilon
@@ -522,15 +504,12 @@ def kmedoids_fair_capacitated(
 
     rng = rng_stream(seed, "capclust.kmedoids")
     medoids = tuple(sorted(int(i) for i in rng.choice(l, size=k, replace=False)))
-    # the initial assignment runs alone: one knapsack_select call per medoid
-    med = np.asarray(medoids)
-    taken = np.full(l, -1, dtype=np.int64)
-    taken[med] = np.arange(k)
-    room = q - weights[med]
-    for ci, s in enumerate(medoids):
-        _claim(taken, room, ci, s, decay, weights)
-    _place_leftovers(taken, room, med, dists, weights)
-    best_cost = float(dists[np.arange(l), med[taken]].sum())
+    # the initial sample is a one-row block; without ranks its knapsacks go to
+    # the DP, which on one row is cheaper than building the certificate
+    taken, cost, error = _assign_lockstep(np.array([medoids]), q, decay, dists, weights, None)
+    if error is not None:
+        raise error
+    taken, best_cost = taken[0], float(cost[0])
     trace: list[dict] = [{"iteration": 0, "event": "assign", "cost": best_cost}]
     ranks = _rank_classes(decay, weights)
     chunk = max(1, _LOCKSTEP_CELLS // l)
@@ -554,7 +533,7 @@ def kmedoids_fair_capacitated(
         best_swap: tuple[tuple[int, ...], np.ndarray] | None = None
         for start in range(0, len(pending), chunk):
             block = pending[start : start + chunk]
-            cand_taken, cost = _assign_lockstep(
+            cand_taken, cost, _ = _assign_lockstep(
                 np.array(block), q, decay, dists, weights, ranks
             )
             i = int(np.argmin(cost))

@@ -63,6 +63,16 @@ def check_lambda(lam: float) -> None:
         raise ContractViolationError(f"lambda must be finite and positive, got {lam!r}")
 
 
+def _int_vector(name: str, a: Any) -> np.ndarray:
+    """``a`` as an int64 vector; raise unless it is 1-d of an integer dtype (bool is not)."""
+    a = np.asarray(a)
+    if a.ndim != 1 or a.dtype.kind not in "iu":
+        raise ContractViolationError(
+            f"{name} must be a 1-d integer array, got {a.dtype} of shape {a.shape}"
+        )
+    return a.astype(np.int64)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.flags.writeable = False
@@ -76,13 +86,7 @@ def _check_partition(
     groups and that ``centers[j]`` is a row of group j; return both as frozen
     int64 arrays. ``names`` and ``group`` name the two fields and one group in messages.
     """
-    labels, centers = np.asarray(labels), np.asarray(centers)
-    for name, a in zip(names, (labels, centers)):
-        if a.ndim != 1 or a.dtype.kind not in "iu":
-            raise ContractViolationError(
-                f"{name} must be a 1-d integer array, got {a.dtype} of shape {a.shape}"
-            )
-    labels, centers = labels.astype(np.int64), centers.astype(np.int64)
+    labels, centers = _int_vector(names[0], labels), _int_vector(names[1], centers)
     n, l = labels.size, centers.size
     if not l:
         raise ContractViolationError(f"no {group}s for {n} rows")
@@ -312,9 +316,9 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
 
 def medoid_index(features: np.ndarray, members: Sequence[int]) -> int:
     """The member minimizing summed distance to its co-members (ties: smallest index)."""
-    members = np.asarray(sorted(int(m) for m in members), dtype=np.intp)
-    if members.size == 0:
+    if np.size(members) == 0:
         raise ContractViolationError("cannot take the medoid of an empty set")
+    members = np.sort(_int_vector("members", members))
     sub = np.asarray(features, dtype=np.float64)[members]
     # row blocks bound the working set; each row total is the same pairwise
     # sum as in the full |C| x |C| matrix, so the result is too
@@ -344,13 +348,13 @@ def compose_assignment(
 ) -> Clustering:
     """Lift a fairlet-level assignment to a row-level clustering.
 
-    ``delta[j]`` is the cluster label of fairlet j. Every row lands in the
-    cluster of its fairlet. Cluster labels are renumbered to 0..k-1 in
-    sorted order of the labels used by ``delta``; each cluster's
+    ``delta[j]`` is the integer cluster label of fairlet j. Every row lands
+    in the cluster of its fairlet. Cluster labels are renumbered to 0..k-1
+    in sorted order of the labels used by ``delta``; each cluster's
     representative is its medoid row, so reported costs are comparable
     across clustering methods.
     """
-    fairlet_labels = np.asarray(delta, dtype=np.int64)
+    fairlet_labels = _int_vector("delta", delta)
     if fairlet_labels.shape != (len(decomp),):
         raise ContractViolationError(
             f"delta must assign all {len(decomp)} fairlets, got shape {fairlet_labels.shape}"

@@ -34,7 +34,9 @@ def evaluate(
     params: Params,
     method: str = "unknown",
 ) -> RunRecord:
-    """Compute the record for a clustering; pure given its inputs."""
+    """Compute the record for a clustering of ``params.k`` clusters; pure given its inputs."""
+    if clustering.k != params.k:
+        raise ContractViolationError(f"clustering has k={clustering.k}, params k={params.k}")
     sizes = tuple(sorted((int(s) for s in clustering.sizes), reverse=True))
     return RunRecord(
         method=method,

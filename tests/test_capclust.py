@@ -245,12 +245,6 @@ class TestKnapsackSelect:
             chosen = knapsack_select(KnapsackInstance(values=[], weights=[], capacity=capacity))
             assert chosen.dtype == np.int64 and chosen.shape == (0,)
 
-    def test_claim_with_no_free_point_changes_nothing(self):
-        taken, room = np.array([0, 1, 0]), np.array([2, 5])
-        decay, weights = np.ones((3, 3)), np.array([1, 2, 3])
-        capclust._claim(taken, room, 1, 1, decay, weights)
-        assert taken.tolist() == [0, 1, 0] and room.tolist() == [2, 5]
-
     def test_small_instance_against_subset_enumeration(self):
         # brute force over all 8 subsets: {0,2} carries weight 6 and value 8
         inst = KnapsackInstance(values=[3.0, 4.0, 5.0], weights=[2, 3, 4], capacity=6)
@@ -790,24 +784,28 @@ class TestLockstepAssignment:
         # (and rows whose free points are all of one of them), {2, 3, 4}
         # three; tied positions tie values; lam = 1e-4 decays most values to
         # 0.0; epsilon 1.0 strands points (repairs, infeasible candidates);
-        # chunks of 1 to 6 rows split the rounds
+        # chunks of 1 to 6 rows split the rounds; each run's first block is
+        # its initial sample, one row left to the DP
         seen = dict.fromkeys((
             "certified", "declined", "one-class rows", "three-class claims", "repairs",
             "infeasible", "zero values", "split rounds",
         ), 0)
-        inside, claims, chunks = [], [], []  # claims: _claim calls inside lockstep
+        inside, claims = [], []  # claims: knapsack_select calls inside lockstep
+        chunks = []  # (rows, ranks is None) per lockstep call
         assign_lockstep, two_class_rows = capclust._assign_lockstep, capclust._two_class_rows
-        claim = capclust._claim
+        select = capclust.knapsack_select
 
-        def lockstep_spy(cands, *args):
-            chunks.append(len(cands))
+        def lockstep_spy(cands, q, decay, dists, weights, ranks):
+            chunks.append((len(cands), ranks is None))
             inside.append(True)
             try:
-                taken, cost = assign_lockstep(cands, *args)
+                taken, cost, error = assign_lockstep(cands, q, decay, dists, weights, ranks)
             finally:
                 inside.pop()
+            assert (error is not None) == bool(np.isinf(cost).any())
+            assert error is None or isinstance(error, InfeasibilityError)
             seen["infeasible"] += int(np.isinf(cost).sum())
-            return taken, cost
+            return taken, cost, error
 
         def two_class_spy(free, cap, s, ranks):
             # only the lockstep certifies: a declined row goes to the DP alone
@@ -829,9 +827,10 @@ class TestLockstepAssignment:
                 assert chosen_w[i] == weights[points[rows == i]].sum()
             return ok, rows, points, chosen_w
 
-        def claim_spy(*args):
-            claims.extend(inside)
-            return claim(*args)
+        def select_spy(inst):
+            assert inside, "knapsack_select ran outside _assign_lockstep"
+            claims.append(inst)
+            return select(inst)
 
         def repair_spy(*args):
             seen["repairs"] += len(inside)
@@ -839,7 +838,7 @@ class TestLockstepAssignment:
 
         monkeypatch.setattr(capclust, "_assign_lockstep", lockstep_spy)
         monkeypatch.setattr(capclust, "_two_class_rows", two_class_spy)
-        monkeypatch.setattr(capclust, "_claim", claim_spy)
+        monkeypatch.setattr(capclust, "knapsack_select", select_spy)
         monkeypatch.setattr(capclust, "_repair_room", repair_spy)
         rng = np.random.default_rng(1717)
         classes = ([2, 3], [2], [1, 2], [3], [2, 3, 4], [1, 3])
@@ -859,13 +858,16 @@ class TestLockstepAssignment:
             try:
                 expected = scalar_kmedoids(positions, weights, k, q, lam, seed=trial)
             except InfeasibilityError as exc:
+                chunks.clear()
                 with pytest.raises(InfeasibilityError) as err:
                     kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
                 assert str(err.value) == str(exc)
+                assert chunks == [(1, True)], trial
                 continue
             claims.clear()
             chunks.clear()
             result = kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
+            assert chunks.pop(0) == (1, True), trial
             assert result.assignment.tolist() == expected[0].tolist(), trial
             assert result.trace == expected[1], trial
             if len(classes[trial % 6]) == 3:

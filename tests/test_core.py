@@ -153,6 +153,13 @@ class TestMedoidIndex:
         with pytest.raises(ContractViolationError, match="empty set"):
             medoid_index(np.zeros((3, 2)), [])
 
+    def test_rejects_non_integer_members(self):
+        # [1.9, 2.2] was once truncated to rows [1, 2], and bools read as rows
+        features = np.arange(8.0).reshape(4, 2)
+        for members in ([1.9, 2.2], [True, False, True]):
+            with pytest.raises(ContractViolationError, match="members must be a 1-d integer"):
+                medoid_index(features, members)
+
 
 class TestBalanceOf:
     def test_two_three(self):
@@ -339,6 +346,14 @@ class TestComposeAssignment:
         decomp = _decomp([0, 0, 1])
         with pytest.raises(ContractViolationError):
             compose_assignment(np.array([0]), decomp, data)
+
+    def test_rejects_non_integer_labels(self):
+        # each was once truncated, the floats to [0, 1, 0, 1, 1, 0]
+        data = _dataset(np.arange(6.0), [0, 1, 0, 1, 0, 1])
+        decomp = _decomp(np.arange(6))
+        for delta in ([0.5, 1.7, 0.2, 1.1, 0.9, 0.0], [True, False, True, True, False, False]):
+            with pytest.raises(ContractViolationError, match="delta must be a 1-d integer array"):
+                compose_assignment(np.array(delta), decomp, data)
 
     def test_cluster_counts_equal_summed_fairlet_weights(self):
         rng = np.random.default_rng(5)

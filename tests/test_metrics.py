@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from faircap.baselines import pipeline
-from faircap.core import Params
+from faircap.core import Clustering, Params
 from faircap.errors import ContractViolationError
-from faircap.metrics import size_dispersion
+from faircap.metrics import evaluate, size_dispersion
 from faircap.synth import make_blobs
 
 
@@ -42,6 +42,14 @@ class TestEvaluate:
         data = make_blobs(n=60, balance=1.0, clusters=3, seed=9)
         res = pipeline("kmed_fair_cap_vanilla", data, Params(k=3, epsilon=1.01, seed=3))
         assert max(res.record.sizes) <= res.record.q
+
+    def test_rejects_clustering_of_another_k(self):
+        # a 2-cluster clustering under Params(k=3) was once recorded as k=2
+        # with q=5, the capacity of k=3
+        data = make_blobs(n=12, balance=1.0, clusters=2, seed=0)
+        clustering = Clustering(assignment=np.repeat([0, 1], 6), representatives=(0, 6))
+        with pytest.raises(ContractViolationError, match="clustering has k=2, params k=3"):
+            evaluate(clustering, data, Params(k=3))
 
     def test_purity(self):
         data = make_blobs(n=30, balance=1.0, clusters=2, seed=5)
