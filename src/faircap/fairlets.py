@@ -2,11 +2,11 @@
 
 Two constructions are provided. ``vanilla_decompose`` is cost-agnostic: it
 pairs each minority point with a block of majority points in seed-shuffled
-order. ``mcf_decompose`` is cost-aware: one exact minimum-weight bipartite
-matching of majority points to slots of minority anchors minimizes the
-total member-to-anchor distance over all one-anchor-per-fairlet groupings. The
+order. ``mcf_decompose`` is cost-aware: an exact transportation solver
+groups the majority points around the minority anchors at the least total
+member-to-anchor distance over all one-anchor-per-fairlet groupings. The
 ``mcf`` name is kept from the min-cost-flow formulation of Chierichetti et
-al. (NeurIPS 2017), which this matching solves exactly for t = 1/m.
+al. (NeurIPS 2017), which this grouping solves exactly for t = 1/m.
 
 Both support thresholds of the form t = 1/m only; that covers the t = 0.5
 setting used throughout the experiment harness. Each fairlet's center is
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .core import (
     Dataset,
@@ -103,36 +101,166 @@ def vanilla_decompose(data: Dataset, t: Fraction, seed: int) -> FairletDecomposi
     return _from_groups(group, seed, "fairlets.vanilla")
 
 
-def mcf_decompose(data: Dataset, t: Fraction, seed: int) -> FairletDecomposition:
-    """Cost-aware decomposition via an exact bipartite slot matching.
+def _least_moves(cost: np.ndarray, members: np.ndarray, load: np.ndarray, anchors) -> np.ndarray:
+    """Row j: the least cost[i, k] - cost[i, a] over the first load[j]
+    members i of anchor a = anchors[j], for every anchor k (inf if none)."""
+    gain = cost[members] - cost[members, np.asarray(anchors)[:, None]][:, :, None]
+    gain[np.arange(members.shape[1]) >= load[:, None]] = np.inf
+    return gain.min(1)
 
-    Each minority anchor offers m slots: one mandatory and m-1 optional.
-    The rows of a square (beta*m)-by-(beta*m) matrix are the rho majority
-    points plus beta*m - rho dummy rows; column c is a slot of anchor
-    c % beta, and the first beta columns are the mandatory slots. A majority
-    point costs its Euclidean distance to the slot's anchor; a dummy row
-    costs nothing on optional slots and may not fill a mandatory one. A
-    minimum-weight perfect matching is then a grouping in which every
-    anchor takes between 1 and m majority points at minimum total
-    majority-to-anchor distance. Every weight carries a uniform +1, which
-    leaves the optimum unchanged (each perfect matching has beta*m edges)
-    and keeps zero distances from reading as missing edges in the sparse
-    solver.
+
+def _least_cost_grouping(dists: np.ndarray, m: int) -> np.ndarray:
+    """The anchor of each majority point in a least-cost grouping.
+
+    ``dists`` is the (beta, rho) anchor-to-point distance matrix with
+    beta <= rho <= beta*m. Every point joins one anchor, every anchor takes
+    1 to m points, and the total distance is the least possible.
+
+    The problem is a transportation problem. Each anchor takes exactly m
+    units: its points plus beta*m - rho interchangeable dummy units that
+    cost nothing, at most m-1 of them per anchor, which is the lower bound.
+    Successive shortest paths (Jonker & Volgenant, Computing 38, 1987) keep
+    a potential ``v`` per anchor and ``u_dummy`` for the dummies, so that
+    every reduced cost d(i, k) - u_i - v_k is non-negative and zero on each
+    point's own anchor. Points start at their nearest anchor, at most m each
+    (nearest first), and the dummies fill the room that is left. Then each
+    unplaced point or dummy takes a shortest path in reduced costs to an
+    anchor with room; a path step moves one point to another anchor, or one
+    dummy through the dummy pool. Dijkstra runs over the anchors:
+    ``moves[j, k]`` is the least d(i, k) - d(i, j) over the points i of
+    anchor j, so the reduced step is moves[j, k] + v_j - v_k, and anchors
+    tied at the least label settle together. When no unit is left unplaced,
+    the potentials are a feasible dual solution that meets complementary
+    slackness with the grouping, and by LP duality the grouping is optimal.
+    """
+    cost = np.ascontiguousarray(dists.T)
+    rho, beta = cost.shape
+    inf = np.inf
+    points = np.arange(rho)
+    nearest = cost.argmin(1)
+    order = np.lexsort((cost[points, nearest], nearest))
+    by_anchor = nearest[order]
+    rank = points - np.searchsorted(by_anchor, by_anchor)
+    kept = rank < m
+    anchor = np.full(rho, -1)
+    anchor[order[kept]] = by_anchor[kept]
+    members = np.zeros((beta, m), dtype=np.int64)
+    members[by_anchor[kept], rank[kept]] = order[kept]
+    load = np.bincount(by_anchor[kept], minlength=beta)
+    room = np.where(load > 0, m - load, m - 1)
+    fill = np.argsort(load == 0, kind="stable")
+    dummies = np.zeros(beta, dtype=np.int64)
+    dummies[fill] = np.clip(beta * m - rho - (np.cumsum(room[fill]) - room[fill]), 0, room[fill])
+
+    moves = _least_moves(cost, members, load, np.arange(beta))
+    v = np.zeros(beta)
+    u_dummy = 0.0
+    pool = -1  # a path step through the dummy pool; an unplaced dummy's source
+    start = beta  # a path's first step, from its unplaced point
+    sources = [pool] * (beta * m - rho - int(dummies.sum())) + np.flatnonzero(anchor < 0).tolist()
+    for src in sources:
+        has_room = load + dummies < m
+        takes_dummy = dummies < m - 1
+        unsettled = np.ones(beta, dtype=bool)
+        reach = np.zeros(beta)
+        pred = np.full(beta, start)
+        pool_pred, pool_done = pool, beta * m == rho
+        if src == pool:
+            labels, pool_label = np.full(beta, inf), 0.0
+        else:
+            labels, pool_label = cost[src] - v, inf
+            labels -= labels.min()
+        while True:
+            j = int(labels.argmin())
+            low = labels[j]
+            if not pool_done and pool_label <= low:
+                pool_done = True
+                cand = pool_label - u_dummy - v
+                better = (cand < labels) & unsettled & takes_dummy
+                np.copyto(labels, cand, where=better)
+                np.copyto(pred, pool, where=better)
+                continue
+            if has_room[j]:
+                target, dist = j, low
+                break
+            tied = labels == low
+            if np.count_nonzero(tied) > 1:
+                tied = tied.nonzero()[0]
+                open_ = tied[has_room[tied]]
+                if len(open_):
+                    target, dist = int(open_[0]), low
+                    break
+                steps = moves[tied] + v[tied, None]
+                best = steps.argmin(0)
+                cand = steps[best, np.arange(beta)] - v + low
+                via = tied[best]
+                held = tied[dummies[tied] > 0]
+            else:
+                tied = via = j
+                cand = moves[j] - v
+                cand += low + v[j]
+                held = [j] if dummies[j] else []
+            unsettled[tied] = False
+            labels[tied] = inf
+            reach[tied] = low
+            better = cand < labels
+            better &= unsettled
+            np.copyto(labels, cand, where=better)
+            np.copyto(pred, via, where=better)
+            if not pool_done and len(held):
+                back = low + u_dummy + v[held]
+                h = int(back.argmin())
+                if back[h] < pool_label:
+                    pool_label, pool_pred = back[h], int(held[h])
+        settled = ~unsettled
+        v[settled] += reach[settled] - dist
+        if pool_label <= dist:
+            u_dummy += dist - pool_label
+
+        changed = []
+        cur = target
+        while True:
+            p = int(pred[cur])
+            if p == pool:
+                dummies[cur] += 1
+                if pool_pred == pool:
+                    break
+                dummies[pool_pred] -= 1
+                cur = pool_pred
+                continue
+            if p == start:
+                i = src
+            else:
+                mem = members[p, : load[p]]
+                pos = int((cost[mem, cur] - cost[mem, p]).argmin())
+                i = int(mem[pos])
+                load[p] -= 1
+                members[p, pos] = members[p, load[p]]
+            members[cur, load[cur]] = i
+            load[cur] += 1
+            anchor[i] = cur
+            changed.append(cur)
+            if p == start:
+                break
+            changed.append(p)
+            cur = p
+        moves[changed] = _least_moves(cost, members[changed], load[changed], changed)
+    return anchor
+
+
+def mcf_decompose(data: Dataset, t: Fraction, seed: int) -> FairletDecomposition:
+    """Cost-aware decomposition: a least-cost grouping around minority anchors.
+
+    Each minority point anchors one fairlet, and each majority point joins
+    one anchor, so that every anchor takes between 1 and m majority points
+    at the least total majority-to-anchor Euclidean distance; see
+    :func:`_least_cost_grouping` for the exact solver.
     """
     minority, majority = _split_groups(data, t)
-    beta, rho = len(minority), len(majority)
-    m = Fraction(t).denominator
-    slots = beta * m
     dists = pairwise_distances(data.features[minority], data.features[majority])
-    weights = np.zeros((slots, slots))
-    weights[:rho] = np.tile(dists.T, m) + 1.0
-    weights[rho:, beta:] = 1.0
-    rows, cols = min_weight_full_bipartite_matching(csr_array(weights))
-
     group = np.empty(data.n, dtype=np.int64)
-    group[minority] = np.arange(beta)
-    filled = rows < rho
-    group[majority[rows[filled]]] = cols[filled] % beta
+    group[minority] = np.arange(len(minority))
+    group[majority] = _least_cost_grouping(dists, Fraction(t).denominator)
     return _from_groups(group, seed, "fairlets.mcf")
 
 

@@ -403,6 +403,15 @@ class TestValidation:
         with pytest.raises(ContractViolationError):
             _dataset([[0.0], [1.0]], [0, 2])
 
+    def test_dataset_rejects_fractional_protected_before_casting(self):
+        # the int64 cast would read 0.7 as 0 and 1.9 as 1
+        with pytest.raises(ContractViolationError, match="protected labels must be 0 or 1"):
+            Dataset(features=[[0.0], [1.0], [2.0]], protected=[0.7, 1.0, 1.9])
+        for labels in ([False, True, True], [0.0, 1.0, 1.0]):
+            data = Dataset(features=[[0.0], [1.0], [2.0]], protected=labels)
+            assert data.protected.dtype == np.int64
+            assert data.protected.tolist() == [0, 1, 1]
+
     def test_clustering_rejects_empty_cluster(self):
         with pytest.raises(ContractViolationError, match=r"clusters \[1\] have no rows"):
             Clustering(assignment=np.array([0, 0]), representatives=(0, 1))

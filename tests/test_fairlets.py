@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+from scipy.optimize import linear_sum_assignment
 
 from faircap.core import (
     Dataset,
@@ -21,6 +20,7 @@ from faircap.fairlets import (
     check_threshold,
     decomposition_from_json,
     decomposition_to_json,
+    _least_cost_grouping,
     fairlet_cost,
     mcf_decompose,
     validate,
@@ -46,13 +46,35 @@ def _same(a, b):
     )
 
 
-def reference_decompose(data, t, seed, flavor):
-    """The list-based construction the array code replaced: a list of member
-    rows per group, a seeded center per group in group order, then fairlets
-    sorted by smallest member. Returns [(sorted members, center), ...]."""
+def _split(data):
+    """Minority and majority rows; zeros are the minority on a tie."""
     zeros = np.flatnonzero(data.protected == 0)
     ones = np.flatnonzero(data.protected == 1)
-    minority, majority = (zeros, ones) if len(zeros) <= len(ones) else (ones, zeros)
+    return (zeros, ones) if len(zeros) <= len(ones) else (ones, zeros)
+
+
+def slot_matching(dists, m):
+    """Reference grouping: a minimum-weight perfect matching of the majority
+    points plus beta*m - rho dummy rows to m slots per anchor, the first beta
+    of them mandatory (no dummy may fill one). Returns the anchor of each
+    majority point. scipy's dense ``linear_sum_assignment`` solves it; the
+    sparse csgraph matching that ``mcf_decompose`` once used never returns on
+    some 1-d and tie-heavy inputs."""
+    beta, rho = dists.shape
+    weights = np.zeros((beta * m, beta * m))
+    weights[:rho] = np.tile(dists.T, m)
+    weights[rho:, :beta] = np.inf
+    rows, cols = linear_sum_assignment(weights)
+    return cols[:rho] % beta
+
+
+def reference_decompose(data, t, seed, flavor, anchors=None):
+    """The list-based construction the array code replaced: a list of member
+    rows per group, a seeded center per group in group order, then fairlets
+    sorted by smallest member. Returns [(sorted members, center), ...]. The
+    mcf grouping is ``anchors`` (the anchor of each majority point) when
+    given, else the reference slot matching's."""
+    minority, majority = _split(data)
     if flavor == "vanilla":
         rng = rng_stream(seed, "fairlets.vanilla")
         blues = minority[rng.permutation(len(minority))]
@@ -66,17 +88,12 @@ def reference_decompose(data, t, seed, flavor):
             groups.append([int(blues[i]), *map(int, reds[pos : pos + take])])
             pos += take
     else:
-        beta, rho = len(minority), len(majority)
-        slots = beta * t.denominator
-        dists = pairwise_distances(data.features[minority], data.features[majority])
-        weights = np.zeros((slots, slots))
-        weights[:rho] = np.tile(dists.T, t.denominator) + 1.0
-        weights[rho:, beta:] = 1.0
-        rows, cols = min_weight_full_bipartite_matching(csr_array(weights))
+        if anchors is None:
+            dists = pairwise_distances(data.features[minority], data.features[majority])
+            anchors = slot_matching(dists, t.denominator)
         groups = [[int(b)] for b in minority]
-        for r, c in zip(rows, cols):
-            if r < rho:
-                groups[c % beta].append(int(majority[r]))
+        for r, a in zip(majority, anchors):
+            groups[a].append(int(r))
     rng = rng_stream(seed, f"fairlets.{flavor}", "centers")
     fairlets = []
     for members in groups:
@@ -231,8 +248,12 @@ class TestMcfDecompose:
 
 class TestMatchesReference:
     def test_array_construction_matches_list_reference(self):
-        # 2 to 4 features (1-d data can stall the sparse matching solver),
-        # every fifth instance rounded to one decimal so that distances tie
+        # 1 to 4 features, every fifth instance rounded to one decimal so
+        # that distances tie. Continuous data in 2 or more dimensions has one
+        # least-cost grouping, so it must be the reference's. Rounded and 1-d
+        # data may have several of equal total (on a line, uncrossing two
+        # pairs often keeps the sum), so there the totals must agree and the
+        # list construction is checked on the solver's own grouping
         rng = np.random.default_rng(41)
         for trial in range(200):
             t = Fraction(1, int(rng.integers(2, 5)))
@@ -240,18 +261,27 @@ class TestMatchesReference:
             majority = int(rng.integers(minority, t.denominator * minority + 1))
             protected = np.array([1] * minority + [0] * majority)
             rng.shuffle(protected)
-            features = rng.uniform(0, 1, size=(len(protected), int(rng.integers(2, 5))))
+            features = rng.uniform(0, 1, size=(len(protected), int(rng.integers(1, 5))))
+            ties = trial % 5 == 0 or features.shape[1] == 1
             if trial % 5 == 0:
                 features = features.round(1)
             data = _dataset(features, protected)
             seed = int(rng.integers(0, 1000))
             for flavor, build in (("vanilla", vanilla_decompose), ("mcf", mcf_decompose)):
                 decomp = build(data, t, seed)
-                expected = reference_decompose(data, t, seed, flavor)
+                anchors = None
+                if flavor == "mcf" and ties:
+                    mino, majo = _split(data)
+                    dists = pairwise_distances(data.features[mino], data.features[majo])
+                    anchors = _least_cost_grouping(dists, t.denominator)
+                    ours = dists[anchors, np.arange(len(majo))].sum()
+                    best = dists[slot_matching(dists, t.denominator), np.arange(len(majo))].sum()
+                    assert ours == pytest.approx(best, rel=1e-9, abs=1e-12)
+                expected = reference_decompose(data, t, seed, flavor, anchors)
                 labels = np.empty(data.n, dtype=np.int64)
                 for j, (members, _) in enumerate(expected):
                     labels[list(members)] = j
-                assert decomp.row_to_fairlet.tolist() == labels.tolist()
+                assert decomp.row_to_fairlet.tolist() == labels.tolist(), (trial, flavor)
                 assert decomp.centers.tolist() == [center for _, center in expected]
                 assert decomposition_to_json(decomp) == json.dumps(
                     {
@@ -260,6 +290,34 @@ class TestMatchesReference:
                     }
                 )
                 assert validate(decomp, data, t).violations == ()
+
+
+class TestLeastCostGrouping:
+    def test_cost_matches_slot_matching_on_random_instances(self):
+        # m from 1 to 4, rho from beta to beta*m with both ends forced in
+        # turn, 1 to 4 features; a third of the instances on a 0.1 grid and
+        # every 11th with all points coincident
+        rng = np.random.default_rng(53)
+        for trial in range(1100):
+            m = int(rng.integers(1, 5))
+            beta = int(rng.integers(1, 9))
+            rho = (beta, beta * m, int(rng.integers(beta, beta * m + 1)))[min(trial % 4, 2)]
+            points = rng.uniform(0, 1, size=(beta + rho, int(rng.integers(1, 5))))
+            if trial % 3 == 0:
+                points = points.round(1)
+            if trial % 11 == 0:
+                points[:] = points[0]
+            dists = pairwise_distances(points[:beta], points[beta:])
+            anchors = _least_cost_grouping(dists, m)
+            sizes = np.bincount(anchors, minlength=beta)
+            assert sizes.min() >= 1 and sizes.max() <= m, (trial, sizes)
+            ours = dists[anchors, np.arange(rho)].sum()
+            best = dists[slot_matching(dists, m), np.arange(rho)].sum()
+            assert ours == pytest.approx(best, rel=1e-9, abs=1e-12), trial
+
+            data = _dataset(points, [1] * beta + [0] * rho)
+            decomp = mcf_decompose(data, Fraction(1, m), seed=trial)
+            assert validate(decomp, data, Fraction(1, m)).violations == ()
 
 
 class TestValidate:

@@ -13,7 +13,7 @@ def test_all_names_resolve_without_duplicates():
         assert getattr(faircap, name) is not None, name
 
 
-def _run_fresh(script):
+def _run_fresh(script, timeout=120):
     """Run ``script`` in a fresh interpreter that imports this checkout's faircap.
     A child stuck in native code fails the test at the timeout instead of
     holding the whole run."""
@@ -22,36 +22,56 @@ def _run_fresh(script):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
 
 
 def test_mcf_decompose_does_not_load_scipy_optimize():
     # scipy.optimize costs about 10 MiB of resident memory and 0.15 s of
-    # import time; the fairlet matching must stay on scipy.sparse.csgraph
+    # import time; the fairlet grouping is numpy alone, so no scipy module
+    # at all may load
     _run_fresh(
         "import sys\n"
         "from fractions import Fraction\n"
         "import faircap\n"
         "data = faircap.make_blobs(n=12, balance=0.5, clusters=2, seed=1)\n"
         "faircap.mcf_decompose(data, Fraction(1, 2), seed=1)\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
     )
 
 
 def test_cli_sweep_does_not_load_scipy_spatial(tmp_path):
-    # scipy.spatial costs about 7 MiB of resident memory and 0.15 s of
-    # import time in every CLI process; distances come from numpy alone
+    # importing scipy (scipy.spatial for distances, the sparse matching for
+    # fairlets) cost about 0.33 s and 36 MiB in every CLI process; a CLI run
+    # plus report must load no scipy module at all
     from test_cli import SMALL_SWEEP, write_config
 
     config = write_config(tmp_path, SMALL_SWEEP)
+    out = str(tmp_path / "out")
     _run_fresh(
         "import sys\n"
         "from faircap import cli\n"
-        f"assert cli.main(['run', {str(config)!r}, '--output', {str(tmp_path / 'out')!r}]) == 0\n"
-        "loaded = [m for m in sys.modules if m.startswith('scipy.spatial')]\n"
+        f"assert cli.main(['run', {str(config)!r}, '--output', {out!r}]) == 0\n"
+        f"assert cli.main(['report', {out!r}]) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
+    )
+
+
+def test_mcf_decompose_returns_on_the_matching_hang_input():
+    # scipy's sparse matching never returned on this input, in native code
+    # that Ctrl-C could not stop
+    _run_fresh(
+        "from fractions import Fraction\n"
+        "import numpy as np\n"
+        "import faircap\n"
+        "x = np.random.default_rng(9).uniform(size=(30, 1))\n"
+        "data = faircap.Dataset(features=x, protected=np.arange(30) % 2)\n"
+        "decomp = faircap.mcf_decompose(data, Fraction(1, 2), seed=0)\n"
+        "assert faircap.validate(decomp, data, Fraction(1, 2)).violations == ()\n",
+        timeout=5,
     )
 
 
