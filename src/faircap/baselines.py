@@ -102,7 +102,7 @@ def kmedoids_vanilla(
             break
         swap: tuple[int, int] | None = None
         pos_of, o_of = np.nonzero(screen <= low + 2 * tol)
-        for pos in np.unique(pos_of).tolist():
+        for pos in np.flatnonzero(np.bincount(pos_of)).tolist():
             others = o_of[pos_of == pos]
             floor = np.where(near == pos, ds, dn)
             costs = _swap_costs(dists, floor, others)

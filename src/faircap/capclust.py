@@ -162,8 +162,8 @@ def hierarchical_fair_capacitated(
     # +inf, so a row-major argmin yields the smallest feasible id pair. A merge
     # changes only the merged cluster's weight, so only its entries are re-gated.
     dist = pairwise_distances(cents)
-    dist[np.tril_indices(l)] = np.inf
-    dist[cluster_w[:, None] + cluster_w > q] = np.inf
+    dist[np.tri(l, dtype=bool)] = np.inf
+    dist[cluster_w[:, None] > q - cluster_w] = np.inf
     trace: list[dict] = []
     while len(trace) < l - k:
         i, j = divmod(int(np.argmin(dist)), l)
@@ -246,7 +246,7 @@ def _repair_room(
     the change in medoid distance with p joining c1. Updates ``taken`` and
     ``room`` in place and returns c1.
     """
-    movable = np.setdiff1d(np.flatnonzero(taken >= 0), med)
+    movable = np.setdiff1d(np.flatnonzero(taken >= 0), med, assume_unique=True)
     c1 = taken[movable]
     w = weights[movable]
     to_med = dists[np.ix_(movable, med)]  # [x, c] = dists[x, med[c]]
@@ -304,7 +304,7 @@ class _ClassRanks(NamedTuple):
 def _rank_classes(decay: np.ndarray, weights: np.ndarray) -> list[_ClassRanks] | None:
     """Ranks of the (at most two) weight classes, lighter first, or None when
     there are three or more and every knapsack goes to the DP."""
-    classes = np.unique(weights)
+    classes = np.flatnonzero(np.bincount(weights))
     if classes.size > 2:
         return None
     ranks = []

@@ -19,11 +19,6 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-# np.unique, which every run calls, reads np.ma, a submodule numpy 2 loads on
-# first use (about 17 ms); loading it with the package keeps that one-off
-# cost in start-up rather than in the first clustering
-import numpy.ma  # noqa: F401
-
 from .errors import ContractViolationError
 
 _U64 = (1 << 64) - 1

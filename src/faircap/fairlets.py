@@ -119,19 +119,21 @@ def _least_cost_grouping(dists: np.ndarray, m: int) -> np.ndarray:
     The problem is a transportation problem. Each anchor takes exactly m
     units: its points plus beta*m - rho interchangeable dummy units that
     cost nothing, at most m-1 of them per anchor, which is the lower bound.
-    Successive shortest paths (Jonker & Volgenant, Computing 38, 1987) keep
-    a potential ``v`` per anchor and ``u_dummy`` for the dummies, so that
-    every reduced cost d(i, k) - u_i - v_k is non-negative and zero on each
-    point's own anchor. Points start at their nearest anchor, at most m each
-    (nearest first), and the dummies fill the room that is left. Then each
-    unplaced point or dummy takes a shortest path in reduced costs to an
-    anchor with room; a path step moves one point to another anchor, or one
-    dummy through the dummy pool. Dijkstra runs over the anchors:
-    ``moves[j, k]`` is the least d(i, k) - d(i, j) over the points i of
-    anchor j, so the reduced step is moves[j, k] + v_j - v_k, and anchors
-    tied at the least label settle together. When no unit is left unplaced,
-    the potentials are a feasible dual solution that meets complementary
-    slackness with the grouping, and by LP duality the grouping is optimal.
+    Points start at their nearest anchor, at most m each (nearest first),
+    and the dummies fill the room that is left. Then each unplaced point or
+    dummy takes a shortest path to an anchor with room, by successive
+    shortest paths (Jonker & Volgenant, Computing 38, 1987) over beta + 1
+    nodes: the anchors, and as node beta the pool of dummies, which never
+    has room and where an unplaced dummy starts. A path step moves one point
+    from anchor j to anchor k at the least d(i, k) - d(i, j) over the points
+    i of j, or one dummy from an anchor that holds one into the pool, or
+    from the pool to an anchor that holds fewer than m-1, at cost 0;
+    ``moves[j, k]`` is that cost, inf where no step exists. The solver keeps
+    one potential ``v`` per node, so that every reduced step moves[j, k] +
+    v_j - v_k is non-negative, and Dijkstra settles the nodes tied at the
+    least label together. When no unit is left unplaced, the potentials are
+    a feasible dual solution that meets complementary slackness with the
+    grouping, and by LP duality the grouping is optimal.
     """
     cost = np.ascontiguousarray(dists.T)
     rho, beta = cost.shape
@@ -152,34 +154,29 @@ def _least_cost_grouping(dists: np.ndarray, m: int) -> np.ndarray:
     dummies = np.zeros(beta, dtype=np.int64)
     dummies[fill] = np.clip(beta * m - rho - (np.cumsum(room[fill]) - room[fill]), 0, room[fill])
 
-    moves = _least_moves(cost, members, load, np.arange(beta))
-    v = np.zeros(beta)
-    u_dummy = 0.0
-    pool = -1  # a path step through the dummy pool; an unplaced dummy's source
-    start = beta  # a path's first step, from its unplaced point
-    sources = [pool] * (beta * m - rho - int(dummies.sum())) + np.flatnonzero(anchor < 0).tolist()
+    pool = beta  # the node of the dummy pool
+    dummy = -1  # an unplaced dummy's source, which starts on the pool
+    start = beta + 1  # a path's first step, from its unplaced point
+    moves = np.full((beta + 1, beta + 1), inf)
+    moves[:beta, :beta] = _least_moves(cost, members, load, np.arange(beta))
+    moves[:beta, pool] = np.where(dummies > 0, 0, inf)
+    moves[pool, :beta] = np.where(dummies < m - 1, 0, inf)
+    v = np.zeros(beta + 1)
+    has_room = np.append(load + dummies < m, False)  # the pool never has room
+    sources = [dummy] * (beta * m - rho - int(dummies.sum())) + np.flatnonzero(anchor < 0).tolist()
     for src in sources:
-        has_room = load + dummies < m
-        takes_dummy = dummies < m - 1
-        unsettled = np.ones(beta, dtype=bool)
-        reach = np.zeros(beta)
-        pred = np.full(beta, start)
-        pool_pred, pool_done = pool, beta * m == rho
-        if src == pool:
-            labels, pool_label = np.full(beta, inf), 0.0
+        unsettled = np.ones(beta + 1, dtype=bool)
+        reach = np.zeros(beta + 1)
+        pred = np.full(beta + 1, start)
+        if src == dummy:
+            labels = np.full(beta + 1, inf)
+            labels[pool] = 0.0
         else:
-            labels, pool_label = cost[src] - v, inf
+            labels = np.append(cost[src] - v[:beta], inf)
             labels -= labels.min()
         while True:
             j = int(labels.argmin())
             low = labels[j]
-            if not pool_done and pool_label <= low:
-                pool_done = True
-                cand = pool_label - u_dummy - v
-                better = (cand < labels) & unsettled & takes_dummy
-                np.copyto(labels, cand, where=better)
-                np.copyto(pred, pool, where=better)
-                continue
             if has_room[j]:
                 target, dist = j, low
                 break
@@ -192,14 +189,12 @@ def _least_cost_grouping(dists: np.ndarray, m: int) -> np.ndarray:
                     break
                 steps = moves[tied] + v[tied, None]
                 best = steps.argmin(0)
-                cand = steps[best, np.arange(beta)] - v + low
+                cand = steps[best, np.arange(beta + 1)] - v + low
                 via = tied[best]
-                held = tied[dummies[tied] > 0]
             else:
                 tied = via = j
                 cand = moves[j] - v
                 cand += low + v[j]
-                held = [j] if dummies[j] else []
             unsettled[tied] = False
             labels[tied] = inf
             reach[tied] = low
@@ -207,44 +202,35 @@ def _least_cost_grouping(dists: np.ndarray, m: int) -> np.ndarray:
             better &= unsettled
             np.copyto(labels, cand, where=better)
             np.copyto(pred, via, where=better)
-            if not pool_done and len(held):
-                back = low + u_dummy + v[held]
-                h = int(back.argmin())
-                if back[h] < pool_label:
-                    pool_label, pool_pred = back[h], int(held[h])
         settled = ~unsettled
         v[settled] += reach[settled] - dist
-        if pool_label <= dist:
-            u_dummy += dist - pool_label
 
         changed = []
         cur = target
-        while True:
+        while cur != (pool if src == dummy else start):
             p = int(pred[cur])
-            if p == pool:
-                dummies[cur] += 1
-                if pool_pred == pool:
-                    break
-                dummies[pool_pred] -= 1
-                cur = pool_pred
-                continue
-            if p == start:
-                i = src
+            if pool in (p, cur):  # a dummy joins cur from the pool, or leaves p for it
+                k, step = (cur, 1) if p == pool else (p, -1)
+                dummies[k] += step
+                moves[k, pool] = 0 if dummies[k] else inf
+                moves[pool, k] = 0 if dummies[k] < m - 1 else inf
             else:
-                mem = members[p, : load[p]]
-                pos = int((cost[mem, cur] - cost[mem, p]).argmin())
-                i = int(mem[pos])
-                load[p] -= 1
-                members[p, pos] = members[p, load[p]]
-            members[cur, load[cur]] = i
-            load[cur] += 1
-            anchor[i] = cur
-            changed.append(cur)
-            if p == start:
-                break
-            changed.append(p)
+                if p == start:
+                    i = src
+                else:
+                    mem = members[p, : load[p]]
+                    pos = int((cost[mem, cur] - cost[mem, p]).argmin())
+                    i = int(mem[pos])
+                    load[p] -= 1
+                    members[p, pos] = members[p, load[p]]
+                    changed.append(p)
+                members[cur, load[cur]] = i
+                load[cur] += 1
+                anchor[i] = cur
+                changed.append(cur)
             cur = p
-        moves[changed] = _least_moves(cost, members[changed], load[changed], changed)
+        has_room[target] = load[target] + dummies[target] < m  # no other count changed
+        moves[changed, :beta] = _least_moves(cost, members[changed], load[changed], changed)
     return anchor
 
 

@@ -34,36 +34,23 @@ def make_blobs(
     clusters: int = 3,
     noise: float = 0.06,
     seed: int = 0,
-    blob_weights: tuple[float, ...] | None = None,
 ) -> Dataset:
     """Generate an n-row dataset of two features with the requested protected balance.
 
-    ``blob_weights`` sets relative blob sizes (default equal); sizes are
-    rounded largest-remainder so they sum to n.
+    The blobs take n // clusters rows each, and the first n % clusters of
+    them one row more.
     """
     n, clusters = check_integer("n", n), check_integer("clusters", clusters)
     minority = minority_count(n, balance)  # checks n >= 2 before the blobs are sized
     if clusters < 1:
         raise ContractViolationError("clusters must be positive")
-    weights = blob_weights if blob_weights is not None else (1.0,) * clusters
-    if len(weights) != clusters or not all(0 < w < math.inf for w in weights):
-        raise ContractViolationError("blob_weights needs one positive finite entry per blob")
-
-    total = sum(weights)
-    exact = [n * w / total for w in weights]
-    sizes = [int(x) for x in exact]
-    remainders = sorted(
-        range(clusters), key=lambda i: (-(exact[i] - sizes[i]), i)
-    )
-    for i in remainders[: n - sum(sizes)]:
-        sizes[i] += 1
 
     rng = rng_stream(seed, "synth.blobs")
     angles = 2 * math.pi * np.arange(clusters) / clusters
     centers = 0.5 + 0.38 * np.column_stack((np.cos(angles), np.sin(angles)))
 
     blocks = [
-        centers[i] + noise * rng.standard_normal((sizes[i], 2))
+        centers[i] + noise * rng.standard_normal((n // clusters + (i < n % clusters), 2))
         for i in range(clusters)
     ]
     features = np.vstack(blocks)

@@ -303,10 +303,10 @@ def test_criterion_08_small_instance_optimality():
 
 
 def test_criterion_09_capacity_trend():
-    data = faircap.make_blobs(
-        n=300, balance=1.0, clusters=3, noise=0.05,
-        blob_weights=(0.6, 0.25, 0.15), seed=90210,
-    )
+    # blobs of 180, 75 and 45 rows: the head of each of three 180-row blobs
+    blobs = faircap.make_blobs(n=540, balance=1.0, clusters=3, noise=0.05, seed=90210)
+    rows = np.r_[0:180, 180:255, 360:405]
+    data = faircap.Dataset(features=blobs.features[rows], protected=blobs.protected[rows])
     records = {}
     for method in ("vanilla_kmedoids",) + FAIR_CAPACITATED:
         epsilon = 1.2 if method.startswith("hier") else 1.01

@@ -433,6 +433,22 @@ class TestHierarchical:
             outcomes.add("ok")
         assert outcomes == {"ok", "infeasible"}
 
+    def test_setup_peak_memory_is_about_the_distance_matrix(self):
+        # the set-up gates the l x l matrix with boolean masks; the index
+        # arrays of its lower triangle and an int64 l x l weight sum once
+        # took twice its size
+        l = 2000
+        positions = np.random.default_rng(7).uniform(size=(l, 2))
+        weights = np.ones(l, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            result = hierarchical_fair_capacitated(positions, weights, k=l - 1, q=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.trace) == 1
+        assert peak < 1.5 * l * l * 8
+
     def test_identity_when_k_equals_points(self):
         positions, weights = unit_points([0.0, 5.0, 9.0])
         result = hierarchical_fair_capacitated(positions, weights, k=3, q=2)

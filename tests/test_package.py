@@ -60,6 +60,31 @@ def test_cli_sweep_does_not_load_scipy_spatial(tmp_path):
     )
 
 
+def test_kmedoids_run_does_not_load_numpy_ma(tmp_path):
+    # numpy 2 loads numpy.ma on first use, about 15 ms, from np.unique
+    # without return arguments and np.setdiff1d without assume_unique; the
+    # k-medoids stages, kmed's room repair included, call neither
+    from test_cli import SMALL_SWEEP, write_config
+
+    methods = "kmed_fair_cap_mcf, kmed_fair_cap_vanilla, vanilla_kmedoids"
+    config = write_config(tmp_path, SMALL_SWEEP.replace("methods = all", f"methods = {methods}"))
+    out = str(tmp_path / "out")
+    _run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "eager = 'numpy.ma' in sys.modules  # numpy versions that load it at import\n"
+        "from faircap import cli\n"
+        "from faircap.capclust import _repair_room\n"
+        f"assert cli.main(['run', {str(config)!r}, '--output', {out!r}]) == 0\n"
+        "x = np.array([0.0, 1.0, 5.0, 6.0, 2.0])\n"
+        "taken, room = np.array([0, 0, 1, 1, -1]), np.array([1, 2])\n"
+        "weights, med = np.array([1, 1, 1, 1, 2]), np.array([0, 3])\n"
+        "assert _repair_room(4, taken, room, med, abs(x[:, None] - x), weights) == 0\n"
+        "assert taken.tolist() == [0, 1, 1, 1, -1]\n"
+        "assert eager or 'numpy.ma' not in sys.modules\n"
+    )
+
+
 def test_mcf_decompose_returns_on_the_matching_hang_input():
     # scipy's sparse matching never returned on this input, in native code
     # that Ctrl-C could not stop

@@ -40,18 +40,11 @@ class TestMakeBlobs:
             ideal = n * balance / (1 + balance)
             assert abs(minority - ideal) <= 1
 
-    def test_blob_weights_control_sizes(self):
-        data = make_blobs(
-            n=100, clusters=2, noise=0.0, blob_weights=(0.7, 0.3), seed=1
-        )
-        # zero noise puts each row exactly on its blob center
-        uniq, counts = np.unique(data.features, axis=0, return_counts=True)
-        assert sorted(counts.tolist()) == [30, 70]
-
-    def test_rejects_non_finite_or_nonpositive_blob_weights(self):
-        for bad in (float("nan"), float("inf"), 0.0, -1.0):
-            with pytest.raises(ContractViolationError, match="blob_weights"):
-                make_blobs(n=20, clusters=2, blob_weights=(bad, 1.0))
+    def test_blobs_split_rows_evenly(self):
+        data = make_blobs(n=100, clusters=3, noise=0.0, seed=1)
+        # zero noise puts each row exactly on its blob center, in blob order
+        _, first, counts = np.unique(data.features, axis=0, return_index=True, return_counts=True)
+        assert counts[np.argsort(first)].tolist() == [34, 33, 33]
 
     def test_rejects_fewer_than_two_rows(self):
         for n in (-5, 0, 1):
