@@ -51,12 +51,16 @@ def kmedoids_vanilla(
     best strictly improving (medoid, non-medoid) swap per round until a local
     optimum. No fairness or capacity handling.
 
-    Each round screens every (medoid, non-medoid) pair in one pass, from each
-    point's nearest and second-nearest medoid distance (FastPAM1, Schubert &
+    Each round screens every (medoid, non-medoid) pair from each point's
+    nearest and second-nearest medoid distance (FastPAM1, Schubert &
     Rousseeuw, SISAP 2019), then recomputes exactly the pairs whose screened
     cost lies near the minimum. The swap is the exactly cheapest pair, first
     by medoid position and then by non-medoid index, if it costs strictly
-    less than the current medoids.
+    less than the current medoids. The screen is kept from one round to the
+    next: after a swap, only the points whose nearest medoid, or nearest or
+    second-nearest distance, changed have their terms taken out and put back
+    in. It is rebuilt in full on the first round and whenever more than half
+    the points changed.
 
     Weights are ignored: the points are the singleton fairlets of the raw
     rows. Returns the point-level assignment, with labels 0..k-1 in medoid
@@ -71,31 +75,65 @@ def kmedoids_vanilla(
     best = float(dists[:, medoids].min(axis=1).sum())
     # A swap cost sums n nonnegative terms, each at most its column's entry,
     # so any float summation order is off from the exact cost by at most
-    # about n * eps/2 times the largest column sum. The screen adds up three
-    # such sums; tol bounds the gap between a screened and an exact cost with
-    # headroom, so a pair screened out is never the exactly cheapest.
-    tol = 8 * n * np.finfo(np.float64).eps * float(dists.sum(axis=0).max())
-    block = max(1, _LOCKSTEP_CELLS // n)
-    kept_buf, lost_buf = np.empty((2, min(block, n), n))
+    # about n * eps/2 times the largest column sum. A rebuilt screen adds up
+    # two more such sums, kept and lost. An update adds at most n signed terms
+    # to each, the moved points' new terms and their negated old ones, whose
+    # absolute values sum to at most two column sums; so each update moves the
+    # screen off by at most about 2n * eps times the largest column sum more.
+    # tol starts at one step, which bounds the gap between a screened and an
+    # exact cost with headroom, and grows by one step per update, so a pair
+    # screened out is never the exactly cheapest.
+    step = 8 * n * np.finfo(np.float64).eps * float(dists.sum(axis=0).max())
+    # the two work matrices share one budget of cells
+    block = max(1, _LOCKSTEP_CELLS // (2 * n))
+    bufs = np.empty((2, min(block, n) * n))
+    # screen[pos, o] = kept[o] + lost[pos, o]: removing medoid pos leaves point
+    # i at dn_i, or at ds_i if pos was its nearest, and swapping o in caps
+    # that at d_io
+    kept = np.empty(n)
+    lost, spare = np.empty((2, k, n))
+    last = None
     while n > k:
-        to_medoids = dists[:, medoids]
-        near = np.argmin(to_medoids, axis=1)
-        ranked = np.sort(to_medoids, axis=1)
-        dn = ranked[:, 0]
-        ds = ranked[:, 1] if k > 1 else np.full(n, np.inf)
-        # removing medoid pos leaves point i at dn_i, or at ds_i if pos was
-        # its nearest: screen[pos, o] sums min(that, d_io) over the points
-        member = np.zeros((k, n))
-        member[near, np.arange(n)] = 1.0
-        screen = np.empty((k, n))
-        for c in range(0, n, block):
-            # distances are symmetric, so row block c holds column block c
-            # and is contiguous
-            rows = dists[c : c + block]
-            kept = np.minimum(dn, rows, out=kept_buf[: len(rows)])
-            lost = np.minimum(ds, rows, out=lost_buf[: len(rows)])
-            lost -= kept
-            screen[:, c : c + block] = kept.sum(axis=1) + member @ lost.T
+        at = np.array(medoids)
+        # row m of the symmetric matrix is its column m; rows keep dn and ds contiguous
+        to_medoids = dists[medoids]
+        near = np.argmin(to_medoids, axis=0)
+        to_medoids.sort(axis=0)
+        dn = to_medoids[0]
+        ds = to_medoids[1] if k > 1 else np.full(n, np.inf)
+        if last is not None:
+            was_at, was_near, was_dn, was_ds = last
+            moved = np.flatnonzero((at[near] != was_at[was_near]) | (dn != was_dn) | (ds != was_ds))
+        if last is None or 2 * len(moved) > n:
+            kept[:] = lost[:] = 0.0
+            _add_screen_terms(kept, lost, dists, None, dn, ds, near, np.ones(n), block, bufs, spare)
+            tol = step
+        else:
+            # lost's rows follow the sorted medoids: the row of the medoid
+            # swapped out at pos goes, with the terms of exactly the points it
+            # was nearest to, and the row of o, swapped in, starts empty
+            np.take(lost, np.searchsorted(was_at, at), axis=0, out=spare, mode="clip")
+            lost, spare = spare, lost
+            lost[at == o] = 0.0
+            was_row = np.searchsorted(at, was_at)
+            was_row[pos] = k
+            # the moved points' new terms in, their old ones out
+            _add_screen_terms(
+                kept,
+                lost,
+                dists,
+                np.concatenate([moved, moved]),
+                np.concatenate([dn[moved], was_dn[moved]]),
+                np.concatenate([ds[moved], was_ds[moved]]),
+                np.concatenate([near[moved], was_row[was_near[moved]]]),
+                np.repeat([1.0, -1.0], len(moved)),
+                block,
+                bufs,
+                spare,
+            )
+            tol += step
+        last = at, near, dn, ds
+        screen = np.add(lost, kept, out=spare)  # spare is free until the next round
         screen[:, medoids] = np.inf
         low = float(screen.min())
         if low > best + tol:
@@ -118,6 +156,45 @@ def kmedoids_vanilla(
     assignment = np.argmin(dists[:, medoids], axis=1)
     assignment[medoids] = np.arange(k)  # coincident medoids each keep their own row
     return assignment
+
+
+def _add_screen_terms(
+    kept: np.ndarray,
+    lost: np.ndarray,
+    dists: np.ndarray,
+    points: np.ndarray | None,
+    dn: np.ndarray,
+    ds: np.ndarray,
+    row: np.ndarray,
+    sign: np.ndarray,
+    block: int,
+    bufs: np.ndarray,
+    spare: np.ndarray,
+) -> None:
+    """Add p signed point terms to PAM's swap screen.
+
+    Term j, for point ``points[j]`` (point j if ``points`` is None), adds
+    ``sign[j] * min(dn[j], d_io)`` to ``kept[o]`` and ``sign[j]`` times
+    ``min(ds[j], d_io) - min(dn[j], d_io)`` to ``lost[row[j], o]``, or to no
+    row of ``lost`` if ``row[j]`` is ``len(lost)``. Works through the two
+    flat ``bufs`` in blocks of ``block`` candidate rows; ``spare``, a matrix
+    of ``lost``'s shape, is overwritten.
+    """
+    k, p = len(lost), len(dn)
+    member = np.zeros((k + 1, p))
+    member[row, np.arange(p)] = sign
+    for c in range(0, len(dists), block):
+        # distances are symmetric, so row block c holds column block c
+        rows = dists[c : c + block]
+        m = len(rows)
+        cols_buf, terms_buf = (buf[: m * p].reshape(m, p) for buf in bufs)
+        cols = rows if points is None else np.take(rows, points, axis=1, out=cols_buf, mode="clip")
+        near_terms = np.minimum(cols, dn, out=terms_buf)
+        kept[c : c + m] += near_terms @ sign
+        lost_terms = np.minimum(cols, ds, out=cols_buf)
+        lost_terms -= near_terms
+        product = spare.reshape(-1)[: k * m].reshape(k, m)
+        lost[:, c : c + m] += np.matmul(member[:k], lost_terms.T, out=product)
 
 
 def _swap_costs(dists: np.ndarray, floor: np.ndarray, others: np.ndarray) -> np.ndarray:

@@ -154,15 +154,19 @@ def hierarchical_fair_capacitated(
     l = len(weights)
     w = weights.astype(np.float64)
     label = np.arange(l)
+    dead = np.zeros(l, dtype=bool)
     cluster_w = weights.copy()
     # Singletons go through the same expression as merged centroids below,
     # so every centroid is rounded the same way.
-    cents = positions * w[:, None] / w[:, None]
-    # dist[i, j] for live ids i < j whose combined weight fits under q, else
-    # +inf, so a row-major argmin yields the smallest feasible id pair. A merge
-    # changes only the merged cluster's weight, so only its entries are re-gated.
+    weighted = positions * w[:, None]
+    cents = weighted / w[:, None]
+    # dist[i, j] for live ids i != j whose combined weight fits under q, else
+    # +inf. The matrix is symmetric, so the first row-major occurrence of its
+    # minimum lies above the diagonal: argmin yields the smallest feasible id
+    # pair, as over the upper triangle alone. A merge changes only the merged
+    # cluster's weight, so only its entries are re-gated.
     dist = pairwise_distances(cents)
-    dist[np.tri(l, dtype=bool)] = np.inf
+    np.fill_diagonal(dist, np.inf)
     dist[cluster_w[:, None] > q - cluster_w] = np.inf
     trace: list[dict] = []
     while len(trace) < l - k:
@@ -174,16 +178,15 @@ def hierarchical_fair_capacitated(
             )
         trace.append({"iteration": len(trace) + 1, "event": "merge", "cost": float(dist[i, j])})
         label[label == j] = i
+        dead[j] = True
         cluster_w[i] += cluster_w[j]
-        dist[j, :] = dist[:, j] = np.inf
         idx = np.flatnonzero(label == i)
-        cents[i] = (positions[idx] * w[idx, None]).sum(axis=0) / w[idx].sum()
-        alive = np.flatnonzero(label == np.arange(l))
-        row = pairwise_distances(cents[i : i + 1], cents[alive])[0]
-        row[cluster_w[i] + cluster_w[alive] > q] = np.inf
-        below, above = alive < i, alive > i
-        dist[alive[below], i] = row[below]
-        dist[i, alive[above]] = row[above]
+        cents[i] = weighted[idx].sum(axis=0) / w[idx].sum()
+        row = pairwise_distances(cents[i : i + 1], cents)[0]
+        row[dead | (cluster_w[i] + cluster_w > q)] = np.inf
+        row[i] = np.inf
+        dist[i] = dist[:, i] = row
+        dist[j] = dist[:, j] = np.inf
     return StageResult(np.unique(label, return_inverse=True)[1], tuple(trace))
 
 

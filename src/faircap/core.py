@@ -272,9 +272,9 @@ class Params:
 
 
 # Cells of one blocked work matrix (a row block of pairwise_distances, a
-# lockstep chunk of kmed candidates, a block of PAM's swap screen, a row
-# block of medoid_index): about 1 MiB per 8-byte matrix, whatever the number
-# of points.
+# lockstep chunk of kmed candidates, the two work matrices of a block of
+# PAM's swap screen together, a row block of medoid_index): about 1 MiB per
+# 8-byte matrix, whatever the number of points.
 _LOCKSTEP_CELLS = 1 << 17
 
 

@@ -238,7 +238,7 @@ class TestKMedoidsVanilla:
                 coords = rng.uniform(0, 1, size=(n, d))
                 if trial % 2:
                     coords = coords.round(1)
-            monkeypatch.setattr(baselines, "_LOCKSTEP_CELLS", n * (1 + trial % 5))
+            monkeypatch.setattr(baselines, "_LOCKSTEP_CELLS", 2 * n * (1 + trial % 5))
             data = _dataset(coords, np.arange(n) % 2)
             seed = int(rng.integers(0, 1000))
             assignment, _ = reference_pam(data, k, seed)
@@ -246,6 +246,55 @@ class TestKMedoidsVanilla:
             assert labels.tolist() == assignment.tolist(), trial
             outcomes.add({1: "k == 1", n: "k == n"}.get(k, "ok"))
         assert outcomes == {"ok", "k == 1", "k == n", "grid"}
+
+    def test_kept_screen_matches_plain_reference(self, monkeypatch):
+        # n of 100-300 and k up to 24 keep the screen for dozens of rounds,
+        # each widening tol. Integer grids tie swap costs exactly, duplicated
+        # halves tie whole medoid columns, and a 1e6 offset makes every
+        # distance and sum round. A spy on the screen's one helper tells a
+        # full rebuild (all points, in order) from an update (moved points).
+        rounds = []
+        add_terms = baselines._add_screen_terms
+
+        def spy(kept, lost, dists, points, *rest):
+            rounds.append("rebuild" if points is None else "update")
+            add_terms(kept, lost, dists, points, *rest)
+
+        monkeypatch.setattr(baselines, "_add_screen_terms", spy)
+        rng = np.random.default_rng(2610)
+        outcomes = set()
+        for trial in range(16):
+            n = int(rng.integers(100, 301))
+            d = int(rng.integers(1, 4))
+            k = int(rng.integers(2, 25))
+            kind = ("grid", "rounded", "offset", "duplicated")[trial % 4]
+            coords = rng.uniform(0, 1, size=(n, d))
+            if kind == "grid":
+                coords = rng.integers(0, 6, size=(n, d)).astype(float)
+            elif kind == "rounded":
+                coords = coords.round(1)
+            elif kind == "offset":
+                coords += 1e6
+            else:
+                coords[n // 2 :] = coords[: n - n // 2]
+            data = _dataset(coords, np.arange(n) % 2)
+            seed = int(rng.integers(0, 1000))
+            rounds.clear()
+            assignment, _ = reference_pam(data, k, seed)
+            labels = kmedoids_vanilla(*unit_points(coords), k, seed)
+            assert labels.tolist() == assignment.tolist(), trial
+            assert rounds[0] == "rebuild"
+            if rounds.count("update") >= 10:
+                outcomes.add(f"{kind}, many updates")
+            if "rebuild" in rounds[1:]:
+                outcomes.add("later rebuild")
+        assert outcomes == {
+            "grid, many updates",
+            "rounded, many updates",
+            "offset, many updates",
+            "duplicated, many updates",
+            "later rebuild",
+        }
 
     def test_exact_cost_of_one_candidate_is_the_full_matrix_column(self):
         # the full matrix of every non-medoid is how the swap costs were
@@ -270,7 +319,7 @@ class TestKMedoidsVanilla:
     def test_swap_search_keeps_a_small_working_set(self):
         # at n = 600 the distance matrix is 2.7 MiB; building k minimum
         # matrices of n x (n - k) per round peaked at 8.3 MiB, and the screen
-        # in blocks of about 1 MiB stays near 6 MiB
+        # through two work matrices of about 0.5 MiB stays near 4 MiB
         data = make_blobs(n=600, balance=0.5, clusters=4, seed=7)
         tracemalloc.start()
         try:
