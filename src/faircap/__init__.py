@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .baselines import METHODS, kcenter_greedy, kmedoids_vanilla, pipeline
 from .capclust import (
     KnapsackInstance,
+    MergeLog,
     capacity_threshold,
     hierarchical_fair_capacitated,
     kmedoids_fair_capacitated,
@@ -41,6 +42,7 @@ __all__ = [
     "FairletDecomposition",
     "KnapsackInstance",
     "METHODS",
+    "MergeLog",
     "Params",
     "balance_of",
     "capacity_threshold",

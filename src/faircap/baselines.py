@@ -258,12 +258,15 @@ def pipeline(
     data: Dataset,
     params: Params,
     decomposition: FairletDecomposition | None = None,
+    merges: capclust.MergeLog | None = None,
 ) -> PipelineResult:
     """Run one method end to end and evaluate the resulting clustering.
 
     ``decomposition`` lets a sweep reuse one decomposition across k values;
     it must equal what the method would compute itself (same data, t, seed),
-    so passing it never changes the result.
+    so passing it never changes the result. ``merges`` lets a hier method's
+    sweep share merges across k values (see :class:`~faircap.capclust.MergeLog`);
+    other stages ignore it.
     """
     if method not in METHODS:
         raise ContractViolationError(
@@ -282,7 +285,9 @@ def pipeline(
     else:
         q = capclust.capacity_threshold(data.n, params.k, params.epsilon)
         if stage == "hier":
-            delta, trace = capclust.hierarchical_fair_capacitated(positions, weights, params.k, q)
+            delta, trace = capclust.hierarchical_fair_capacitated(
+                positions, weights, params.k, q, merges=merges
+            )
         else:
             delta, trace = capclust.kmedoids_fair_capacitated(
                 positions, weights, params.k, q, params.lam, params.seed

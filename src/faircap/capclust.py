@@ -8,7 +8,10 @@ two arrays: ``positions`` (one row per fairlet: its center's features) and
 
 * :func:`hierarchical_fair_capacitated` repeatedly merges the pair of
   clusters with the closest centroids among those whose combined weight
-  fits under the capacity, until k clusters remain.
+  fits under the capacity, until k clusters remain. Calls on the same
+  points can share a :class:`MergeLog`: a call with a capacity no larger
+  than the log's replays the logged merges that fit it, since a tighter
+  gate only removes pairs, and gets the results of a call without one.
 * :func:`kmedoids_fair_capacitated` alters the k-medoids assignment step:
   each medoid greedily claims the value-maximal set of still-unassigned
   fairlets that fits its capacity, where a fairlet's value decays
@@ -34,6 +37,7 @@ import numpy as np
 
 from .core import (
     _LOCKSTEP_CELLS,
+    _distance_row,
     check_epsilon,
     check_integer,
     check_lambda,
@@ -138,8 +142,54 @@ class StageResult(NamedTuple):
     trace: tuple[dict, ...]
 
 
+class MergeLog:
+    """The merges of one :func:`hierarchical_fair_capacitated` run, kept for
+    later runs on the same points to replay.
+
+    Gating by a smaller capacity only removes pairs, so the closest pair
+    feasible under the log's capacity is also the closest feasible under any
+    smaller q whenever its merged weight fits q: a run with q no larger than
+    the log's repeats the logged merges up to the first one heavier than q,
+    its own l - k merges, or the end of the log, with the same results as a
+    run from singletons. A run that merges on past that point replaces the
+    rest of the log with its own merges and capacity; a run with a larger q
+    than the log's replays nothing. A k-sweep, whose q falls as k rises,
+    creates one log per set of points and passes it to each k's call in
+    ascending order.
+    """
+
+    def __init__(self) -> None:
+        self.positions: np.ndarray | None = None  # the points, set by the first run
+        self.weights: np.ndarray | None = None
+        self.q = 0
+        self.pairs: list[tuple[int, int]] = []  # (i, j): j merged into i
+        self.loads: list[int] = []  # the merged cluster's weight
+        self.costs: list[float] = []
+
+    def start(self, positions: np.ndarray, weights: np.ndarray, q: int, limit: int) -> int:
+        """The number of leading merges, at most ``limit``, that a run on
+        these points with capacity q repeats from this log. Raises
+        :class:`ContractViolationError` for a log of other points."""
+        if self.positions is None:
+            self.positions, self.weights = positions.copy(), weights.copy()
+        elif not (
+            np.array_equal(self.positions, positions) and np.array_equal(self.weights, weights)
+        ):
+            raise ContractViolationError("the merge log was recorded on other points")
+        if q > self.q:
+            self.restart(0, q)
+        fits = [load <= q for load in self.loads[:limit]] + [False]
+        return fits.index(False)
+
+    def restart(self, merges: int, q: int) -> None:
+        """Keep the first ``merges`` merges, which fit q, as the start of a
+        run with capacity q."""
+        del self.pairs[merges:], self.loads[merges:], self.costs[merges:]
+        self.q = q
+
+
 def hierarchical_fair_capacitated(
-    positions: np.ndarray, weights: np.ndarray, k: int, q: int
+    positions: np.ndarray, weights: np.ndarray, k: int, q: int, merges: MergeLog | None = None
 ) -> StageResult:
     """Agglomerative clustering with a capacity gate on every merge.
 
@@ -149,45 +199,70 @@ def hierarchical_fair_capacitated(
     pair, where a cluster's id is its smallest member index, so a merged
     cluster keeps the smaller of the two ids. When no pair of the remaining
     clusters fits, an infeasibility error suggests a looser epsilon.
+
+    ``merges``, a :class:`MergeLog` the caller keeps, lets calls on the same
+    points share merges; passing it never changes the result.
     """
     positions, weights = _check_capacity_inputs(positions, weights, k, q)
     l = len(weights)
+    log = MergeLog() if merges is None else merges
+    done = log.start(positions, weights, q, l - k)
     w = weights.astype(np.float64)
-    label = np.arange(l)
-    dead = np.zeros(l, dtype=bool)
-    cluster_w = weights.copy()
-    # Singletons go through the same expression as merged centroids below,
-    # so every centroid is rounded the same way.
     weighted = positions * w[:, None]
-    cents = weighted / w[:, None]
-    # dist[i, j] for live ids i != j whose combined weight fits under q, else
-    # +inf. The matrix is symmetric, so the first row-major occurrence of its
-    # minimum lies above the diagonal: argmin yields the smallest feasible id
-    # pair, as over the upper triangle alone. A merge changes only the merged
-    # cluster's weight, so only its entries are re-gated.
-    dist = pairwise_distances(cents)
-    np.fill_diagonal(dist, np.inf)
-    dist[cluster_w[:, None] > q - cluster_w] = np.inf
-    trace: list[dict] = []
-    while len(trace) < l - k:
-        i, j = divmod(int(np.argmin(dist)), l)
-        if not np.isfinite(dist[i, j]):
-            raise InfeasibilityError(
-                f"no pair of the remaining {l - len(trace)} clusters fits under "
-                f"capacity {q}; rerun with a larger epsilon"
-            )
-        trace.append({"iteration": len(trace) + 1, "event": "merge", "cost": float(dist[i, j])})
-        label[label == j] = i
-        dead[j] = True
-        cluster_w[i] += cluster_w[j]
-        idx = np.flatnonzero(label == i)
-        cents[i] = weighted[idx].sum(axis=0) / w[idx].sum()
-        row = pairwise_distances(cents[i : i + 1], cents)[0]
-        row[dead | (cluster_w[i] + cluster_w > q)] = np.inf
-        row[i] = np.inf
-        dist[i] = dist[:, i] = row
-        dist[j] = dist[:, j] = np.inf
-    return StageResult(np.unique(label, return_inverse=True)[1], tuple(trace))
+    # Singletons go through the same expression as merged centroids below,
+    # so every centroid is rounded the same way. They are stored
+    # feature-major, the layout a merged cluster's distance row reads.
+    cols = np.ascontiguousarray((weighted / w[:, None]).T)
+    cents = cols.T
+    # the replayed merges: each point's cluster id, found by following
+    # merged-into links (ids only fall) to a live id, and each live merged
+    # cluster's weight and centroid
+    pairs = np.array(log.pairs[:done], dtype=np.int64).reshape(-1, 2)
+    label = np.arange(l)
+    label[pairs[:, 1]] = pairs[:, 0]
+    while (label[label] != label).any():
+        label = label[label]
+    live = label == np.arange(l)
+    load = np.bincount(label, weights, minlength=l).astype(np.int64)
+    for i in np.flatnonzero(live & (load > weights)):
+        cents[i] = weighted[label == i].sum(axis=0) / load[i]
+    room = np.where(live, q - load, -1)  # -1 once merged away
+    if done < l - k:
+        log.restart(done, q)
+        # dist[i, j] for live ids i != j whose combined weight fits under q,
+        # else +inf. The matrix is symmetric, so the first row-major
+        # occurrence of its minimum lies above the diagonal: argmin yields
+        # the smallest feasible id pair, as over the upper triangle alone. A
+        # merge changes only the merged cluster's weight, so only its
+        # entries are re-gated.
+        dist = pairwise_distances(cents)
+        np.fill_diagonal(dist, np.inf)
+        dist[(q - room)[:, None] > room] = np.inf
+        row, sq = np.empty(l), np.empty(l)
+        while len(log.pairs) < l - k:
+            i, j = divmod(int(dist.argmin()), l)
+            if not np.isfinite(dist[i, j]):
+                raise InfeasibilityError(
+                    f"no pair of the remaining {l - len(log.pairs)} clusters fits under "
+                    f"capacity {q}; rerun with a larger epsilon"
+                )
+            merged = int(2 * q - room[i] - room[j])
+            log.pairs.append((i, j))
+            log.loads.append(merged)
+            log.costs.append(float(dist[i, j]))
+            label[label == j] = i
+            cents[i] = weighted[label == i].sum(axis=0) / merged
+            room[i], room[j] = q - merged, -1
+            _distance_row(cols, i, row, sq)
+            row[room < merged] = np.inf  # j and every other id merged away included
+            row[i] = np.inf
+            dist[i] = dist[:, i] = row
+            dist[j] = dist[:, j] = np.inf
+    trace = tuple(
+        {"iteration": t + 1, "event": "merge", "cost": cost}
+        for t, cost in enumerate(log.costs[: l - k])
+    )
+    return StageResult(np.unique(label, return_inverse=True)[1], trace)
 
 
 def check_weighted_points(
@@ -487,8 +562,8 @@ def kmedoids_fair_capacitated(
     that still has room; when rooms are too fragmented, the cheapest single
     relocation or swap frees room first, and only if that also fails is the
     instance declared infeasible. :func:`_assign_lockstep` is this step, for
-    the initial sample (one row, without the two-class certificate) and for
-    each round's candidate tuples together, as if one by one.
+    the initial sample (one row) and for each round's candidate tuples
+    together, as if one by one.
 
     Improvement step: every (medoid, non-medoid) swap is evaluated with a
     full re-assignment and the best strictly improving swap is applied,
@@ -507,14 +582,13 @@ def kmedoids_fair_capacitated(
 
     rng = rng_stream(seed, "capclust.kmedoids")
     medoids = tuple(sorted(int(i) for i in rng.choice(l, size=k, replace=False)))
-    # the initial sample is a one-row block; without ranks its knapsacks go to
-    # the DP, which on one row is cheaper than building the certificate
-    taken, cost, error = _assign_lockstep(np.array([medoids]), q, decay, dists, weights, None)
+    ranks = _rank_classes(decay, weights)
+    # the initial sample is a one-row block
+    taken, cost, error = _assign_lockstep(np.array([medoids]), q, decay, dists, weights, ranks)
     if error is not None:
         raise error
     taken, best_cost = taken[0], float(cost[0])
     trace: list[dict] = [{"iteration": 0, "event": "assign", "cost": best_cost}]
-    ranks = _rank_classes(decay, weights)
     chunk = max(1, _LOCKSTEP_CELLS // l)
     # best_cost never rises and every evaluated tuple costs at least it, so
     # a tuple evaluated before (or found infeasible) can never be the

@@ -221,11 +221,15 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
     for method in sorted(cfg.methods):
         flavor, stage = baselines.METHODS[method]
         epsilon = cfg.eps_hier if stage == "hier" else cfg.eps_part
+        # k ascends, so q falls: each hier call replays the merges of the
+        # call before it that still fit its q
+        merges = capclust.MergeLog() if stage == "hier" else None
         for k in cfg.k_values:
             params = Params(k=k, t=cfg.t, epsilon=epsilon, lam=cfg.lam, seed=cfg.seed)
             try:
                 result = baselines.pipeline(
-                    method, data, params, decomposition=decomposition_for(flavor)
+                    method, data, params, decomposition=decomposition_for(flavor),
+                    merges=merges,
                 )
                 rows.append({"type": "run", "status": "ok", **asdict(result.record)})
                 for event in result.trace:
@@ -241,11 +245,13 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
                     "k": k, "error": str(exc),
                 })
 
+    # one encoder for every line: json.dumps builds a new one per call
+    encode = json.JSONEncoder(sort_keys=True).encode
     jsonl = out_dir / "runs.jsonl"
     with jsonl.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(provenance, sort_keys=True) + "\n")
+        fh.write(encode(provenance) + "\n")
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(encode(row) + "\n")
 
     with (out_dir / "summary.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -264,7 +270,7 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
 
     with (out_dir / "trace.jsonl").open("w", encoding="utf-8") as fh:
         for event in traces:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+            fh.write(encode(event) + "\n")
     for flavor, decomp in sorted(decomp_cache.items()):
         if flavor != "rows":  # singletons: nothing to audit
             (out_dir / f"fairlets_{flavor}.json").write_text(

@@ -315,6 +315,20 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
     return out
 
 
+def _distance_row(cols: np.ndarray, i: int, out: np.ndarray, sq: np.ndarray) -> None:
+    """Write ``pairwise_distances(x[i:i+1], x)[0]`` into ``out``, bit for bit,
+    from ``cols = x.T`` (C-contiguous), with ``sq`` as scratch of ``out``'s
+    length: the same per-feature IEEE operations, without allocating.
+    Starting from zeros changes no bit, since adding a square to +0 returns
+    the square, and it gives zeros for zero columns."""
+    out.fill(0.0)
+    for col in cols:
+        np.subtract(col[i], col, out=sq)
+        sq *= sq
+        out += sq
+    np.sqrt(out, out=out)
+
+
 def medoid_index(features: np.ndarray, members: Sequence[int]) -> int:
     """The member minimizing summed distance to its co-members (ties: smallest index)."""
     if np.size(members) == 0:

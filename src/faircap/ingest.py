@@ -157,7 +157,12 @@ def load_csv(spec: DatasetSpec) -> Dataset:
                     f"{path}:{lines[i]}: column {name!r} cell {raw[i]!r} is not a finite number"
                 )
             if spec.scale == "minmax":
-                lo, hi = col.min(), col.max()
+                lo, hi = float(col.min()), float(col.max())
+                if not np.isfinite(hi - lo):
+                    raise IngestError(
+                        f"{path}: column {name!r} spans {lo!r} to {hi!r}, a range above "
+                        f"the float maximum {float(np.finfo(np.float64).max)!r}; rescale it"
+                    )
                 col = (col - lo) / (hi - lo) if hi > lo else np.zeros_like(col)
             feature_cols.append(col)
         else:

@@ -7,6 +7,7 @@ import pytest
 from faircap import capclust
 from faircap.capclust import (
     KnapsackInstance,
+    MergeLog,
     _rank_classes,
     _repair_room,
     _two_class_rows,
@@ -436,18 +437,91 @@ class TestHierarchical:
     def test_setup_peak_memory_is_about_the_distance_matrix(self):
         # the set-up gates the l x l matrix with boolean masks; the index
         # arrays of its lower triangle and an int64 l x l weight sum once
-        # took twice its size
+        # took twice its size. The second call replays the first's merge,
+        # then rebuilds the matrix and merges once more on its own.
         l = 2000
         positions = np.random.default_rng(7).uniform(size=(l, 2))
         weights = np.ones(l, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            result = hierarchical_fair_capacitated(positions, weights, k=l - 1, q=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(result.trace) == 1
-        assert peak < 1.5 * l * l * 8
+        log = MergeLog()
+        for k in (l - 1, l - 2):
+            tracemalloc.start()
+            try:
+                result = hierarchical_fair_capacitated(positions, weights, k=k, q=2, merges=log)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(result.trace) == l - k
+            assert peak < 1.5 * l * l * 8
+        assert len(log.pairs) == 2
+
+    def test_shared_merge_log_matches_separate_calls(self, monkeypatch):
+        # each call sharing a log with the calls before it, looser ones
+        # first, equals the same call without a log: labels, the bits of
+        # each merge cost, and the error text. Ties from a 0.1 grid and
+        # coincident points; epsilon 1.0 stalls runs, also right after the
+        # merges they replayed, and k values of one q replay whole runs.
+        seen = dict.fromkeys(
+            ("in full", "in part", "whole run", "replayed, then stalled", "equal q"), 0
+        )
+        replayed = []
+        start = MergeLog.start
+
+        def start_spy(log, positions, weights, q, limit):
+            replayed.append(start(log, positions, weights, q, limit))
+            if replayed[-1] == limit:
+                seen["whole run" if limit else "in full"] += 1
+            else:
+                seen["in part" if replayed[-1] else "in full"] += 1
+            return replayed[-1]
+
+        def outcome(*args, **kwargs):
+            try:
+                result = hierarchical_fair_capacitated(*args, **kwargs)
+            except InfeasibilityError as exc:
+                return str(exc)
+            return result.assignment.tolist(), [
+                (e["iteration"], e["event"], e["cost"].hex()) for e in result.trace
+            ]
+
+        monkeypatch.setattr(MergeLog, "start", start_spy)
+        rng = np.random.default_rng(27)
+        for trial in range(250):
+            l, d = int(rng.integers(2, 46)), int(rng.integers(1, 4))
+            positions = rng.uniform(size=(l, d))
+            if trial % 3 == 0:
+                positions = positions.round(1)
+            if trial % 11 == 0:
+                positions[:] = positions[0]
+            weights = rng.integers(1, 4, size=l)
+            epsilon = (1.0, 1.05, 1.2, 1.5)[trial % 4]
+            ks = np.unique(rng.integers(1, l + 1, size=int(rng.integers(1, 6))))
+            log, last_q = MergeLog(), None
+            for k in ks.tolist():
+                q = max(capacity_threshold(int(weights.sum()), k, epsilon), int(weights.max()))
+                seen["equal q"] += q == last_q
+                last_q = q
+                shared = outcome(positions, weights, k, q, merges=log)
+                seen["replayed, then stalled"] += isinstance(shared, str) and replayed[-1] > 0
+                assert shared == outcome(positions, weights, k, q), (trial, k)
+        assert all(seen.values()), seen
+
+    def test_merge_log_refuses_other_points_and_looser_calls_run_in_full(self):
+        # at q = 2 the pair {1, 2} cannot take point 0, so 0 joins 5; the
+        # looser call must not replay that second merge
+        positions, weights = unit_points([0.0, 1.0, 1.1, 5.0])
+        log = MergeLog()
+        tight = hierarchical_fair_capacitated(positions, weights, k=2, q=2, merges=log)
+        assert tight.assignment.tolist() == [0, 1, 1, 0]
+        for other in (positions + 1, positions[:3]):
+            with pytest.raises(ContractViolationError, match="merge log was recorded on other points"):
+                hierarchical_fair_capacitated(other, weights[: len(other)], k=2, q=3, merges=log)
+        with pytest.raises(ContractViolationError, match="merge log was recorded on other points"):
+            hierarchical_fair_capacitated(positions, weights + 1, k=3, q=4, merges=log)
+        loose = hierarchical_fair_capacitated(positions, weights, k=2, q=3, merges=log)
+        alone = hierarchical_fair_capacitated(positions, weights, k=2, q=3)
+        assert loose.assignment.tolist() == alone.assignment.tolist() == [0, 0, 0, 1]
+        assert loose.trace == alone.trace
+        assert (log.q, log.pairs) == (3, [(1, 2), (0, 1)])
 
     def test_identity_when_k_equals_points(self):
         positions, weights = unit_points([0.0, 5.0, 9.0])
@@ -801,7 +875,8 @@ class TestLockstepAssignment:
         # three; tied positions tie values; lam = 1e-4 decays most values to
         # 0.0; epsilon 1.0 strands points (repairs, infeasible candidates);
         # chunks of 1 to 6 rows split the rounds; each run's first block is
-        # its initial sample, one row left to the DP
+        # its initial sample, one row, certified like any other unless three
+        # weight classes leave it to the DP
         seen = dict.fromkeys((
             "certified", "declined", "one-class rows", "three-class claims", "repairs",
             "infeasible", "zero values", "split rounds",
@@ -870,6 +945,7 @@ class TestLockstepAssignment:
             epsilon = (1.0, 1.05, 1.2)[trial % 3]
             q = max(int(weights.max()), capacity_threshold(int(weights.sum()), k, epsilon))
             lam = (0.3, 1e-4, 1.0, 0.05)[trial % 4]
+            sample_chunk = (1, len(np.unique(weights)) > 2)  # (rows, ranks is None)
             monkeypatch.setattr(capclust, "_LOCKSTEP_CELLS", l * (1 + trial % 6))
             try:
                 expected = scalar_kmedoids(positions, weights, k, q, lam, seed=trial)
@@ -878,12 +954,12 @@ class TestLockstepAssignment:
                 with pytest.raises(InfeasibilityError) as err:
                     kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
                 assert str(err.value) == str(exc)
-                assert chunks == [(1, True)], trial
+                assert chunks == [sample_chunk], trial
                 continue
             claims.clear()
             chunks.clear()
             result = kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
-            assert chunks.pop(0) == (1, True), trial
+            assert chunks.pop(0) == sample_chunk, trial
             assert result.assignment.tolist() == expected[0].tolist(), trial
             assert result.trace == expected[1], trial
             if len(classes[trial % 6]) == 3:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from faircap import baselines, errors, fairlets, ingest
+from faircap import baselines, capclust, errors, fairlets, ingest
 from faircap.cli import (
     _SECTIONS,
     EXIT_ALL_INFEASIBLE,
@@ -464,6 +464,40 @@ seed = 1
             json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()
         ]
         assert any(e["event"] == "swap" or e["event"] == "assign" for e in events)
+
+    def test_hier_sweep_shares_merges_with_the_results_of_one_k_sweeps(
+        self, tmp_path, monkeypatch
+    ):
+        # the README data: k = 2 ends infeasible, and later k values replay
+        # the merges it made before it stalled
+        body = SMALL_SWEEP.replace("methods = all", "methods = hier_fair_cap_mcf,hier_fair_cap_vanilla")
+        readme_data = ("--n", "150", "--balance", "0.8", "--clusters", "3", "--seed", "7")
+        replayed = []
+        start = capclust.MergeLog.start
+
+        def start_spy(log, *args):
+            replayed.append(start(log, *args))
+            return replayed[-1]
+
+        monkeypatch.setattr(capclust.MergeLog, "start", start_spy)
+
+        def sweep(k):
+            config = write_config(tmp_path, body.replace("k = 2,3", f"k = {k}"), readme_data)
+            out = tmp_path / f"out-{k}"
+            assert main(["run", str(config), "--output", str(out)]) in (EXIT_OK, EXIT_ALL_INFEASIBLE)
+            lines = (out / "runs.jsonl").read_text(encoding="utf-8").splitlines()
+            return lines[1:], (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+
+        runs, trace = sweep("2:10:2")
+        assert sum(replayed) > 0
+        one_k = [sweep(k) for k in range(2, 11, 2)]
+        assert sum(replayed[10:]) == 0  # each one-k sweep starts a new log
+        assert any(json.loads(line)["status"] == "infeasible" for line in runs)
+        def key(line):  # records and trace lines are in (method, k) order
+            return json.loads(line)["method"], json.loads(line)["k"]
+
+        assert runs == sorted((line for r, _ in one_k for line in r), key=key)
+        assert trace == sorted((line for _, t in one_k for line in t), key=key)
 
 
 class TestReport:

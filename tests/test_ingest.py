@@ -156,6 +156,20 @@ class TestLoadCsvDiagnostics:
                     load_csv(DatasetSpec(path=path, protected_column="sex", scale=scale))
                 assert ":3: column 'x' cell " + repr(cell) in str(err.value), (cell, scale)
 
+    def test_minmax_range_above_float_maximum_names_column(self, tmp_path):
+        # each cell is finite, but hi - lo overflowed to inf: the scaled
+        # column turned non-finite with RuntimeWarnings, and the error that
+        # followed named neither the column nor the limit
+        path = write(tmp_path, "x,y,sex\n1e308,1,F\n-1e308,2,M\n")
+        with pytest.raises(IngestError) as err:
+            load_csv(DatasetSpec(path=path, protected_column="sex"))
+        assert str(err.value) == (
+            f"{path}: column 'x' spans -1e+308 to 1e+308, a range above the float "
+            "maximum 1.7976931348623157e+308; rescale it"
+        )
+        data = load_csv(DatasetSpec(path=path, protected_column="sex", scale="none"))
+        assert data.features[:, 0].tolist() == [1e308, -1e308]
+
     def test_repeated_header_name(self, tmp_path):
         # drop_columns once dropped the first age and kept the second
         path = write(tmp_path, "age,age,group\n1,2,a\n3,4,b\n")

@@ -104,14 +104,16 @@ def test_benchmark_tracer_reads_every_counter(tmp_path, monkeypatch):
     # perfbench/tracer.py wraps module attributes from outside the package
     # and reads KnapsackInstance fields, each stage result's .trace,
     # decomp.fairlets, fl.weight and ValidationReport.violations; a renamed
-    # one shows up here as a missing span or a reader_error
+    # one shows up here as a missing span or a reader_error. A small lambda
+    # leaves far-off values closer than the two-class certificate's float
+    # margin, so it sends those knapsacks to knapsack_select's DP.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from test_cli import SMALL_SWEEP, write_config
     from tracer import Tracer
 
     from faircap import cli
 
-    config = write_config(tmp_path, SMALL_SWEEP)
+    config = write_config(tmp_path, SMALL_SWEEP + "lambda = 0.01\n")
     tracer = Tracer()
     tracer.install()
     try:
