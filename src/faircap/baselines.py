@@ -262,9 +262,10 @@ def pipeline(
 ) -> PipelineResult:
     """Run one method end to end and evaluate the resulting clustering.
 
-    ``decomposition`` lets a sweep reuse one decomposition across k values;
-    it must equal what the method would compute itself (same data, t, seed),
-    so passing it never changes the result. ``merges`` lets a hier method's
+    ``decomposition`` lets a sweep reuse one decomposition across k values.
+    It must cover ``data``'s rows and, for the mcf and vanilla flavours,
+    pass :func:`~faircap.fairlets.validate` at ``params.t``, or a
+    ContractViolationError is raised. ``merges`` lets a hier method's
     sweep share merges across k values (see :class:`~faircap.capclust.MergeLog`);
     other stages ignore it.
     """
@@ -275,6 +276,16 @@ def pipeline(
     flavor, stage = METHODS[method]
     if decomposition is None:
         decomposition = decompose(flavor, data, params.t, params.seed)
+    elif decomposition.n != data.n:
+        raise ContractViolationError(
+            f"decomposition covers {decomposition.n} rows, dataset has {data.n}"
+        )
+    elif flavor != "rows":
+        violations = fairlets.validate(decomposition, data, params.t).violations
+        if violations:
+            raise ContractViolationError(
+                f"decomposition fails t = {params.t}: {violations[0]}"
+            )
     positions = data.features[decomposition.centers]
     weights = decomposition.weights
     trace: tuple[dict, ...] = ()

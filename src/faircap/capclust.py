@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import (
     _LOCKSTEP_CELLS,
-    _distance_row,
+    _distance_block,
     check_epsilon,
     check_integer,
     check_lambda,
@@ -238,7 +238,8 @@ def hierarchical_fair_capacitated(
         dist = pairwise_distances(cents)
         np.fill_diagonal(dist, np.inf)
         dist[(q - room)[:, None] > room] = np.inf
-        row, sq = np.empty(l), np.empty(l)
+        block, sq = np.empty((1, l)), np.empty((1, l))
+        row = block[0]
         while len(log.pairs) < l - k:
             i, j = divmod(int(dist.argmin()), l)
             if not np.isfinite(dist[i, j]):
@@ -253,7 +254,7 @@ def hierarchical_fair_capacitated(
             label[label == j] = i
             cents[i] = weighted[label == i].sum(axis=0) / merged
             room[i], room[j] = q - merged, -1
-            _distance_row(cols, i, row, sq)
+            _distance_block(cents[i : i + 1], cols, block, sq)
             row[room < merged] = np.inf  # j and every other id merged away included
             row[i] = np.inf
             dist[i] = dist[:, i] = row
@@ -568,8 +569,10 @@ def kmedoids_fair_capacitated(
     Improvement step: every (medoid, non-medoid) swap is evaluated with a
     full re-assignment and the best strictly improving swap is applied,
     until none exists. The traced cost (sum of point-to-medoid distances,
-    one term per point) is therefore non-increasing, so a medoid tuple
-    evaluated in an earlier round cannot improve on it and is skipped.
+    one term per point) therefore falls strictly from round to round, so no
+    medoid tuple is applied twice and the loop ends. A round skips the swaps
+    that undo the last one, which are the previous round's candidates and
+    medoids: none of them can cost less than that round reached.
     """
     positions, weights = _check_capacity_inputs(positions, weights, k, q)
     # q above the total weight never binds; capped, room fits in int64 at any epsilon
@@ -581,44 +584,43 @@ def kmedoids_fair_capacitated(
     decay = np.exp(-dists / lam)
 
     rng = rng_stream(seed, "capclust.kmedoids")
-    medoids = tuple(sorted(int(i) for i in rng.choice(l, size=k, replace=False)))
+    medoids = np.sort(rng.choice(l, size=k, replace=False))
     ranks = _rank_classes(decay, weights)
     # the initial sample is a one-row block
-    taken, cost, error = _assign_lockstep(np.array([medoids]), q, decay, dists, weights, ranks)
+    taken, cost, error = _assign_lockstep(medoids[None], q, decay, dists, weights, ranks)
     if error is not None:
         raise error
     taken, best_cost = taken[0], float(cost[0])
     trace: list[dict] = [{"iteration": 0, "event": "assign", "cost": best_cost}]
     chunk = max(1, _LOCKSTEP_CELLS // l)
-    # best_cost never rises and every evaluated tuple costs at least it, so
-    # a tuple evaluated before (or found infeasible) can never be the
-    # strictly improving swap of a later round: skip it instead of assigning.
-    # Each round thus strictly lowers best_cost with a tuple first evaluated
-    # in that round, so the loop ends within C(l, k) rounds and cannot cycle.
-    seen = {medoids}
+    removed = added = -1  # the last swap's points; none before the first
     for round_no in itertools.count(1):
-        others = [p for p in range(l) if p not in medoids]
-        pending = []
-        for s in medoids:
-            for o in others:
-                cand = tuple(sorted([m for m in medoids if m != s] + [o]))
-                if cand not in seen:
-                    seen.add(cand)
-                    pending.append(cand)
-        # the swap is the first candidate, in (s, o) order, of least cost
-        # below best_cost: a sequential scan with a strict <
-        best_swap: tuple[tuple[int, ...], np.ndarray] | None = None
-        for start in range(0, len(pending), chunk):
-            block = pending[start : start + chunk]
+        # row (pos, o) swaps medoids[pos] for the non-medoid o. Any tuple
+        # assigned in an earlier round costs at least that round's best and
+        # best_cost never rises, so assigning it again never makes the
+        # strict-< swap. The rows that undo the last swap are such tuples,
+        # one round old, and are skipped; older repeats are assigned again.
+        pos, o = np.divmod(np.arange(k * (l - k)), l - k)
+        o = np.delete(np.arange(l), medoids)[o]
+        keep = (medoids[pos] != added) & (o != removed)
+        pos, o = pos[keep], o[keep]
+        cands = np.repeat(medoids[None], pos.size, axis=0)
+        cands[np.arange(pos.size), pos] = o
+        cands.sort(axis=1)
+        # the swap is the first row of least cost below best_cost: a
+        # sequential scan with a strict <
+        best_row = None
+        for start in range(0, len(cands), chunk):
             cand_taken, cost, _ = _assign_lockstep(
-                np.array(block), q, decay, dists, weights, ranks
+                cands[start : start + chunk], q, decay, dists, weights, ranks
             )
             i = int(np.argmin(cost))
             if cost[i] < best_cost:
-                best_cost = float(cost[i])
-                best_swap = (block[i], cand_taken[i].copy())
-        if best_swap is None:
+                best_cost, best_row = float(cost[i]), start + i
+                taken = cand_taken[i].copy()
+        if best_row is None:
             break
-        medoids, taken = best_swap
+        removed, added = medoids[pos[best_row]], o[best_row]
+        medoids = cands[best_row].copy()
         trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
     return StageResult(taken, tuple(trace))

@@ -37,7 +37,6 @@ from .errors import (
     ConfigError,
     ContractViolationError,
     FaircapError,
-    InfeasibilityError,
     IngestError,
 )
 
@@ -234,14 +233,9 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
                 rows.append({"type": "run", "status": "ok", **asdict(result.record)})
                 for event in result.trace:
                     traces.append({"method": method, "k": k, **event})
-            except InfeasibilityError as exc:
-                rows.append({
-                    "type": "run", "status": "infeasible", "method": method,
-                    "k": k, "error": str(exc),
-                })
             except FaircapError as exc:
                 rows.append({
-                    "type": "run", "status": "error", "method": method,
+                    "type": "run", "status": exc.status, "method": method,
                     "k": k, "error": str(exc),
                 })
 
@@ -481,18 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IngestError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except InfeasibilityError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ContractViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except FaircapError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -285,8 +285,9 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
     in column order, then takes the square root: the IEEE operations of a
     sequential loop over the features, so an entry has the same bits whichever
     other rows are computed with it, and ``pairwise_distances(x)`` is exactly
-    symmetric. One kernel serves every shape, one row against many included,
-    in blocks of at most ``_LOCKSTEP_CELLS`` cells. Zero columns give zeros.
+    symmetric. It runs :func:`_distance_block`, hier's one kernel for a merged
+    cluster's row too, on row blocks of at most ``_LOCKSTEP_CELLS`` cells.
+    Zero columns give zeros.
     """
     a = np.asarray(a, dtype=np.float64)
     b = a if b is None else np.asarray(b, dtype=np.float64)
@@ -295,35 +296,31 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
             "distances need two 2-d arrays with equal column counts, "
             f"got shapes {a.shape} and {b.shape}"
         )
-    out = np.zeros((len(a), len(b)))
-    d = a.shape[1]
-    if not (d and out.size):
+    out = np.empty((len(a), len(b)))
+    if not out.size:
         return out
     cols = np.ascontiguousarray(b.T)
     step = max(1, _LOCKSTEP_CELLS // len(b))
     scratch = np.empty((min(step, len(a)), len(b)))
     for r in range(0, len(a), step):
-        rows, block = a[r : r + step], out[r : r + step]
-        sq = scratch[: len(block)]
-        np.subtract(rows[:, :1], cols[0], out=block)
-        block *= block
-        for j in range(1, d):
-            np.subtract(rows[:, j : j + 1], cols[j], out=sq)
-            sq *= sq
-            block += sq
-    np.sqrt(out, out=out)
+        block = out[r : r + step]
+        _distance_block(a[r : r + step], cols, block, scratch[: len(block)])
     return out
 
 
-def _distance_row(cols: np.ndarray, i: int, out: np.ndarray, sq: np.ndarray) -> None:
-    """Write ``pairwise_distances(x[i:i+1], x)[0]`` into ``out``, bit for bit,
-    from ``cols = x.T`` (C-contiguous), with ``sq`` as scratch of ``out``'s
-    length: the same per-feature IEEE operations, without allocating.
-    Starting from zeros changes no bit, since adding a square to +0 returns
-    the square, and it gives zeros for zero columns."""
-    out.fill(0.0)
-    for col in cols:
-        np.subtract(col[i], col, out=sq)
+def _distance_block(rows: np.ndarray, cols: np.ndarray, out: np.ndarray, sq: np.ndarray) -> None:
+    """Write the distances between ``rows`` (r, d) and the points whose
+    features ``cols`` holds feature-major (d, m) into ``out`` (r, m), with
+    ``sq`` as scratch of ``out``'s shape: the first feature's squares go
+    straight into ``out``, each later one's through ``sq``. Zero columns
+    give zeros."""
+    if not len(cols):
+        out.fill(0.0)
+        return
+    np.subtract(rows[:, :1], cols[0], out=out)
+    out *= out
+    for j in range(1, len(cols)):
+        np.subtract(rows[:, j : j + 1], cols[j], out=sq)
         sq *= sq
         out += sq
     np.sqrt(out, out=out)

@@ -1,23 +1,16 @@
 """Exception hierarchy shared across the toolkit.
 
-Each class is one outcome of ``faircap run``, ``report`` and ``validate``:
-
-* :class:`ConfigError` -- a malformed or inconsistent config file:
-  ``config error:``, exit 1.
-* :class:`IngestError` -- a data file that cannot be read (a missing
-  column, a bad cell, the wrong protected levels): ``data error:``, exit 2.
-* :class:`InfeasibilityError` -- an instance that admits no solution under
-  its constraints, with a message naming what was required and what was
-  found: ``infeasible:``, exit 2, and status ``infeasible`` within a sweep.
-* :class:`ContractViolationError` -- a broken precondition: ``error:``,
-  exit 2, and status ``error`` within a sweep.
-
-An ``OSError`` prints ``i/o error:`` and exits 2.
+Each class is one outcome of ``faircap run``, ``report`` and ``validate``,
+and carries it: the ``prefix`` of its stderr line, its ``exit_code``, and
+the ``status`` of a run record that it ends within a sweep. An ``OSError``
+prints ``i/o error:`` and exits 2.
 """
 
 
 class FaircapError(Exception):
     """Base class for all toolkit errors."""
+
+    prefix, exit_code, status = "error", 2, "error"
 
 
 class ContractViolationError(FaircapError, ValueError):
@@ -25,12 +18,20 @@ class ContractViolationError(FaircapError, ValueError):
 
 
 class InfeasibilityError(FaircapError):
-    """The instance admits no solution under the given constraints."""
+    """The instance admits no solution under the given constraints; the
+    message names what was required and what was found."""
+
+    prefix, status = "infeasible", "infeasible"
 
 
 class IngestError(FaircapError):
-    """A dataset or sweep output file cannot be loaded."""
+    """A dataset or sweep output file cannot be loaded (a missing column, a
+    bad cell, the wrong protected levels)."""
+
+    prefix = "data error"
 
 
 class ConfigError(FaircapError):
     """An experiment config file is malformed or inconsistent."""
+
+    prefix, exit_code = "config error", 1

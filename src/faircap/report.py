@@ -35,8 +35,6 @@ def _fmt(x: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     raw = span / target
     mag = 10 ** math.floor(math.log10(raw))

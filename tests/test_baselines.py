@@ -463,3 +463,19 @@ class TestPipeline:
         a = pipeline("kmed_fair_cap_mcf", data, params).record
         b = pipeline("kmed_fair_cap_mcf", data, params, decomposition=decomp).record
         assert a == b
+
+    def test_rejects_a_decomposition_that_does_not_fit_the_data(self):
+        data = make_blobs(n=60, balance=0.8, clusters=2, seed=2)
+        decomp = mcf_decompose(data, Fraction(1, 2), 3)
+        short = Dataset(features=data.features[:40], protected=data.protected[:40])
+        for method in ("kmed_fair_cap_mcf", "vanilla_kmedoids"):
+            with pytest.raises(ContractViolationError, match="covers 60 rows, dataset has 40"):
+                pipeline(method, short, Params(k=2), decomposition=decomp)
+        # a t = 1/2 grouping does not meet t = 1, whose every ok record has balance 1
+        for method in ("hier_fair_cap_mcf", "kmed_fair_cap_vanilla"):
+            with pytest.raises(ContractViolationError, match=r"fails t = 1: fairlet \d+: "):
+                pipeline(method, data, Params(k=2, t=1, epsilon=1.5), decomposition=decomp)
+        # the rows flavour's singletons are never balanced, and need not be
+        rows = baselines.decompose("rows", data, Fraction(1), 3)
+        res = pipeline("vanilla_kmedoids", data, Params(k=2, t=1), decomposition=rows)
+        assert sum(res.record.sizes) == data.n

@@ -968,6 +968,59 @@ class TestLockstepAssignment:
             seen["split rounds"] += len(chunks) > len(result.trace)
         assert all(seen.values()), seen
 
+    def test_rounds_skip_only_the_rows_that_undo_the_last_swap(self, monkeypatch):
+        # one lockstep call per round: the initial sample, then each round's
+        # rows, which must be every one-swap neighbour of the medoids in
+        # (medoid, non-medoid) order less those of the previous medoids and
+        # the previous medoids themselves, the rows that undo the last swap;
+        # weights {2, 3, 4} and {1, 2, 3} have three classes, rounded
+        # positions tie distances
+        calls = []  # (rows, cost per row) per lockstep call
+        assign_lockstep = capclust._assign_lockstep
+
+        def lockstep_spy(cands, *args):
+            taken, cost, error = assign_lockstep(cands, *args)
+            calls.append((cands.tolist(), cost))
+            return taken, cost, error
+
+        monkeypatch.setattr(capclust, "_assign_lockstep", lockstep_spy)
+        monkeypatch.setattr(capclust, "_LOCKSTEP_CELLS", 10**9)
+        rng = np.random.default_rng(2828)
+        skipped, swapped_ks = 0, set()
+        for trial in range(48):
+            k = 1 + trial % 6
+            l = int(rng.integers(k + 1, 13))
+            positions = rng.uniform(0, 1, size=(l, 2)).round(1)
+            weights = rng.choice(([2, 3, 4], [1, 2, 3], [2, 3])[trial % 3], size=l)
+            q = max(int(weights.max()), capacity_threshold(int(weights.sum()), k, 1.2))
+            try:
+                expected = scalar_kmedoids(positions, weights, k, q, 0.3, seed=trial)
+            except InfeasibilityError as exc:
+                with pytest.raises(InfeasibilityError, match=re.escape(str(exc))):
+                    kmedoids_fair_capacitated(positions, weights, k, q, 0.3, seed=trial)
+                continue
+            calls.clear()
+            result = kmedoids_fair_capacitated(positions, weights, k, q, 0.3, seed=trial)
+            assert result.assignment.tolist() == expected[0].tolist(), trial
+            assert result.trace == expected[1], trial
+            # a round left with no rows makes no call, and it can only be the last
+            assert len(calls) <= len(result.trace) + 1
+            medoids, previous = calls[0][0][0], []
+            for round_no in range(1, len(result.trace) + 1):
+                rows = [
+                    sorted([m for m in medoids if m != s] + [o])
+                    for s in medoids for o in range(l) if o not in medoids
+                ]
+                kept = [row for row in rows if row not in previous]
+                got, cost = calls[round_no] if round_no < len(calls) else ([], None)
+                assert got == kept, (trial, round_no)
+                skipped += len(rows) - len(kept)
+                if cost is not None:
+                    previous, medoids = rows + [medoids], kept[int(np.argmin(cost))]
+            if len(result.trace) > 1:
+                swapped_ks.add(k)
+        assert skipped and swapped_ks == set(range(1, 7))
+
 
 def reference_repair_room(p, taken, room, medoids, dists, weights):
     """The repair step written as plain loops over points and clusters: the

@@ -256,6 +256,18 @@ seed = 3
             monkeypatch.setattr(ingest, "load_csv", fail)
             assert main(["run", str(config), "--output", str(tmp_path / "o")]) == code, cls
             assert capsys.readouterr().err == f"{prefix}boom\n", cls
+        monkeypatch.undo()
+        # within a sweep, a failed cell's record gets its class's status
+        for cls in defined:
+            def fail_cell(*args, cls=cls, **kwargs):
+                raise cls("boom")
+
+            monkeypatch.setattr(baselines, "pipeline", fail_cell)
+            out = tmp_path / cls.__name__
+            main(["run", str(config), "--output", str(out)])
+            rows = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()[1:]]
+            status = "infeasible" if cls is errors.InfeasibilityError else "error"
+            assert {(r["status"], r["error"]) for r in rows} == {(status, "boom")}, cls
 
     def test_bad_sweep_number_is_config_error(self, tmp_path, capsys):
         for key, value in (
@@ -280,7 +292,7 @@ seed = 3
     def test_bad_k_is_config_error(self, tmp_path, capsys):
         # a negative step once ran 10:2:-2 as k = 4, 6, 8, 10 and dropped 2
         # an empty range once read as "needs positive values"
-        for value in ("10:2:-2", "2:10:0", "2:x", "0,2", "10:2"):
+        for value in ("10:2:-2", "2:10:0", "2:x", "1:2:3:4", "0,2", "10:2"):
             config = write_config(tmp_path, SMALL_SWEEP.replace("k = 2,3", f"k = {value}"))
             out = tmp_path / "o"
             assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE, value
@@ -301,6 +313,17 @@ seed = 3
             out = tmp_path / "o"
             assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE
             assert f"[{section}] unknown key {key!r}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_missing_section_or_dataset_path_is_config_error(self, tmp_path, capsys):
+        for body, message in (
+            (SMALL_SWEEP.split("[sweep]")[0], "missing [sweep] section"),
+            (SMALL_SWEEP.replace("path = {data}\n", ""), "[dataset] needs path and protected_column"),
+        ):
+            config = write_config(tmp_path, body)
+            out = tmp_path / "o"
+            assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"config error: {config}: {message}\n"
             assert not out.exists()
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
@@ -584,6 +607,12 @@ class TestReport:
                 json.dumps(dict(provenance, **change)) + "\n" + good[1],
                 f":1: provenance line's {key} must be",
             )
+        bad["provenance numeric params.t"] = (
+            json.dumps(dict(provenance, params=dict(params, t=0.5))) + "\n" + good[1],
+            ":1: provenance line's params.t must be",
+        )
+        bad["no provenance line"] = (good[1], ": missing provenance line")
+        bad["provenance line only"] = (good[0], ": no run records to report on")
         path = tmp_path / "runs.jsonl"
         path.write_text("\n".join(good) + "\n")
         assert main(["report", str(path), "--output", str(tmp_path / "rep")]) == EXIT_OK

@@ -122,11 +122,11 @@ class TestDistance:
             if trial % 4 == 0:
                 x = x.round(1)
             cols = np.ascontiguousarray(x.T)
-            out, sq = np.full(l, np.nan), np.full(l, np.nan)
+            out, sq = np.full((1, l), np.nan), np.full((1, l), np.nan)
             for i in range(l):
-                core._distance_row(cols, i, out, sq)
-                expected = pairwise_distances(x[i : i + 1], x)[0]
-                assert [v.hex() for v in out.tolist()] == [v.hex() for v in expected.tolist()]
+                core._distance_block(cols.T[i : i + 1], cols, out, sq)
+                expected = pairwise_distances(x[i : i + 1], x)
+                assert [v.hex() for v in out[0].tolist()] == [v.hex() for v in expected[0].tolist()]
 
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(7)
@@ -415,6 +415,14 @@ class TestValidation:
     def test_dataset_rejects_nonfinite(self):
         with pytest.raises(ContractViolationError):
             _dataset([[np.inf], [0.0]], [0, 1])
+
+    def test_dataset_rejects_bad_shapes(self):
+        for features in (np.zeros(3), np.zeros((0, 2)), np.zeros((3, 0))):
+            with pytest.raises(ContractViolationError, match="nonempty 2-d matrix"):
+                Dataset(features=features, protected=np.zeros(len(features), dtype=int))
+        for protected in (np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int)):
+            with pytest.raises(ContractViolationError, match=r"protected must have length 3, got shape"):
+                Dataset(features=np.zeros((3, 2)), protected=protected)
 
     def test_dataset_rejects_nonbinary_protected(self):
         with pytest.raises(ContractViolationError):

@@ -158,6 +158,13 @@ class TestVanillaDecompose:
         assert "3/7" in str(err.value)
         assert "1/2" in str(err.value)
 
+    def test_single_protected_group_raises(self):
+        for labels in ([0] * 6, [1] * 6):
+            data = _dataset(np.arange(6.0), labels)
+            for decompose in (vanilla_decompose, mcf_decompose):
+                with pytest.raises(InfeasibilityError, match="single protected group"):
+                    decompose(data, T_HALF, seed=0)
+
     def test_f_above_one_unsupported(self):
         data = _dataset(np.arange(10.0), [1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ContractViolationError, match="only thresholds 1/m"):

@@ -109,6 +109,16 @@ class TestSizesChart:
         assert max(_y_ticks(sizes_chart([even], q_lines={}))) == 80
         assert max(_y_ticks(svg)) == 100
 
+    def test_k_whose_q_exceeds_n_is_skipped_by_its_line(self):
+        # at k = 1 and epsilon 1.2, q = 180 exceeds n = 150; k = 2's q = 90 is drawn
+        records = [
+            dict(_records()[0], k=1, sizes=[150], q=180),
+            dict(_records()[0], k=2, sizes=[80, 70], q=90),
+        ]
+        svg = sizes_chart(records, q_lines={"q eps=1.2": {1: 180, 2: 90}})
+        ET.fromstring(svg)
+        assert re.findall(r'data-q="([^"]+)" data-k="([^"]+)"', svg) == [("90", "2")]
+
 
 class TestTextTable:
     def test_one_row_per_record(self):

@@ -51,6 +51,11 @@ class TestMakeBlobs:
             with pytest.raises(ContractViolationError, match="need at least 2 rows"):
                 make_blobs(n=n)
 
+    def test_rejects_fewer_than_one_cluster(self):
+        for clusters in (0, -2):
+            with pytest.raises(ContractViolationError, match="clusters must be positive"):
+                make_blobs(n=20, clusters=clusters)
+
     def test_rejects_counts_that_are_not_integers(self):
         # a float n or clusters once failed with a raw TypeError while sizing the blobs
         for kwargs, name in (
