@@ -55,12 +55,13 @@ def kmedoids_vanilla(
     nearest and second-nearest medoid distance (FastPAM1, Schubert &
     Rousseeuw, SISAP 2019), then recomputes exactly the pairs whose screened
     cost lies near the minimum. The swap is the exactly cheapest pair, first
-    by medoid position and then by non-medoid index, if it costs strictly
-    less than the current medoids. The screen is kept from one round to the
-    next: after a swap, only the points whose nearest medoid, or nearest or
-    second-nearest distance, changed have their terms taken out and put back
-    in. It is rebuilt in full on the first round and whenever more than half
-    the points changed.
+    by medoid and then by non-medoid index, if it costs strictly less than
+    the current medoids. The screen keeps one row per medoid slot, and a
+    swap puts the new medoid in the old one's slot. The screen is kept from
+    one round to the next: after a swap, only the points whose nearest
+    medoid, or nearest or second-nearest distance, changed have their terms
+    taken out and put back in. It is rebuilt in full on the first round and
+    whenever more than half the points changed.
 
     Weights are ignored: the points are the singleton fairlets of the raw
     rows. Returns the point-level assignment, with labels 0..k-1 in medoid
@@ -70,9 +71,9 @@ def kmedoids_vanilla(
     n = len(positions)
     dists = pairwise_distances(positions)
     rng = rng_stream(seed, "baselines.kmedoids")
-    medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
+    slot = np.sort(rng.choice(n, size=k, replace=False))
 
-    best = float(dists[:, medoids].min(axis=1).sum())
+    best = float(dists[:, slot].min(axis=1).sum())
     # A swap cost sums n nonnegative terms, each at most its column's entry,
     # so any float summation order is off from the exact cost by at most
     # about n * eps/2 times the largest column sum. A rebuilt screen adds up
@@ -87,36 +88,31 @@ def kmedoids_vanilla(
     # the two work matrices share one budget of cells
     block = max(1, _LOCKSTEP_CELLS // (2 * n))
     bufs = np.empty((2, min(block, n) * n))
-    # screen[pos, o] = kept[o] + lost[pos, o]: removing medoid pos leaves point
-    # i at dn_i, or at ds_i if pos was its nearest, and swapping o in caps
-    # that at d_io
+    # screen[j, o] = kept[o] + lost[j, o]: removing the medoid in slot j
+    # leaves point i at dn_i, or at ds_i if slot j held its nearest, and
+    # swapping o in caps that at d_io
     kept = np.empty(n)
-    lost, spare = np.empty((2, k, n))
+    lost, screen = np.empty((2, k, n))
     last = None
     while n > k:
-        at = np.array(medoids)
+        order = np.argsort(slot)  # argmin's ties and the swap scan go by ascending medoid
         # row m of the symmetric matrix is its column m; rows keep dn and ds contiguous
-        to_medoids = dists[medoids]
-        near = np.argmin(to_medoids, axis=0)
+        to_medoids = dists[slot[order]]
+        near = order[np.argmin(to_medoids, axis=0)]
         to_medoids.sort(axis=0)
         dn = to_medoids[0]
         ds = to_medoids[1] if k > 1 else np.full(n, np.inf)
         if last is not None:
-            was_at, was_near, was_dn, was_ds = last
-            moved = np.flatnonzero((at[near] != was_at[was_near]) | (dn != was_dn) | (ds != was_ds))
+            was_near, was_dn, was_ds = last
+            # the medoid swapped out of slot pos is gone, and so is its row
+            was_near[was_near == pos] = k
+            moved = np.flatnonzero((near != was_near) | (dn != was_dn) | (ds != was_ds))
         if last is None or 2 * len(moved) > n:
             kept[:] = lost[:] = 0.0
-            _add_screen_terms(kept, lost, dists, None, dn, ds, near, np.ones(n), block, bufs, spare)
+            _add_screen_terms(kept, lost, dists, None, dn, ds, near, np.ones(n), block, bufs)
             tol = step
         else:
-            # lost's rows follow the sorted medoids: the row of the medoid
-            # swapped out at pos goes, with the terms of exactly the points it
-            # was nearest to, and the row of o, swapped in, starts empty
-            np.take(lost, np.searchsorted(was_at, at), axis=0, out=spare, mode="clip")
-            lost, spare = spare, lost
-            lost[at == o] = 0.0
-            was_row = np.searchsorted(at, was_at)
-            was_row[pos] = k
+            lost[pos] = 0.0  # the row of slot pos starts empty for o
             # the moved points' new terms in, their old ones out
             _add_screen_terms(
                 kept,
@@ -125,34 +121,34 @@ def kmedoids_vanilla(
                 np.concatenate([moved, moved]),
                 np.concatenate([dn[moved], was_dn[moved]]),
                 np.concatenate([ds[moved], was_ds[moved]]),
-                np.concatenate([near[moved], was_row[was_near[moved]]]),
+                np.concatenate([near[moved], was_near[moved]]),
                 np.repeat([1.0, -1.0], len(moved)),
                 block,
                 bufs,
-                spare,
             )
             tol += step
-        last = at, near, dn, ds
-        screen = np.add(lost, kept, out=spare)  # spare is free until the next round
-        screen[:, medoids] = np.inf
+        last = near, dn, ds
+        np.add(lost, kept, out=screen)
+        screen[:, slot] = np.inf
         low = float(screen.min())
         if low > best + tol:
             break
         swap: tuple[int, int] | None = None
         pos_of, o_of = np.nonzero(screen <= low + 2 * tol)
-        for pos in np.flatnonzero(np.bincount(pos_of)).tolist():
-            others = o_of[pos_of == pos]
-            floor = np.where(near == pos, ds, dn)
+        for j in order[np.bincount(pos_of, minlength=k)[order] > 0].tolist():
+            others = o_of[pos_of == j]
+            floor = np.where(near == j, ds, dn)
             costs = _swap_costs(dists, floor, others)
-            o_pos = int(np.argmin(costs))
-            if costs[o_pos] < best:
-                best = float(costs[o_pos])
-                swap = (pos, int(others[o_pos]))
+            o_j = int(np.argmin(costs))
+            if costs[o_j] < best:
+                best = float(costs[o_j])
+                swap = (j, int(others[o_j]))
         if swap is None:
             break
         pos, o = swap
-        medoids = sorted(medoids[:pos] + medoids[pos + 1 :] + [o])
+        slot[pos] = o
 
+    medoids = np.sort(slot)
     assignment = np.argmin(dists[:, medoids], axis=1)
     assignment[medoids] = np.arange(k)  # coincident medoids each keep their own row
     return assignment
@@ -169,7 +165,6 @@ def _add_screen_terms(
     sign: np.ndarray,
     block: int,
     bufs: np.ndarray,
-    spare: np.ndarray,
 ) -> None:
     """Add p signed point terms to PAM's swap screen.
 
@@ -177,8 +172,8 @@ def _add_screen_terms(
     ``sign[j] * min(dn[j], d_io)`` to ``kept[o]`` and ``sign[j]`` times
     ``min(ds[j], d_io) - min(dn[j], d_io)`` to ``lost[row[j], o]``, or to no
     row of ``lost`` if ``row[j]`` is ``len(lost)``. Works through the two
-    flat ``bufs`` in blocks of ``block`` candidate rows; ``spare``, a matrix
-    of ``lost``'s shape, is overwritten.
+    flat ``bufs`` in blocks of ``block`` candidate rows; each buf holds one
+    block of ``len(dists)``-long rows.
     """
     k, p = len(lost), len(dn)
     member = np.zeros((k + 1, p))
@@ -193,7 +188,8 @@ def _add_screen_terms(
         kept[c : c + m] += near_terms @ sign
         lost_terms = np.minimum(cols, ds, out=cols_buf)
         lost_terms -= near_terms
-        product = spare.reshape(-1)[: k * m].reshape(k, m)
+        # near_terms is spent, and k < len(dists) leaves its buffer room
+        product = bufs[1][: k * m].reshape(k, m)
         lost[:, c : c + m] += np.matmul(member[:k], lost_terms.T, out=product)
 
 
@@ -218,18 +214,17 @@ def kcenter_greedy(
     the fairlet-level assignment, with labels 0..k-1 in center order.
     """
     positions, _ = capclust.check_weighted_points(positions, weights, k)
-    l = len(positions)
-    dists = pairwise_distances(positions)
     rng = rng_stream(seed, "baselines.kcenter")
-    centers = [int(rng.integers(l))]
-    nearest = dists[:, centers[0]].copy()
+    centers = [int(rng.integers(len(positions)))]
+    # only the centers' distance columns are read, each computed on its own
+    nearest = pairwise_distances(positions, positions[centers])[:, 0]
     nearest[centers[0]] = -1  # a chosen center is never picked again
     while len(centers) < k:
         nxt = int(np.argmax(nearest))
         centers.append(nxt)
-        nearest = np.minimum(nearest, dists[:, nxt])
+        nearest = np.minimum(nearest, pairwise_distances(positions, positions[[nxt]])[:, 0])
         nearest[nxt] = -1
-    assignment = np.argmin(dists[:, centers], axis=1)
+    assignment = np.argmin(pairwise_distances(positions, positions[centers]), axis=1)
     assignment[centers] = np.arange(k)  # coincident centers each keep their own point
     return assignment
 

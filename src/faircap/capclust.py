@@ -325,7 +325,9 @@ def _repair_room(
     the change in medoid distance with p joining c1. Updates ``taken`` and
     ``room`` in place and returns c1.
     """
-    movable = np.setdiff1d(np.flatnonzero(taken >= 0), med, assume_unique=True)
+    assigned = taken >= 0
+    assigned[med] = False
+    movable = np.flatnonzero(assigned)
     c1 = taken[movable]
     w = weights[movable]
     to_med = dists[np.ix_(movable, med)]  # [x, c] = dists[x, med[c]]
@@ -561,10 +563,11 @@ def kmedoids_fair_capacitated(
     knapsack of unassigned points within its remaining capacity. Points the
     knapsacks leave over are placed, heaviest first, with the nearest medoid
     that still has room; when rooms are too fragmented, the cheapest single
-    relocation or swap frees room first, and only if that also fails is the
-    instance declared infeasible. :func:`_assign_lockstep` is this step, for
-    the initial sample (one row) and for each round's candidate tuples
-    together, as if one by one.
+    relocation or swap frees room first; if that also fails, the medoid
+    tuple strands a point and costs +inf. :func:`_assign_lockstep` is this
+    step, for the initial sample (one row) and for each round's candidate
+    tuples together, as if one by one. A stranding sample has no ``assign``
+    event; the search runs on and raises its error if no swap costs less.
 
     Improvement step: every (medoid, non-medoid) swap is evaluated with a
     full re-assignment and the best strictly improving swap is applied,
@@ -588,10 +591,8 @@ def kmedoids_fair_capacitated(
     ranks = _rank_classes(decay, weights)
     # the initial sample is a one-row block
     taken, cost, error = _assign_lockstep(medoids[None], q, decay, dists, weights, ranks)
-    if error is not None:
-        raise error
     taken, best_cost = taken[0], float(cost[0])
-    trace: list[dict] = [{"iteration": 0, "event": "assign", "cost": best_cost}]
+    trace = [] if error is not None else [{"iteration": 0, "event": "assign", "cost": best_cost}]
     chunk = max(1, _LOCKSTEP_CELLS // l)
     removed = added = -1  # the last swap's points; none before the first
     for round_no in itertools.count(1):
@@ -623,4 +624,6 @@ def kmedoids_fair_capacitated(
         removed, added = medoids[pos[best_row]], o[best_row]
         medoids = cands[best_row].copy()
         trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
+    if not trace:  # neither the sample nor any swap placed every point
+        raise error
     return StageResult(taken, tuple(trace))

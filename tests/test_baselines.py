@@ -406,6 +406,32 @@ class TestKCenterGreedy:
                 best = min(best, dists[:, centers].min(axis=1).max())
             assert achieved <= 2 * best + 1e-9
 
+    def test_matches_full_matrix_reference_on_ties(self):
+        # the traversal reads only its centers' columns; the reference reads
+        # them from the full matrix. Integer grids and duplicated halves tie
+        # the farthest point and the nearest center, a 1e6 offset rounds
+        # every distance, and k == l makes every point a center.
+        rng = np.random.default_rng(3131)
+        for trial in range(200):
+            l = int(rng.integers(1, 60))
+            k = l if trial % 10 == 0 else int(rng.integers(1, l + 1))
+            coords = rng.integers(0, 4, size=(l, 1 + trial % 3)).astype(float)
+            if trial % 4 == 1:
+                coords = rng.uniform(0, 1, size=coords.shape) + 1e6
+            elif trial % 4 == 2:
+                coords[l // 2 :] = coords[: l - l // 2]
+            seed = int(rng.integers(0, 1000))
+            dists = pairwise_distances(coords)
+            centers = [int(rng_stream(seed, "baselines.kcenter").integers(l))]
+            while len(centers) < k:
+                far = dists[:, centers].min(axis=1)
+                far[centers] = -1
+                centers.append(int(np.argmax(far)))
+            expected = np.argmin(dists[:, centers], axis=1)
+            expected[centers] = np.arange(k)
+            labels = kcenter_greedy(*unit_points(coords), k, seed)
+            assert labels.tolist() == expected.tolist(), trial
+
 
 class TestPipeline:
     def test_unknown_method_rejected(self):

@@ -600,8 +600,10 @@ class TestHierarchical:
 
 def reference_kmedoids(positions, weights, k, q, lam, seed):
     """The capacitated k-medoids swap search with the DP knapsack and every
-    candidate re-assigned in every round. Returns (assignment, trace, number
-    of candidate swaps that were infeasible)."""
+    candidate re-assigned in every round. A sample that strands a point costs
+    +inf, and its error is raised only if no round places every point.
+    Returns (assignment, trace, number of candidate swaps that were
+    infeasible)."""
     l = len(weights)
     dists = pairwise_distances(positions)
     decay = np.exp(-dists / lam)
@@ -633,9 +635,13 @@ def reference_kmedoids(positions, weights, k, q, lam, seed):
 
     rng = rng_stream(seed, "capclust.kmedoids")
     medoids = tuple(sorted(int(i) for i in rng.choice(l, size=k, replace=False)))
-    taken = assign(medoids)
-    best_cost = cost_of(medoids, taken)
-    trace = [{"iteration": 0, "event": "assign", "cost": best_cost}]
+    try:
+        taken = assign(medoids)
+    except InfeasibilityError as exc:  # a stranding sample costs +inf
+        error, best_cost, trace = exc, np.inf, []
+    else:
+        best_cost = cost_of(medoids, taken)
+        trace = [{"iteration": 0, "event": "assign", "cost": best_cost}]
     infeasible = 0
     for round_no in range(1, 10 * l + 1):
         best_swap = None
@@ -651,6 +657,8 @@ def reference_kmedoids(positions, weights, k, q, lam, seed):
                 if c < best_cost:
                     best_cost, best_swap = c, (cand, cand_taken)
         if best_swap is None:
+            if not trace:  # no tuple placed every point
+                raise error
             return taken, tuple(trace), infeasible
         medoids, taken = best_swap
         trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
@@ -688,9 +696,12 @@ class TestKMedoidsFairCapacitated:
             assert result.assignment.tolist() == assignment.tolist()
             assert result.trace == trace
             infeasible_swaps += infeasible
-            outcomes.add("swapped" if len(trace) > 1 else "converged at once")
+            swapped = any(event["event"] == "swap" for event in trace)
+            outcomes.add("swapped" if swapped else "converged at once")
+            if trace[0]["event"] == "swap":
+                outcomes.add("searched on from a stranding sample")
         assert infeasible_swaps > 0
-        assert {"swapped", "converged at once"} <= outcomes
+        assert {"swapped", "converged at once", "searched on from a stranding sample"} <= outcomes
 
     def test_every_point_its_own_medoid(self):
         positions, weights = unit_points([0.0, 3.0, 7.0])
@@ -797,6 +808,19 @@ class TestKMedoidsFairCapacitated:
         loads = np.bincount(result.assignment, weights=weights, minlength=2)
         assert loads.tolist() == [4, 4]
 
+    def test_stranding_sample_searches_on(self):
+        # the medoid samples of seeds 0-3 and 5 strand a point, although
+        # {0, 1} | {2} fits; the trace then starts at the first swap
+        positions, _ = unit_points([8.0, 2.0, 1.0])
+        for seed in range(8):
+            result = kmedoids_fair_capacitated(
+                positions, np.array([1, 2, 3]), k=2, q=3, lam=0.3, seed=seed
+            )
+            assert result.assignment.tolist() == [0, 0, 1], seed
+            assert result.trace[-1]["cost"] == 6.0
+            first = "swap" if seed in (0, 1, 2, 3, 5) else "assign"
+            assert result.trace[0]["event"] == first, seed
+
     def test_stranded_point_that_fits_no_cluster_raises(self):
         # any two of the weight-2 points exceed q = 3, although the total
         # weight 6 passes the k*q check
@@ -808,7 +832,9 @@ class TestKMedoidsFairCapacitated:
 def scalar_kmedoids(positions, weights, k, q, lam, seed):
     """The capacitated k-medoids swap search with each candidate tuple
     assigned on its own: one knapsack_select call per medoid, the nearest-room
-    placement and _repair_room, the same ``seen`` memo and strict-< scan."""
+    placement and _repair_room, the same ``seen`` memo and strict-< scan. A
+    sample that strands a point costs +inf, and its error is raised only if
+    no round places every point."""
     l = len(weights)
     q = min(q, int(weights.sum()))
     dists = pairwise_distances(positions)
@@ -842,9 +868,13 @@ def scalar_kmedoids(positions, weights, k, q, lam, seed):
 
     rng = rng_stream(seed, "capclust.kmedoids")
     medoids = tuple(sorted(int(i) for i in rng.choice(l, size=k, replace=False)))
-    taken = assign(medoids)
-    best_cost = cost_of(medoids, taken)
-    trace = [{"iteration": 0, "event": "assign", "cost": best_cost}]
+    try:
+        taken = assign(medoids)
+    except InfeasibilityError as exc:  # a stranding sample costs +inf
+        error, best_cost, trace = exc, np.inf, []
+    else:
+        best_cost = cost_of(medoids, taken)
+        trace = [{"iteration": 0, "event": "assign", "cost": best_cost}]
     seen = {medoids}
     for round_no in range(1, 10 * l + 1):
         best_swap = None
@@ -862,6 +892,8 @@ def scalar_kmedoids(positions, weights, k, q, lam, seed):
                 if c < best_cost:
                     best_cost, best_swap = c, (cand, cand_taken)
         if best_swap is None:
+            if not trace:  # no tuple placed every point
+                raise error
             return taken, tuple(trace)
         medoids, taken = best_swap
         trace.append({"iteration": round_no, "event": "swap", "cost": best_cost})
@@ -954,7 +986,9 @@ class TestLockstepAssignment:
                 with pytest.raises(InfeasibilityError) as err:
                     kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
                 assert str(err.value) == str(exc)
-                assert chunks == [sample_chunk], trial
+                # the sample, then one round that found no finite cost
+                assert chunks[0] == sample_chunk, trial
+                assert sum(rows for rows, _ in chunks[1:]) == k * (l - k), trial
                 continue
             claims.clear()
             chunks.clear()
@@ -965,7 +999,8 @@ class TestLockstepAssignment:
             if len(classes[trial % 6]) == 3:
                 seen["three-class claims"] += len(claims)
             seen["zero values"] += int((np.exp(-pairwise_distances(positions) / lam) == 0).any())
-            seen["split rounds"] += len(chunks) > len(result.trace)
+            rounds = sum(event["event"] == "swap" for event in result.trace) + 1
+            seen["split rounds"] += len(chunks) > rounds
         assert all(seen.values()), seen
 
     def test_rounds_skip_only_the_rows_that_undo_the_last_swap(self, monkeypatch):
@@ -1004,9 +1039,10 @@ class TestLockstepAssignment:
             assert result.assignment.tolist() == expected[0].tolist(), trial
             assert result.trace == expected[1], trial
             # a round left with no rows makes no call, and it can only be the last
-            assert len(calls) <= len(result.trace) + 1
+            rounds = sum(event["event"] == "swap" for event in result.trace) + 1
+            assert len(calls) <= rounds + 1
             medoids, previous = calls[0][0][0], []
-            for round_no in range(1, len(result.trace) + 1):
+            for round_no in range(1, rounds + 1):
                 rows = [
                     sorted([m for m in medoids if m != s] + [o])
                     for s in medoids for o in range(l) if o not in medoids
@@ -1017,7 +1053,7 @@ class TestLockstepAssignment:
                 skipped += len(rows) - len(kept)
                 if cost is not None:
                     previous, medoids = rows + [medoids], kept[int(np.argmin(cost))]
-            if len(result.trace) > 1:
+            if rounds > 1:
                 swapped_ks.add(k)
         assert skipped and swapped_ks == set(range(1, 7))
 

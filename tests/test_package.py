@@ -63,7 +63,8 @@ def test_cli_sweep_does_not_load_scipy_spatial(tmp_path):
 def test_kmedoids_run_does_not_load_numpy_ma(tmp_path):
     # numpy 2 loads numpy.ma on first use, about 15 ms, from np.unique
     # without return arguments and np.setdiff1d without assume_unique; the
-    # k-medoids stages, kmed's room repair included, call neither
+    # k-medoids stages call neither, and kmed's room repair picks its
+    # movable points with a boolean mask, no set routine
     from test_cli import SMALL_SWEEP, write_config
 
     methods = "kmed_fair_cap_mcf, kmed_fair_cap_vanilla, vanilla_kmedoids"
