@@ -258,8 +258,8 @@ def pipeline(
     """Run one method end to end and evaluate the resulting clustering.
 
     ``decomposition`` lets a sweep reuse one decomposition across k values.
-    It must cover ``data``'s rows and, for the mcf and vanilla flavours,
-    pass :func:`~faircap.fairlets.validate` at ``params.t``, or a
+    It must cover ``data``'s rows, and pass :func:`~faircap.fairlets.validate`
+    at ``params.t`` (mcf, vanilla) or hold one fairlet per row (rows), or a
     ContractViolationError is raised. ``merges`` lets a hier method's
     sweep share merges across k values (see :class:`~faircap.capclust.MergeLog`);
     other stages ignore it.
@@ -274,6 +274,10 @@ def pipeline(
     elif decomposition.n != data.n:
         raise ContractViolationError(
             f"decomposition covers {decomposition.n} rows, dataset has {data.n}"
+        )
+    elif flavor == "rows" and len(decomposition) < data.n:
+        raise ContractViolationError(
+            f"{method} clusters single rows, got {len(decomposition)} fairlets for {data.n} rows"
         )
     elif flavor != "rows":
         violations = fairlets.validate(decomposition, data, params.t).violations

@@ -146,16 +146,16 @@ class MergeLog:
     """The merges of one :func:`hierarchical_fair_capacitated` run, kept for
     later runs on the same points to replay.
 
-    Gating by a smaller capacity only removes pairs, so the closest pair
-    feasible under the log's capacity is also the closest feasible under any
-    smaller q whenever its merged weight fits q: a run with q no larger than
-    the log's repeats the logged merges up to the first one heavier than q,
-    its own l - k merges, or the end of the log, with the same results as a
-    run from singletons. A run that merges on past that point replaces the
-    rest of the log with its own merges and capacity; a run with a larger q
-    than the log's replays nothing. A k-sweep, whose q falls as k rises,
-    creates one log per set of points and passes it to each k's call in
-    ascending order.
+    Capacities here are working ones, min(q, total weight). Gating by a
+    smaller capacity only removes pairs, so the closest pair feasible under
+    the log's q is also the closest feasible under any smaller q whenever
+    its merged weight fits q: a run with q no larger than the log's repeats
+    the logged merges up to the first one heavier than q, its own l - k
+    merges, or the end of the log, with the same results as a run from
+    singletons. A run that merges on past that point replaces the rest of
+    the log with its own merges and q; a run with a larger q than the log's
+    replays nothing. A k-sweep, whose q falls as k rises, creates one log
+    per set of points and passes it to each k's call in ascending order.
     """
 
     def __init__(self) -> None:
@@ -168,7 +168,8 @@ class MergeLog:
 
     def start(self, positions: np.ndarray, weights: np.ndarray, q: int, limit: int) -> int:
         """The number of leading merges, at most ``limit``, that a run on
-        these points with capacity q repeats from this log. Raises
+        these points with working capacity q repeats from this log; a run
+        that merges past them cuts the log there and records q. Raises
         :class:`ContractViolationError` for a log of other points."""
         if self.positions is None:
             self.positions, self.weights = positions.copy(), weights.copy()
@@ -176,16 +177,12 @@ class MergeLog:
             np.array_equal(self.positions, positions) and np.array_equal(self.weights, weights)
         ):
             raise ContractViolationError("the merge log was recorded on other points")
-        if q > self.q:
-            self.restart(0, q)
-        fits = [load <= q for load in self.loads[:limit]] + [False]
-        return fits.index(False)
-
-    def restart(self, merges: int, q: int) -> None:
-        """Keep the first ``merges`` merges, which fit q, as the start of a
-        run with capacity q."""
-        del self.pairs[merges:], self.loads[merges:], self.costs[merges:]
-        self.q = q
+        fits = [load <= q for load in self.loads[:limit]] if q <= self.q else []
+        done = (fits + [False]).index(False)
+        if done < limit:
+            del self.pairs[done:], self.loads[done:], self.costs[done:]
+            self.q = q
+        return done
 
 
 def hierarchical_fair_capacitated(
@@ -203,7 +200,7 @@ def hierarchical_fair_capacitated(
     ``merges``, a :class:`MergeLog` the caller keeps, lets calls on the same
     points share merges; passing it never changes the result.
     """
-    positions, weights = _check_capacity_inputs(positions, weights, k, q)
+    positions, weights, q = _check_capacity_inputs(positions, weights, k, q)
     l = len(weights)
     log = MergeLog() if merges is None else merges
     done = log.start(positions, weights, q, l - k)
@@ -228,7 +225,6 @@ def hierarchical_fair_capacitated(
         cents[i] = weighted[label == i].sum(axis=0) / load[i]
     room = np.where(live, q - load, -1)  # -1 once merged away
     if done < l - k:
-        log.restart(done, q)
         # dist[i, j] for live ids i != j whose combined weight fits under q,
         # else +inf. The matrix is symmetric, so the first row-major
         # occurrence of its minimum lies above the diagonal: argmin yields
@@ -295,7 +291,8 @@ def check_weighted_points(
 
 def _check_capacity_inputs(
     positions: np.ndarray, weights: np.ndarray, k: int, q: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The checked points and the working capacity min(q, total weight), which fits int64."""
     positions, weights = check_weighted_points(positions, weights, k)
     if check_integer("q", q) < 1:
         raise ContractViolationError("q must be positive")
@@ -310,7 +307,7 @@ def _check_capacity_inputs(
             f"a single point of weight {heaviest} exceeds capacity {q}; "
             "rerun with a larger epsilon"
         )
-    return positions, weights
+    return positions, weights, min(q, total)
 
 
 def _repair_room(
@@ -577,9 +574,7 @@ def kmedoids_fair_capacitated(
     that undo the last one, which are the previous round's candidates and
     medoids: none of them can cost less than that round reached.
     """
-    positions, weights = _check_capacity_inputs(positions, weights, k, q)
-    # q above the total weight never binds; capped, room fits in int64 at any epsilon
-    q = min(q, int(weights.sum()))
+    positions, weights, q = _check_capacity_inputs(positions, weights, k, q)
     l = len(weights)
     check_lambda(lam)
 

@@ -104,17 +104,18 @@ def vanilla_decompose(data: Dataset, t: Fraction, seed: int) -> FairletDecomposi
 def _least_moves(cost: np.ndarray, members: np.ndarray, load: np.ndarray, anchors) -> np.ndarray:
     """Row j: the least cost[i, k] - cost[i, a] over the first load[j]
     members i of anchor a = anchors[j], for every anchor k (inf if none)."""
-    gain = cost[members] - cost[members, np.asarray(anchors)[:, None]][:, :, None]
+    gain = cost[members]
+    gain -= cost[members, np.asarray(anchors)[:, None]][:, :, None]
     gain[np.arange(members.shape[1]) >= load[:, None]] = np.inf
     return gain.min(1)
 
 
-def _least_cost_grouping(dists: np.ndarray, m: int) -> np.ndarray:
+def _least_cost_grouping(cost: np.ndarray, m: int) -> np.ndarray:
     """The anchor of each majority point in a least-cost grouping.
 
-    ``dists`` is the (beta, rho) anchor-to-point distance matrix with
-    beta <= rho <= beta*m. Every point joins one anchor, every anchor takes
-    1 to m points, and the total distance is the least possible.
+    ``cost[i, a]`` is point i's distance to anchor a (rho points, beta
+    anchors, beta <= rho <= beta*m). Every point joins one anchor, every
+    anchor takes 1 to m points, and the total distance is the least possible.
 
     The problem is a transportation problem. Each anchor takes exactly m
     units: its points plus beta*m - rho interchangeable dummy units that
@@ -135,7 +136,6 @@ def _least_cost_grouping(dists: np.ndarray, m: int) -> np.ndarray:
     a feasible dual solution that meets complementary slackness with the
     grouping, and by LP duality the grouping is optimal.
     """
-    cost = np.ascontiguousarray(dists.T)
     rho, beta = cost.shape
     inf = np.inf
     points = np.arange(rho)
@@ -243,10 +243,10 @@ def mcf_decompose(data: Dataset, t: Fraction, seed: int) -> FairletDecomposition
     :func:`_least_cost_grouping` for the exact solver.
     """
     minority, majority = _split_groups(data, t)
-    dists = pairwise_distances(data.features[minority], data.features[majority])
+    cost = pairwise_distances(data.features[majority], data.features[minority])
     group = np.empty(data.n, dtype=np.int64)
     group[minority] = np.arange(len(minority))
-    group[majority] = _least_cost_grouping(dists, Fraction(t).denominator)
+    group[majority] = _least_cost_grouping(cost, Fraction(t).denominator)
     return _from_groups(group, seed, "fairlets.mcf")
 
 

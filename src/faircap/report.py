@@ -277,18 +277,18 @@ def sizes_chart(records: list[dict], q_lines: dict[str, dict[int, int]]) -> str:
 
 
 def text_table(records: list[dict], failures: list[dict] | None = None) -> str:
-    """Fixed-width summary, one row per (method, k)."""
+    """Fixed-width summary, one row per (method, k); a space leads each right-aligned column."""
     _check_records(records + (failures or []))
-    header = f"{'method':<26}{'k':>4}{'status':>12}{'cost':>12}{'balance':>9}{'max':>6}{'min':>6}{'q':>6}"
+    header = f"{'method':<26} {'k':>3} {'status':>11} {'cost':>11} {'balance':>8} {'max':>5} {'min':>5} {'q':>5}"
     lines = [header, "-" * len(header)]
     rows: list[dict[str, Any]] = [dict(r, status=r.get("status", "ok")) for r in records]
     rows += [dict(f, status=f.get("status", "failed")) for f in (failures or [])]
     for r in sorted(rows, key=lambda r: (r["method"], r["k"])):
         if r["status"] == "ok":
             lines.append(
-                f"{r['method']:<26}{r['k']:>4}{r['status']:>12}{r['cost']:>12.4f}"
-                f"{r['balance']:>9.3f}{max(r['sizes']):>6}{min(r['sizes']):>6}{r['q']:>6}"
+                f"{r['method']:<26} {r['k']:>3} {r['status']:>11} {r['cost']:>11.4f}"
+                f" {r['balance']:>8.3f} {max(r['sizes']):>5} {min(r['sizes']):>5} {r['q']:>5}"
             )
         else:
-            lines.append(f"{r['method']:<26}{r['k']:>4}{r['status']:>12}")
+            lines.append(f"{r['method']:<26} {r['k']:>3} {r['status']:>11}")
     return "\n".join(lines) + "\n"

@@ -501,6 +501,12 @@ class TestPipeline:
         for method in ("hier_fair_cap_mcf", "kmed_fair_cap_vanilla"):
             with pytest.raises(ContractViolationError, match=r"fails t = 1: fairlet \d+: "):
                 pipeline(method, data, Params(k=2, t=1, epsilon=1.5), decomposition=decomp)
+        # PAM clusters single rows; on fairlets it once clustered their centres
+        with pytest.raises(
+            ContractViolationError,
+            match=f"vanilla_kmedoids clusters single rows, got {len(decomp)} fairlets for 60 rows",
+        ):
+            pipeline("vanilla_kmedoids", data, Params(k=2), decomposition=decomp)
         # the rows flavour's singletons are never balanced, and need not be
         rows = baselines.decompose("rows", data, Fraction(1), 3)
         res = pipeline("vanilla_kmedoids", data, Params(k=2, t=1), decomposition=rows)

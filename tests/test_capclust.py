@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,11 @@ def random_points(rng, l):
         positions[i] = rng.uniform(0, 1, 2)
         weights[i] = rng.integers(1, 4)
     return positions, weights
+
+
+# Capacities above any total weight here; hier's int64 room arithmetic once
+# overflowed from 2**62 on
+HUGE_QS = (2**62, sys.maxsize, 2**63, 10**30)
 
 
 # Every public entry that takes weighted points, called with k=1 (and q=10 if it takes q).
@@ -523,6 +529,22 @@ class TestHierarchical:
         assert loose.trace == alone.trace
         assert (log.q, log.pairs) == (3, [(1, 2), (0, 1)])
 
+    def test_capacity_above_total_weight_is_total_weight(self):
+        # any q >= total weight never binds, alone or through a shared log,
+        # which then holds the total weight as its working capacity
+        rng = np.random.default_rng(45)
+        for trial in range(6):
+            positions, weights = random_points(rng, 12)
+            total = int(weights.sum())
+            expected = hierarchical_fair_capacitated(positions, weights, k=3, q=total)
+            log = MergeLog()
+            for q in HUGE_QS:
+                for merges in (None, log):
+                    result = hierarchical_fair_capacitated(positions, weights, 3, q, merges=merges)
+                    assert result.assignment.tolist() == expected.assignment.tolist(), (trial, q)
+                    assert result.trace == expected.trace
+            assert (log.q, len(log.pairs)) == (total, 9)
+
     def test_identity_when_k_equals_points(self):
         positions, weights = unit_points([0.0, 5.0, 9.0])
         result = hierarchical_fair_capacitated(positions, weights, k=3, q=2)
@@ -770,12 +792,13 @@ class TestKMedoidsFairCapacitated:
         rng = np.random.default_rng(44)
         for seed, lam in enumerate((0.3, 1e-4)):  # 1e-4 decays most values to 0.0
             positions, weights = random_points(rng, 12)
-            results = [
-                kmedoids_fair_capacitated(positions, weights, k=3, q=q, lam=lam, seed=seed)
-                for q in (2**70, int(weights.sum()))
-            ]
-            assert results[0].assignment.tolist() == results[1].assignment.tolist()
-            assert results[0].trace == results[1].trace
+            expected = kmedoids_fair_capacitated(
+                positions, weights, k=3, q=int(weights.sum()), lam=lam, seed=seed
+            )
+            for q in HUGE_QS + (2**70,):
+                result = kmedoids_fair_capacitated(positions, weights, k=3, q=q, lam=lam, seed=seed)
+                assert result.assignment.tolist() == expected.assignment.tolist()
+                assert result.trace == expected.trace
 
     def test_rejects_lambda_not_finite_and_positive(self):
         # at lam = inf every decay value is 1 and the knapsacks pack by count alone

@@ -522,6 +522,26 @@ seed = 1
         assert runs == sorted((line for r, _ in one_k for line in r), key=key)
         assert trace == sorted((line for _, t in one_k for line in t), key=key)
 
+    def test_capacitated_sweep_runs_at_any_epsilon(self, tmp_path):
+        # at epsilon 1e30 q has 32 digits; it never binds, and hier once
+        # overflowed int64 on it. Records keep the formula q.
+        methods = "hier_fair_cap_mcf,hier_fair_cap_vanilla,kmed_fair_cap_mcf,kmed_fair_cap_vanilla"
+        body = SMALL_SWEEP.replace(
+            "methods = all",
+            f"methods = {methods}\nepsilon_hierarchical = 1e30\nepsilon_partitioning = 1e30",
+        ).replace("k = 2,3", "k = 2:10")
+        readme_data = ("--n", "150", "--balance", "0.8", "--clusters", "3", "--seed", "7")
+        config = write_config(tmp_path, body, readme_data)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--output", str(out)]) == EXIT_OK
+        lines = (out / "runs.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        records = [json.loads(line) for line in lines]
+        assert len(records) == 4 * 9
+        for r in records:
+            assert r["status"] == "ok", r
+            assert r["q"] == capclust.capacity_threshold(150, r["k"], 1e30) > 2**100
+        assert main(["report", str(out)]) == EXIT_OK
+
 
 class TestReport:
     def test_writes_all_panels(self, sweep_dir, tmp_path):

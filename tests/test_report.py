@@ -132,3 +132,17 @@ class TestTextTable:
             failures=[{"method": "hier_fair_cap_mcf", "k": 2, "status": "infeasible"}],
         )
         assert "infeasible" in table
+
+    def test_wide_values_keep_a_space_between_columns(self):
+        # a value as wide as its column once ran into its neighbour: min
+        # size 2 beside q = 7500000 read "27500000"
+        wide = dict(
+            _records()[0], method="hier_fair_cap_mcf", cost=12345678.25, sizes=[40, 2], q=7_500_000
+        )
+        header, _, row, *rest = text_table([wide] + _records()).splitlines()
+        assert header.split() == ["method", "k", "status", "cost", "balance", "max", "min", "q"]
+        assert row.split() == [
+            "hier_fair_cap_mcf", "2", "ok", "12345678.2500", "0.500", "40", "2", "7500000"
+        ]
+        # values that fit their columns keep the widths 26, 4, 12, 12, 9, 6, 6 and 6
+        assert {len(line) for line in [header] + rest} == {81}
