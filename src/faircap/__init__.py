@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .baselines import METHODS, kcenter_greedy, kmedoids_vanilla, pipeline
 from .capclust import (
-    KnapsackInstance,
     MergeLog,
     capacity_threshold,
     hierarchical_fair_capacitated,
@@ -40,7 +39,6 @@ __all__ = [
     "Dataset",
     "DatasetSpec",
     "FairletDecomposition",
-    "KnapsackInstance",
     "METHODS",
     "MergeLog",
     "Params",

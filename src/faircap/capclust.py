@@ -28,7 +28,6 @@ so these routines only guard weights.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import NamedTuple
@@ -61,77 +60,75 @@ def capacity_threshold(n: int, k: int, epsilon: float) -> int:
     return int(ceil(Fraction(n) * Fraction(str(epsilon)) / k))
 
 
-@dataclass(frozen=True)
-class KnapsackInstance:
-    """0-1 knapsack: real values, positive integer weights, integer capacity."""
-
-    values: np.ndarray
-    weights: np.ndarray
-    capacity: int
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        weights = np.asarray(self.weights)
-        if values.shape != weights.shape or values.ndim != 1:
-            raise ContractViolationError("values and weights must be equal-length vectors")
-        if values.size and (not np.all(np.isfinite(values)) or values.min() < 0):
-            raise ContractViolationError("values must be finite and nonnegative")
-        if values.size and (
-            not np.issubdtype(weights.dtype, np.integer) or weights.min() < 1
-        ):
-            raise ContractViolationError("weights must be positive integers")
-        capacity = check_integer("capacity", self.capacity)
-        if capacity < 0:
-            raise ContractViolationError("capacity must be nonnegative")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights.astype(np.int64))
-        object.__setattr__(self, "capacity", capacity)
-
-
-def knapsack_select(inst: KnapsackInstance) -> np.ndarray:
-    """Indices of a maximum-value selection with total weight <= capacity.
+def knapsack_select(values: np.ndarray, weights: np.ndarray, capacity: int) -> np.ndarray:
+    """Indices of a maximum-value selection of items (real values, positive
+    integer weights) with total weight <= capacity.
 
     When every item fits and every value is positive, all are taken (none
     of an empty instance): a rule of the definition, not a shortcut, since
     the DP can drop an item whose value vanishes in a float sum (1e-20 beside
-    1.0). Otherwise an exact dynamic program over the weight dimension
-    decides, and selects nothing at capacity 0; its backtrack walk reads one
-    boolean decision table of n * (min(capacity, total weight) + 1) bytes.
-    Ties between equal-value selections go to smaller total weight, then the
-    lexicographically smallest index set, so results are reproducible.
+    1.0). Otherwise :func:`_knapsack_rows` decides, on one row.
     """
-    values, weights, capacity = inst.values, inst.weights, inst.capacity
-    n = values.size
+    values, weights = np.asarray(values, dtype=np.float64), np.asarray(weights)
+    if values.shape != weights.shape or values.ndim != 1:
+        raise ContractViolationError("values and weights must be equal-length vectors")
+    if values.size and (not np.all(np.isfinite(values)) or values.min() < 0):
+        raise ContractViolationError("values must be finite and nonnegative")
+    if values.size and (not np.issubdtype(weights.dtype, np.integer) or weights.min() < 1):
+        raise ContractViolationError("weights must be positive integers")
+    if check_integer("capacity", capacity) < 0:
+        raise ContractViolationError("capacity must be nonnegative")
     total_w = int(weights.sum())
-    cap = min(capacity, total_w)
     if total_w <= capacity and (values > 0).all():
-        return np.arange(n, dtype=np.int64)
+        return np.arange(values.size, dtype=np.int64)
+    free, cap = np.ones((1, values.size), dtype=bool), np.array([min(capacity, total_w)])
+    return np.flatnonzero(_knapsack_rows(values[None], free, weights.astype(np.int64), cap))
 
-    # take[i, w]: taking item i reaches the optimum (max value, then min
-    # weight) of items i..n-1 within capacity w, strictly or in an exact tie.
-    # best_v/best_w roll that optimum back from the last item to the first.
-    take = np.zeros((n, cap + 1), dtype=bool)
-    best_v = np.zeros(cap + 1)
-    best_w = np.zeros(cap + 1, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        wi = int(weights[i])
-        if wi <= cap:
-            take_v = best_v[: cap + 1 - wi] + values[i]
-            take_w = best_w[: cap + 1 - wi] + wi
-            seg_v, seg_w, row = best_v[wi:], best_w[wi:], take[i, wi:]
+
+def _knapsack_rows(
+    values: np.ndarray, free: np.ndarray, weights: np.ndarray, cap: np.ndarray
+) -> np.ndarray:
+    """The exact knapsack DP of many rows at once, as a boolean (rows,
+    points) mask of the selected points. Row i selects among the points
+    ``free[i]``, point p worth ``values[i, p]`` and weighing ``weights[p]``,
+    within capacity ``cap[i]``, at most the row's free weight: the most
+    value, then the least weight, then the lexicographically smallest index
+    set, with the float operations of a DP over the row's free points alone.
+    The update and the walk are masked by ``free``, not by zero values:
+    under float rounding a point worth 0 can join an optimum. The decision
+    table, (points x rows x (max cap + 1)) bytes, is filled in row blocks of
+    at most ``8 * _LOCKSTEP_CELLS`` bytes.
+    """
+    top = int(cap.max())
+    items = np.flatnonzero(free.any(axis=0) & (weights <= top))  # the points some row can take
+    chosen = np.zeros(free.shape, dtype=bool)
+    step = max(1, 8 * _LOCKSTEP_CELLS // max(1, items.size * (top + 1)))
+    for start in range(0, len(cap), step):
+        rows = slice(start, start + step)
+        b = len(cap[rows])
+        # take[t, r, w]: taking point items[t] reaches row r's optimum (max
+        # value, then min weight) of points items[t:] within capacity w,
+        # strictly or in an exact tie. best_v/best_w roll that optimum back
+        # from the last point to the first.
+        take = np.zeros((items.size, b, top + 1), dtype=bool)
+        best_v, best_w = np.zeros((b, top + 1)), np.zeros((b, top + 1), dtype=np.int64)
+        for t in range(items.size - 1, -1, -1):
+            p = items[t]
+            wi = int(weights[p])
+            take_v = best_v[:, : top + 1 - wi] + values[rows, p, None]
+            take_w = best_w[:, : top + 1 - wi] + wi
+            seg_v, seg_w, row = best_v[:, wi:], best_w[:, wi:], take[t, :, wi:]
             row[:] = (take_v > seg_v) | ((take_v == seg_v) & (take_w <= seg_w))
-            seg_v[row] = take_v[row]
-            seg_w[row] = take_w[row]
-
-    # Walk forward preferring inclusion: among all (max value, min weight)
-    # optima this yields the lexicographically smallest index set.
-    selected = []
-    w = cap
-    for i in range(n):
-        if take[i, w]:
-            selected.append(i)
-            w -= int(weights[i])
-    return np.array(selected, dtype=np.int64)
+            row &= free[rows, p, None]
+            np.copyto(seg_v, take_v, where=row)
+            np.copyto(seg_w, take_w, where=row)
+        # Walk forward preferring inclusion: among all (max value, min
+        # weight) optima this yields the lexicographically smallest index set.
+        w = cap[rows].astype(np.int64)
+        for t, p in enumerate(items):
+            chosen[rows, p] = sel = take[t, np.arange(b), w]
+            w -= sel * weights[p]
+    return chosen
 
 
 class StageResult(NamedTuple):
@@ -398,9 +395,9 @@ def _rank_classes(decay: np.ndarray, weights: np.ndarray) -> list[_ClassRanks] |
 def _two_class_rows(
     free: np.ndarray, cap: np.ndarray, s: np.ndarray, ranks: list[_ClassRanks]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The selection :func:`knapsack_select`'s DP makes, for each of many
-    knapsacks whose points have at most two distinct weights, where it can
-    be proven here; the other rows are left to the DP.
+    """The selection the DP of :func:`_knapsack_rows` makes, for each of
+    many knapsacks whose points have at most two distinct weights, where it
+    can be proven here; the other rows are left to the DP.
 
     Row i selects among its free points ``free[i]``, point
     ``ranks[c].order[s[i], j]`` being worth ``ranks[c].values[s[i], j]``,
@@ -488,8 +485,8 @@ def _assign_lockstep(
     row ends exactly as a lone assignment would: position by position, a row
     whose free points all fit takes them, a row certified by
     :func:`_two_class_rows` takes its selection (none if ``ranks`` is None),
-    and any other row claims through :func:`knapsack_select`; leftovers are
-    placed row by row.
+    and the position's other rows claim through one :func:`_knapsack_rows`
+    call; leftovers are placed row by row.
     """
     r_count, k = cands.shape
     l = len(weights)
@@ -497,11 +494,11 @@ def _assign_lockstep(
     taken[np.arange(r_count)[:, None], cands] = np.arange(k)
     room = q - weights[cands]
     for j in range(k):
-        s, cap = cands[:, j], room[:, j]
         # room starts at k*q less the medoids' weight, and a claim lowers
         # the free weight and its medoid's room alike
         free_w = int(weights.sum()) - k * q + room.sum(axis=1)
-        live = (cap > 0) & (free_w > 0)
+        s, cap = cands[:, j], np.minimum(room[:, j], free_w)
+        live = cap > 0
         fit = np.flatnonzero(live & (free_w <= cap))
         # every free point fits: take them all, unless one is worth 0
         fit = fit[~((taken[fit] == -1) & (decay[s[fit]] == 0)).any(axis=1)]
@@ -511,17 +508,16 @@ def _assign_lockstep(
         rest = np.flatnonzero(live)
         if ranks is not None and rest.size:
             ok, sel_rows, sel_points, sel_w = _two_class_rows(
-                taken[rest] == -1, np.minimum(cap[rest], free_w[rest]), s[rest], ranks
+                taken[rest] == -1, cap[rest], s[rest], ranks
             )
             taken[rest[sel_rows], sel_points] = j
             room[rest[ok], j] -= sel_w[ok]
             rest = rest[~ok]
-        for r in rest:
-            cand = np.flatnonzero(taken[r] == -1)
-            inst = KnapsackInstance(decay[s[r], cand], weights[cand], int(room[r, j]))
-            chosen = cand[knapsack_select(inst)]
-            taken[r, chosen] = j
-            room[r, j] -= int(weights[chosen].sum())
+        if rest.size:
+            chosen = _knapsack_rows(decay[s[rest]], taken[rest] == -1, weights, cap[rest])
+            sel_rows, sel_points = np.nonzero(chosen)
+            taken[rest[sel_rows], sel_points] = j
+            room[rest, j] -= chosen @ weights
 
     error = None
     for r in np.flatnonzero((taken == -1).any(axis=1)):

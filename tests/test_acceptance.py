@@ -149,8 +149,7 @@ def test_criterion_04_knapsack_oracle():
         values = np.round(rng.uniform(0, 9, size=n), 4)
         weights = rng.integers(1, 9, size=n)
         capacity = int(rng.integers(0, int(weights.sum()) + 3))
-        inst = faircap.KnapsackInstance(values=values, weights=weights, capacity=capacity)
-        chosen = faircap.knapsack_select(inst)
+        chosen = faircap.knapsack_select(values, weights, capacity)
         assert int(weights[chosen].sum()) <= capacity
         bits = (np.arange(1 << n, dtype=np.uint32)[:, None] >> np.arange(n)) & 1
         feasible = bits @ weights <= capacity

@@ -7,7 +7,6 @@ import pytest
 
 from faircap import capclust
 from faircap.capclust import (
-    KnapsackInstance,
     MergeLog,
     _rank_classes,
     _repair_room,
@@ -245,21 +244,18 @@ class TestWeightedPointChecks:
 
 class TestKnapsackSelect:
     def test_zero_capacity_selects_nothing(self):
-        inst = KnapsackInstance(values=[1.0, 2.0], weights=[1, 1], capacity=0)
-        assert knapsack_select(inst).size == 0
+        assert knapsack_select([1.0, 2.0], [1, 1], 0).size == 0
         # no items: the all-fit rule takes the empty set, at any capacity
         for capacity in (0, 3):
-            chosen = knapsack_select(KnapsackInstance(values=[], weights=[], capacity=capacity))
+            chosen = knapsack_select([], [], capacity)
             assert chosen.dtype == np.int64 and chosen.shape == (0,)
 
     def test_small_instance_against_subset_enumeration(self):
         # brute force over all 8 subsets: {0,2} carries weight 6 and value 8
-        inst = KnapsackInstance(values=[3.0, 4.0, 5.0], weights=[2, 3, 4], capacity=6)
-        chosen = knapsack_select(inst)
+        values, weights = np.array([3.0, 4.0, 5.0]), np.array([2, 3, 4])
+        chosen = knapsack_select(values, weights, 6)
         assert chosen.tolist() == [0, 2]
-        assert inst.values[chosen].sum() == pytest.approx(
-            brute_force_knapsack(inst.values, inst.weights, inst.capacity)
-        )
+        assert values[chosen].sum() == pytest.approx(brute_force_knapsack(values, weights, 6))
 
     def test_random_instances_match_exhaustive_oracle(self):
         rng = np.random.default_rng(101)
@@ -268,40 +264,34 @@ class TestKnapsackSelect:
             values = np.round(rng.uniform(0, 5, size=n), 3)
             weights = rng.integers(1, 8, size=n)
             capacity = int(rng.integers(0, int(weights.sum()) + 2))
-            inst = KnapsackInstance(values=values, weights=weights, capacity=capacity)
-            chosen = knapsack_select(inst)
+            chosen = knapsack_select(values, weights, capacity)
             assert int(weights[chosen].sum()) <= capacity
             expected = brute_force_knapsack(values, weights, capacity)
             assert values[chosen].sum() == pytest.approx(expected, abs=1e-9)
 
     def test_tie_prefers_smaller_weight(self):
         # both {0} and {1} reach value 2; item 1 weighs less
-        inst = KnapsackInstance(values=[2.0, 2.0], weights=[3, 2], capacity=3)
-        assert knapsack_select(inst).tolist() == [1]
+        assert knapsack_select([2.0, 2.0], [3, 2], 3).tolist() == [1]
 
     def test_tie_prefers_lexicographically_smallest(self):
-        inst = KnapsackInstance(values=[1.0, 1.0], weights=[1, 1], capacity=1)
-        assert knapsack_select(inst).tolist() == [0]
+        assert knapsack_select([1.0, 1.0], [1, 1], 1).tolist() == [0]
 
     def test_all_fit_shortcut_keeps_everything(self):
-        inst = KnapsackInstance(values=[0.5, 0.7], weights=[2, 3], capacity=10)
-        assert knapsack_select(inst).tolist() == [0, 1]
+        assert knapsack_select([0.5, 0.7], [2, 3], 10).tolist() == [0, 1]
         # the rule is part of the definition: 1.0 + 1e-20 == 1.0, so the DP
         # alone would tie both selections and drop item 0 for its weight
-        inst = KnapsackInstance(values=[1e-20, 1.0], weights=[1, 1], capacity=2)
-        assert knapsack_select(inst).tolist() == [0, 1]
+        assert knapsack_select([1e-20, 1.0], [1, 1], 2).tolist() == [0, 1]
 
     def test_capacity_beyond_int64_is_total_weight(self):
         # a zero value skips the all-fit return, so the DP must size its
         # table by the total weight: 2**70 overflows int64
         for values, weights in (([1.0, 0.0], [2, 3]), ([1.0, 0.0, 0.5], [2, 3, 4])):
-            huge = knapsack_select(KnapsackInstance(values, weights, 2**70))
-            assert huge.tolist() == knapsack_select(KnapsackInstance(values, weights, 9)).tolist()
+            huge = knapsack_select(values, weights, 2**70)
+            assert huge.tolist() == knapsack_select(values, weights, 9).tolist()
 
     def test_zero_value_item_dropped_when_equal_value(self):
         # value optimum 1.0 either way; smaller total weight excludes item 1
-        inst = KnapsackInstance(values=[1.0, 0.0], weights=[1, 1], capacity=2)
-        assert knapsack_select(inst).tolist() == [0]
+        assert knapsack_select([1.0, 0.0], [1, 1], 2).tolist() == [0]
 
     def test_matches_dp_reference_on_tie_heavy_instances(self):
         # 1-3 weight classes; values exact, rounded to 1 or 0 decimals (ties
@@ -324,7 +314,7 @@ class TestKnapsackSelect:
             elif kind == 4:
                 values = np.full(n, values[0])
             capacity = int(rng.integers(0, int(weights.sum()) + 3))
-            chosen = knapsack_select(KnapsackInstance(values, weights, capacity))
+            chosen = knapsack_select(values, weights, capacity)
             expected = reference_knapsack(values, weights, capacity)
             assert chosen.tolist() == expected.tolist(), (values, weights, capacity)
             classes_seen.add(len(set(weights.tolist())))
@@ -340,15 +330,61 @@ class TestKnapsackSelect:
         # three weight classes force the DP; a boolean table of 2,000 x 1,001
         # cells is 1.9 MiB, where per-item value and weight rows took 31 MiB
         rng = np.random.default_rng(2024)
-        inst = KnapsackInstance(rng.uniform(0, 1, 2000), rng.choice([2, 3, 4], 2000), 1000)
+        values, weights = rng.uniform(0, 1, 2000), rng.choice([2, 3, 4], 2000)
         tracemalloc.start()
         try:
-            chosen = knapsack_select(inst)
+            chosen = knapsack_select(values, weights, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert chosen.tolist() == reference_knapsack(inst.values, inst.weights, 1000).tolist()
+        assert chosen.tolist() == reference_knapsack(values, weights, 1000).tolist()
+
+    def test_batched_rows_match_reference_over_their_free_points(self, monkeypatch):
+        # Pinned: point 0 is free in the second row only. Were it kept out of
+        # the first by a value of 0, not by the mask, the float sums would let
+        # it join a tie at less weight and the DP would select [0, 1, 3].
+        row = [0.10000000000000005, 0.10000000000000005, 0.10000000000000003, 0.1]
+        values, weights = np.array([row, row]), np.array([1, 1, 4, 1])
+        free = np.array([[False, True, True, True], [True] * 4])
+        chosen = capclust._knapsack_rows(values, free, weights, np.array([5, 5]))
+        assert np.flatnonzero(chosen[0]).tolist() == [1, 2]
+        assert np.flatnonzero(chosen[1]).tolist() == reference_knapsack(row, weights, 5).tolist()
+        # 1-4 weight classes; values exact, rounded to 1 decimal, decayed from
+        # far distances (underflowed zeros) or all equal; partial free masks;
+        # caps 0 to the free weight; _LOCKSTEP_CELLS = 1 puts one row per block
+        rng = np.random.default_rng(3131)
+        seen = {"classes": set(), "split blocks": 0, "zero values": 0, "full caps": 0}
+        for trial in range(400):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 16))
+            classes = rng.choice(np.arange(1, 7), int(rng.integers(1, 5)), replace=False)
+            weights = rng.choice(classes, n)
+            values = rng.uniform(0, 1, (m, n))
+            if trial % 4 == 1:
+                values = values.round(1)
+            elif trial % 4 == 2:
+                values = np.exp(-rng.choice([0.5, 1.0, 400.0], (m, n)) / 0.3)
+            elif trial % 4 == 3:
+                values[:] = values[0, 0]
+            free = rng.uniform(size=(m, n)) < (0.4, 0.7, 1.0)[trial % 3]
+            free_w = free @ weights
+            cap = rng.integers(0, free_w + 1)
+            cells = (1, 64, 1 << 17)[trial % 3]
+            monkeypatch.setattr(capclust, "_LOCKSTEP_CELLS", cells)
+            chosen = capclust._knapsack_rows(values, free, weights, cap)
+            for i in range(m):
+                cand = np.flatnonzero(free[i])
+                if cap[i] == free_w[i] and (values[i, cand] > 0).all():
+                    continue  # every free point fits: the caller takes them all
+                expected = cand[reference_knapsack(values[i, cand], weights[cand], int(cap[i]))]
+                assert np.flatnonzero(chosen[i]).tolist() == expected.tolist(), (trial, i)
+                seen["full caps"] += bool(cap[i]) and cap[i] == free_w[i]
+            seen["classes"].add(len(classes))
+            # a table row of more than 8 bytes fills a block of 8 * cells bytes alone
+            takeable = free.any(axis=0) & (weights <= cap.max())
+            seen["split blocks"] += cells == 1 and m > 1 and takeable.sum() * (cap.max() + 1) > 8
+            seen["zero values"] += bool((values[free] == 0).any())
+        assert seen["classes"] == {1, 2, 3, 4} and all(seen.values()), seen
 
     def test_two_class_helper_takes_and_declines(self):
         values = np.array([0.9, 0.1, 0.8, 0.5, 0.3])
@@ -366,20 +402,20 @@ class TestKnapsackSelect:
 
     def test_rejects_fractional_weights_and_capacity(self):
         with pytest.raises(ContractViolationError, match="weights must be positive integers"):
-            KnapsackInstance(values=[1.0, 1.0], weights=[2.9, 1], capacity=3)
+            knapsack_select([1.0, 1.0], [2.9, 1], 3)
         with pytest.raises(ContractViolationError, match="equal-length vectors"):
-            KnapsackInstance(values=[1.0, 1.0], weights=[2], capacity=3)
+            knapsack_select([1.0, 1.0], [2], 3)
         for values in ([1.0, np.nan], [1.0, -0.5]):
             with pytest.raises(ContractViolationError, match="finite and nonnegative"):
-                KnapsackInstance(values=values, weights=[2, 1], capacity=3)
+                knapsack_select(values, [2, 1], 3)
         with pytest.raises(ContractViolationError, match="capacity must be nonnegative"):
-            KnapsackInstance(values=[1.0, 1.0], weights=[2, 1], capacity=-1)
+            knapsack_select([1.0, 1.0], [2, 1], -1)
         for capacity in (2.7, 2.0, True):
             with pytest.raises(ContractViolationError, match="capacity must be an integer"):
-                KnapsackInstance(values=[1.0, 1.0], weights=[2, 1], capacity=capacity)
-        inst = KnapsackInstance([1.0], weights=np.array([2], np.int32), capacity=np.int64(2))
-        assert inst.capacity == 2 and type(inst.capacity) is int
-        assert inst.weights.dtype == np.int64
+                knapsack_select([1.0, 1.0], [2, 1], capacity)
+        # NumPy integers are integers; a zero value sends the call to the DP
+        weights = np.array([2, 1], np.int32)
+        assert knapsack_select([1.0, 0.0], weights, np.int64(3)).tolist() == [0]
 
 
 def reference_hierarchical(positions, weights, k, q):
@@ -854,8 +890,9 @@ class TestKMedoidsFairCapacitated:
 
 def scalar_kmedoids(positions, weights, k, q, lam, seed):
     """The capacitated k-medoids swap search with each candidate tuple
-    assigned on its own: one knapsack_select call per medoid, the nearest-room
-    placement and _repair_room, the same ``seen`` memo and strict-< scan. A
+    assigned on its own: one reference_knapsack call per medoid over its free
+    points, the nearest-room placement and _repair_room, the same ``seen``
+    memo and strict-< scan. A
     sample that strands a point costs +inf, and its error is raised only if
     no round places every point."""
     l = len(weights)
@@ -871,8 +908,7 @@ def scalar_kmedoids(positions, weights, k, q, lam, seed):
         for ci, s in enumerate(medoids):
             cand = np.flatnonzero(taken == -1)
             if cand.size:
-                inst = KnapsackInstance(decay[s, cand], weights[cand], int(room[ci]))
-                chosen = cand[knapsack_select(inst)]
+                chosen = cand[reference_knapsack(decay[s, cand], weights[cand], int(room[ci]))]
                 taken[chosen] = ci
                 room[ci] -= int(weights[chosen].sum())
         leftovers = np.flatnonzero(taken == -1)
@@ -936,10 +972,10 @@ class TestLockstepAssignment:
             "certified", "declined", "one-class rows", "three-class claims", "repairs",
             "infeasible", "zero values", "split rounds",
         ), 0)
-        inside, claims = [], []  # claims: knapsack_select calls inside lockstep
+        inside, claims = [], []  # claims: rows sent to _knapsack_rows per call
         chunks = []  # (rows, ranks is None) per lockstep call
         assign_lockstep, two_class_rows = capclust._assign_lockstep, capclust._two_class_rows
-        select = capclust.knapsack_select
+        knapsack_rows = capclust._knapsack_rows
 
         def lockstep_spy(cands, q, decay, dists, weights, ranks):
             chunks.append((len(cands), ranks is None))
@@ -954,7 +990,7 @@ class TestLockstepAssignment:
             return taken, cost, error
 
         def two_class_spy(free, cap, s, ranks):
-            # only the lockstep certifies: a declined row goes to the DP alone
+            # only the lockstep certifies; the rows it declines go to _knapsack_rows
             assert inside, "_two_class_rows ran outside _assign_lockstep"
             ok, rows, points, chosen_w = two_class_rows(free, cap, s, ranks)
             seen["certified"] += int(ok.sum())
@@ -973,10 +1009,15 @@ class TestLockstepAssignment:
                 assert chosen_w[i] == weights[points[rows == i]].sum()
             return ok, rows, points, chosen_w
 
-        def select_spy(inst):
-            assert inside, "knapsack_select ran outside _assign_lockstep"
-            claims.append(inst)
-            return select(inst)
+        def rows_spy(values, free, weights, cap):
+            assert inside, "_knapsack_rows ran outside _assign_lockstep"
+            claims.append(len(cap))
+            chosen = knapsack_rows(values, free, weights, cap)
+            for i, cand in enumerate(free):  # each row selects as the DP over its free points
+                cand = np.flatnonzero(cand)
+                expected = cand[reference_knapsack(values[i, cand], weights[cand], int(cap[i]))]
+                assert np.flatnonzero(chosen[i]).tolist() == expected.tolist()
+            return chosen
 
         def repair_spy(*args):
             seen["repairs"] += len(inside)
@@ -984,7 +1025,7 @@ class TestLockstepAssignment:
 
         monkeypatch.setattr(capclust, "_assign_lockstep", lockstep_spy)
         monkeypatch.setattr(capclust, "_two_class_rows", two_class_spy)
-        monkeypatch.setattr(capclust, "knapsack_select", select_spy)
+        monkeypatch.setattr(capclust, "_knapsack_rows", rows_spy)
         monkeypatch.setattr(capclust, "_repair_room", repair_spy)
         rng = np.random.default_rng(1717)
         classes = ([2, 3], [2], [1, 2], [3], [2, 3, 4], [1, 3])
@@ -1020,7 +1061,7 @@ class TestLockstepAssignment:
             assert result.assignment.tolist() == expected[0].tolist(), trial
             assert result.trace == expected[1], trial
             if len(classes[trial % 6]) == 3:
-                seen["three-class claims"] += len(claims)
+                seen["three-class claims"] += sum(claims)
             seen["zero values"] += int((np.exp(-pairwise_distances(positions) / lam) == 0).any())
             rounds = sum(event["event"] == "swap" for event in result.trace) + 1
             seen["split rounds"] += len(chunks) > rounds

@@ -5,6 +5,7 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from faircap import baselines, capclust, errors, fairlets, ingest
@@ -33,6 +34,25 @@ def write_config(tmp_path, body, data_flags=SMALL_DATA, name="sweep.ini"):
     path = tmp_path / name
     path.write_text(body.replace("{data}", str(data)), encoding="utf-8")
     return path
+
+
+def write_student_like(path, seed=0):
+    """Write a seeded 395-row CSV shaped like UCI student-mat: a binary
+    ``sex`` column, 14 categorical columns of 2-5 levels and 3 small-integer
+    columns. Its one-hot rows tie many distances exactly, as the paper's
+    mostly categorical data does."""
+    rng = np.random.default_rng(seed)
+    n = 395
+    columns = {"sex": rng.choice(["F", "M"], n, p=[0.53, 0.47])}
+    for c, levels in enumerate(rng.integers(2, 6, 14)):
+        weights = rng.dirichlet(np.ones(levels))
+        columns[f"cat{c}"] = rng.choice([f"v{v}" for v in range(levels)], n, p=weights)
+    columns["age"] = rng.integers(15, 23, n)
+    columns["failures"] = rng.choice(4, n, p=[0.79, 0.12, 0.05, 0.04])
+    columns["studytime"] = rng.integers(1, 5, n)
+    lines = [",".join(columns)]
+    lines += [",".join(str(col[i]) for col in columns.values()) for i in range(n)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 SMALL_SWEEP = """
@@ -170,6 +190,26 @@ class TestRun:
         ]
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_student_like_sweep_is_ok_and_byte_identical(self, tmp_path):
+        # exact distance ties on the categorical table keep many knapsacks
+        # from the two-class certificate, so this sweep runs kmed's batched DP
+        write_student_like(tmp_path / "student.csv")
+        config = tmp_path / "sweep.ini"
+        config.write_text(
+            "[dataset]\npath = student.csv\nprotected_column = sex\n\n"
+            "[sweep]\nmethods = all\nk = 2,4\nseed = 7\n",
+            encoding="utf-8",
+        )
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["run", str(config), "--output", str(out1)]) == EXIT_OK
+        assert main(["run", str(config), "--output", str(out2)]) == EXIT_OK
+        for name in ("runs.jsonl", "trace.jsonl"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        runs = [json.loads(line) for line in (out1 / "runs.jsonl").read_text().splitlines()]
+        runs = [r for r in runs if r["type"] == "run"]
+        assert len(runs) == 7 * 2
+        assert [(r["method"], r["k"]) for r in runs if r["status"] != "ok"] == []
 
     def test_output_defaults_to_sweep_out(self, tmp_path, monkeypatch):
         write_config(tmp_path, SMALL_SWEEP.replace("{data}", "data.csv"))

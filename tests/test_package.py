@@ -103,18 +103,16 @@ def test_mcf_decompose_returns_on_the_matching_hang_input():
 
 def test_benchmark_tracer_reads_every_counter(tmp_path, monkeypatch):
     # perfbench/tracer.py wraps module attributes from outside the package
-    # and reads KnapsackInstance fields, each stage result's .trace,
-    # decomp.fairlets, fl.weight and ValidationReport.violations; a renamed
-    # one shows up here as a missing span or a reader_error. A small lambda
-    # leaves far-off values closer than the two-class certificate's float
-    # margin, so it sends those knapsacks to knapsack_select's DP.
+    # and reads each stage result's .trace, decomp.fairlets, fl.weight and
+    # ValidationReport.violations; a renamed one shows up here as a missing
+    # span or a reader_error.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from test_cli import SMALL_SWEEP, write_config
     from tracer import Tracer
 
     from faircap import cli
 
-    config = write_config(tmp_path, SMALL_SWEEP + "lambda = 0.01\n")
+    config = write_config(tmp_path, SMALL_SWEEP)
     tracer = Tracer()
     tracer.install()
     try:
@@ -124,7 +122,6 @@ def test_benchmark_tracer_reads_every_counter(tmp_path, monkeypatch):
     assert [span for span in tracer.spans if "reader_error" in span] == []
     decomposition = {"count", "weight_classes", "cost", "violations"}
     counters = {
-        "capclust.knapsack_select": {"items", "cells", "classes"},
         "capclust.hierarchical": {"merges"},
         "capclust.kmedoids": {"swap_rounds"},
         "fairlets.mcf_decompose": decomposition,
