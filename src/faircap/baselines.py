@@ -13,7 +13,6 @@ fairness or capacity handling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +45,7 @@ METHODS: dict[str, tuple[str, str]] = {
 
 def kmedoids_vanilla(
     positions: np.ndarray, weights: np.ndarray, k: int, seed: int
-) -> np.ndarray:
+) -> capclust.StageResult:
     """Plain PAM: seeded medoid sample, nearest-medoid assignment, then the
     best strictly improving (medoid, non-medoid) swap per round until a local
     optimum. No fairness or capacity handling.
@@ -64,8 +63,8 @@ def kmedoids_vanilla(
     whenever more than half the points changed.
 
     Weights are ignored: the points are the singleton fairlets of the raw
-    rows. Returns the point-level assignment, with labels 0..k-1 in medoid
-    order.
+    rows. Returns a :class:`~faircap.capclust.StageResult` of the point-level
+    assignment, with labels 0..k-1 in medoid order, and an empty trace.
     """
     positions, _ = capclust.check_weighted_points(positions, weights, k)
     n = len(positions)
@@ -151,7 +150,7 @@ def kmedoids_vanilla(
     medoids = np.sort(slot)
     assignment = np.argmin(dists[:, medoids], axis=1)
     assignment[medoids] = np.arange(k)  # coincident medoids each keep their own row
-    return assignment
+    return capclust.StageResult(assignment, ())
 
 
 def _add_screen_terms(
@@ -206,27 +205,30 @@ def _swap_costs(dists: np.ndarray, floor: np.ndarray, others: np.ndarray) -> np.
 
 def kcenter_greedy(
     positions: np.ndarray, weights: np.ndarray, k: int, seed: int
-) -> np.ndarray:
+) -> capclust.StageResult:
     """Gonzalez farthest-first traversal over fairlet centers.
 
     Weights are ignored for center selection; the first center is sampled by
-    the seeded stream and each point lands with its nearest center. Returns
-    the fairlet-level assignment, with labels 0..k-1 in center order.
+    the seeded stream and each point lands with its nearest center. Returns a
+    :class:`~faircap.capclust.StageResult` of the fairlet-level assignment,
+    with labels 0..k-1 in center order, and an empty trace.
     """
     positions, _ = capclust.check_weighted_points(positions, weights, k)
     rng = rng_stream(seed, "baselines.kcenter")
     centers = [int(rng.integers(len(positions)))]
-    # only the centers' distance columns are read, each computed on its own
-    nearest = pairwise_distances(positions, positions[centers])[:, 0]
-    nearest[centers[0]] = -1  # a chosen center is never picked again
-    while len(centers) < k:
-        nxt = int(np.argmax(nearest))
-        centers.append(nxt)
-        nearest = np.minimum(nearest, pairwise_distances(positions, positions[[nxt]])[:, 0])
-        nearest[nxt] = -1
-    assignment = np.argmin(pairwise_distances(positions, positions[centers]), axis=1)
+    # each center's distance column is computed once, on its own; the
+    # traversal and the assignment both read it
+    to_centers = np.empty((len(positions), k))
+    nearest = np.full(len(positions), np.inf)
+    for j in range(k):
+        if j:
+            centers.append(int(np.argmax(nearest)))
+        to_centers[:, j] = pairwise_distances(positions, positions[[centers[j]]])[:, 0]
+        np.minimum(nearest, to_centers[:, j], out=nearest)
+        nearest[centers[j]] = -1  # a chosen center is never picked again
+    assignment = np.argmin(to_centers, axis=1)
     assignment[centers] = np.arange(k)  # coincident centers each keep their own point
-    return assignment
+    return capclust.StageResult(assignment, ())
 
 
 def decompose(
@@ -241,21 +243,16 @@ def decompose(
     return build(data, t, seed)
 
 
-@dataclass(frozen=True, eq=False)
-class PipelineResult:
-    clustering: Clustering
-    record: RunRecord
-    trace: tuple[dict, ...]
-
-
 def pipeline(
     method: str,
     data: Dataset,
     params: Params,
     decomposition: FairletDecomposition | None = None,
     merges: capclust.MergeLog | None = None,
-) -> PipelineResult:
-    """Run one method end to end and evaluate the resulting clustering.
+) -> tuple[Clustering, RunRecord, tuple[dict, ...]]:
+    """Run one method end to end and return ``(clustering, record, trace)``:
+    the row-level clustering, its evaluation and the stage's events (empty
+    for PAM and k-center).
 
     ``decomposition`` lets a sweep reuse one decomposition across k values.
     It must cover ``data``'s rows, and pass :func:`~faircap.fairlets.validate`
@@ -287,11 +284,10 @@ def pipeline(
             )
     positions = data.features[decomposition.centers]
     weights = decomposition.weights
-    trace: tuple[dict, ...] = ()
     if stage == "pam":
-        delta = kmedoids_vanilla(positions, weights, params.k, params.seed)
+        delta, trace = kmedoids_vanilla(positions, weights, params.k, params.seed)
     elif stage == "kcenter":
-        delta = kcenter_greedy(positions, weights, params.k, params.seed)
+        delta, trace = kcenter_greedy(positions, weights, params.k, params.seed)
     else:
         q = capclust.capacity_threshold(data.n, params.k, params.epsilon)
         if stage == "hier":
@@ -303,5 +299,4 @@ def pipeline(
                 positions, weights, params.k, q, params.lam, params.seed
             )
     clustering = compose_assignment(delta, decomposition, data)
-    record = evaluate(clustering, data, params, method=method)
-    return PipelineResult(clustering=clustering, record=record, trace=trace)
+    return clustering, evaluate(clustering, data, params, method=method), trace

@@ -19,7 +19,8 @@ two arrays: ``positions`` (one row per fairlet: its center's features) and
   by the best strictly improving swap per round until no replacement lowers
   the cost.
 
-Both return a :class:`StageResult` ``(assignment, trace)``.
+Both return a :class:`StageResult` ``(assignment, trace)``, as do the
+stages of :mod:`faircap.baselines`.
 
 Fairness needs no handling here: any union of fairlets keeps balance >= t,
 so these routines only guard weights.
@@ -124,16 +125,17 @@ def _knapsack_rows(
             np.copyto(seg_w, take_w, where=row)
         # Walk forward preferring inclusion: among all (max value, min
         # weight) optima this yields the lexicographically smallest index set.
-        w = cap[rows].astype(np.int64)
+        w, r = cap[rows].astype(np.int64), np.arange(b)
         for t, p in enumerate(items):
-            chosen[rows, p] = sel = take[t, np.arange(b), w]
+            chosen[rows, p] = sel = take[t, r, w]
             w -= sel * weights[p]
     return chosen
 
 
 class StageResult(NamedTuple):
-    """What both capacity-aware stages return: one cluster label per fairlet
-    and the stage's events (merges, or the initial assignment and each swap)."""
+    """What every clustering stage returns: one cluster label per fairlet
+    and the stage's events (hier's merges; kmed's initial assignment and each
+    swap; none for PAM and k-center)."""
 
     assignment: np.ndarray
     trace: tuple[dict, ...]

@@ -226,12 +226,12 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
         for k in cfg.k_values:
             params = Params(k=k, t=cfg.t, epsilon=epsilon, lam=cfg.lam, seed=cfg.seed)
             try:
-                result = baselines.pipeline(
+                _, record, trace = baselines.pipeline(
                     method, data, params, decomposition=decomposition_for(flavor),
                     merges=merges,
                 )
-                rows.append({"type": "run", "status": "ok", **asdict(result.record)})
-                for event in result.trace:
+                rows.append({"type": "run", "status": "ok", **asdict(record)})
+                for event in trace:
                     traces.append({"method": method, "k": k, **event})
             except FaircapError as exc:
                 rows.append({

@@ -99,8 +99,8 @@ def randomized_runs():
                 params = faircap.Params(
                     k=k, t=Fraction(1, 2), epsilon=epsilon, lam=0.3, seed=seed
                 )
-                result = faircap.pipeline(method, data, params)
-                batch.append((method, data, params, result))
+                _, record, trace = faircap.pipeline(method, data, params)
+                batch.append((method, data, params, record, trace))
         except InfeasibilityError:
             continue  # tight epsilon made this instance unsolvable; redraw
         completed.extend(batch)
@@ -113,8 +113,8 @@ def test_criterion_02_fairness_invariant(randomized_runs):
     completed, attempts, elapsed = randomized_runs
     violations = [
         (method, params.k)
-        for method, data, params, result in completed
-        if result.record.balance < 0.5
+        for method, data, params, record, _ in completed
+        if record.balance < 0.5
     ]
     assert violations == []
     assert elapsed < 120.0
@@ -122,17 +122,17 @@ def test_criterion_02_fairness_invariant(randomized_runs):
         2,
         "fairness-invariant",
         f"{len(completed)} runs from {attempts} instances, min balance "
-        f"{min(r.record.balance for *_, r in completed):.3f}, {elapsed:.1f}s",
+        f"{min(record.balance for *_, record, _ in completed):.3f}, {elapsed:.1f}s",
     )
 
 
 def test_criterion_03_capacity_invariant(randomized_runs):
     completed, _, _ = randomized_runs
-    for method, data, params, result in completed:
+    for method, data, params, record, _ in completed:
         q = faircap.capacity_threshold(data.n, params.k, params.epsilon)
-        assert result.record.q == q
-        assert max(result.record.sizes) <= q, (method, params.k, result.record.sizes, q)
-        assert sum(result.record.sizes) == data.n
+        assert record.q == q
+        assert max(record.sizes) <= q, (method, params.k, record.sizes, q)
+        assert sum(record.sizes) == data.n
     _ok(3, "capacity-invariant", f"max size <= ceil(n*eps/k) in {len(completed)}/{len(completed)} runs")
 
 
@@ -226,10 +226,10 @@ def test_criterion_06_mcf_cost_dominance(fairlet_instances):
 def test_criterion_07_pam_monotonicity(randomized_runs):
     completed, _, _ = randomized_runs
     checked = 0
-    for method, data, params, result in completed:
+    for method, data, params, _, trace in completed:
         if not method.startswith("kmed"):
             continue
-        costs = [event["cost"] for event in result.trace]
+        costs = [event["cost"] for event in trace]
         assert costs, "k-medoids run must emit a trace"
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:])), costs
         decompose = faircap.mcf_decompose if method.endswith("mcf") else faircap.vanilla_decompose
@@ -310,7 +310,7 @@ def test_criterion_09_capacity_trend():
     for method in ("vanilla_kmedoids",) + FAIR_CAPACITATED:
         epsilon = 1.2 if method.startswith("hier") else 1.01
         params = faircap.Params(k=3, epsilon=epsilon, seed=17)
-        records[method] = faircap.pipeline(method, data, params).record
+        _, records[method], _ = faircap.pipeline(method, data, params)
 
     vanilla = records["vanilla_kmedoids"]
     assert max(vanilla.sizes) > vanilla.q, (vanilla.sizes, vanilla.q)

@@ -15,6 +15,7 @@ from faircap.baselines import (
     pipeline,
 )
 from faircap.capclust import (
+    StageResult,
     capacity_threshold,
     hierarchical_fair_capacitated,
     kmedoids_fair_capacitated,
@@ -129,7 +130,7 @@ def reference_pipeline(method, data, params):
         decomp = build(data, params.t, params.seed)
         positions, weights = data.features[decomp.centers], decomp.weights
         if method.endswith("kcenter"):
-            delta = kcenter_greedy(positions, weights, params.k, params.seed)
+            delta, _ = kcenter_greedy(positions, weights, params.k, params.seed)
         else:
             q = capacity_threshold(data.n, params.k, params.epsilon)
             if method.startswith("hier"):
@@ -187,9 +188,10 @@ class TestMethodTable:
                     outcomes.add("error")
                     continue
                 clustering, record = expected
-                assert got.record == record, (trial, method)
-                assert got.clustering.assignment.tolist() == clustering.assignment.tolist()
-                assert np.array_equal(got.clustering.representatives, clustering.representatives)
+                got_clustering, got_record, _ = got
+                assert got_record == record, (trial, method)
+                assert got_clustering.assignment.tolist() == clustering.assignment.tolist()
+                assert np.array_equal(got_clustering.representatives, clustering.representatives)
                 outcomes.add("k == n" if k == n else "ok")
         assert outcomes == {"ok", "k == n", "error"}
 
@@ -209,8 +211,9 @@ class TestKMedoidsVanilla:
             data = _dataset(coords, np.arange(n) % 2)
             seed = int(rng.integers(0, 1000))
             assignment, _ = reference_pam(data, k, seed)
-            labels = kmedoids_vanilla(*unit_points(coords), k, seed)
+            labels, trace = kmedoids_vanilla(*unit_points(coords), k, seed)
             assert labels.tolist() == assignment.tolist()
+            assert trace == ()
             if k == n:
                 outcomes.add("k == n")
             elif len(np.unique(coords, axis=0)) < k:
@@ -242,7 +245,7 @@ class TestKMedoidsVanilla:
             data = _dataset(coords, np.arange(n) % 2)
             seed = int(rng.integers(0, 1000))
             assignment, _ = reference_pam(data, k, seed)
-            labels = kmedoids_vanilla(*unit_points(coords), k, seed)
+            labels, _ = kmedoids_vanilla(*unit_points(coords), k, seed)
             assert labels.tolist() == assignment.tolist(), trial
             outcomes.add({1: "k == 1", n: "k == n"}.get(k, "ok"))
         assert outcomes == {"ok", "k == 1", "k == n", "grid"}
@@ -281,7 +284,7 @@ class TestKMedoidsVanilla:
             seed = int(rng.integers(0, 1000))
             rounds.clear()
             assignment, _ = reference_pam(data, k, seed)
-            labels = kmedoids_vanilla(*unit_points(coords), k, seed)
+            labels, _ = kmedoids_vanilla(*unit_points(coords), k, seed)
             assert labels.tolist() == assignment.tolist(), trial
             assert rounds[0] == "rebuild"
             if rounds.count("update") >= 10:
@@ -334,7 +337,7 @@ class TestKMedoidsVanilla:
         # nearest-medoid argmin would leave their clusters empty
         data = _dataset([[0.0], [0.0], [0.0], [1.0]], [0, 1, 0, 1])
         for seed in range(3):
-            c = pipeline("vanilla_kmedoids", data, Params(k=3, seed=seed)).clustering
+            c, _, _ = pipeline("vanilla_kmedoids", data, Params(k=3, seed=seed))
             assert c.k == 3
             assert c.sizes.tolist().count(0) == 0
             for cid, rep in enumerate(c.representatives):
@@ -342,8 +345,8 @@ class TestKMedoidsVanilla:
 
     def test_k_equals_n_costs_zero(self):
         data = _dataset(np.arange(5.0), [0, 1, 0, 1, 0])
-        res = pipeline("vanilla_kmedoids", data, Params(k=5, seed=0))
-        assert res.record.cost == 0.0
+        _, record, _ = pipeline("vanilla_kmedoids", data, Params(k=5, seed=0))
+        assert record.cost == 0.0
 
     def test_recovers_two_blobs_optimally(self):
         rng = np.random.default_rng(14)
@@ -352,15 +355,15 @@ class TestKMedoidsVanilla:
             [c + 0.3 * rng.standard_normal((5, 2)) for c in centers]
         )
         data = _dataset(feats, [0, 1] * 5)
-        res = pipeline("vanilla_kmedoids", data, Params(k=2, seed=3))
-        assert res.record.cost == pytest.approx(
+        _, record, _ = pipeline("vanilla_kmedoids", data, Params(k=2, seed=3))
+        assert record.cost == pytest.approx(
             brute_force_best_2partition_cost(feats), abs=1e-9
         )
 
     def test_seed_determinism(self):
         data = make_blobs(n=40, balance=1.0, clusters=2, seed=9)
-        a = kmedoids_vanilla(*unit_points(data.features), k=3, seed=7)
-        b = kmedoids_vanilla(*unit_points(data.features), k=3, seed=7)
+        a, _ = kmedoids_vanilla(*unit_points(data.features), k=3, seed=7)
+        b, _ = kmedoids_vanilla(*unit_points(data.features), k=3, seed=7)
         assert a.tolist() == b.tolist()
 
     def test_rejects_k_above_n(self):
@@ -371,7 +374,7 @@ class TestKMedoidsVanilla:
 class TestKCenterGreedy:
     def test_k_equals_points_radius_zero(self):
         positions, weights = unit_points([0.0, 4.0, 9.0])
-        delta = kcenter_greedy(positions, weights, k=3, seed=0)
+        delta, _ = kcenter_greedy(positions, weights, k=3, seed=0)
         assert sorted(delta.tolist()) == [0, 1, 2]
 
     def test_colinear_farthest_first(self):
@@ -379,7 +382,7 @@ class TestKCenterGreedy:
         # next and the radius is 1
         positions, weights = unit_points([0.0, 1.0, 10.0])
         for seed in range(6):
-            delta = kcenter_greedy(positions, weights, k=2, seed=seed)
+            delta, _ = kcenter_greedy(positions, weights, k=2, seed=seed)
             groups = {}
             for i, cid in enumerate(delta.tolist()):
                 groups.setdefault(cid, []).append(i)
@@ -392,7 +395,7 @@ class TestKCenterGreedy:
             n, k = 10, int(rng.integers(2, 4))
             coords = rng.uniform(0, 1, size=(n, 2))
             positions, weights = unit_points(coords)
-            delta = kcenter_greedy(positions, weights, k=k, seed=trial)
+            delta, _ = kcenter_greedy(positions, weights, k=k, seed=trial)
             dists = pairwise_distances(coords)
             # best in-hindsight center per group bounds the greedy radius
             achieved = max(
@@ -429,8 +432,9 @@ class TestKCenterGreedy:
                 centers.append(int(np.argmax(far)))
             expected = np.argmin(dists[:, centers], axis=1)
             expected[centers] = np.arange(k)
-            labels = kcenter_greedy(*unit_points(coords), k, seed)
+            labels, trace = kcenter_greedy(*unit_points(coords), k, seed)
             assert labels.tolist() == expected.tolist(), trial
+            assert trace == ()
 
 
 class TestPipeline:
@@ -441,9 +445,9 @@ class TestPipeline:
 
     def test_vanilla_kmedoids_reports_unconstrained(self):
         data = make_blobs(n=60, balance=0.5, clusters=2, seed=3)
-        res = pipeline("vanilla_kmedoids", data, Params(k=2, seed=1))
-        assert res.record.method == "vanilla_kmedoids"
-        assert sum(res.record.sizes) == data.n
+        _, record, _ = pipeline("vanilla_kmedoids", data, Params(k=2, seed=1))
+        assert record.method == "vanilla_kmedoids"
+        assert sum(record.sizes) == data.n
         rows = np.arange(data.n)  # PAM clusters singleton fairlets
         singletons = decompose("rows", data, Fraction(1, 2), seed=1)
         assert singletons.row_to_fairlet.tolist() == rows.tolist()
@@ -455,39 +459,68 @@ class TestPipeline:
         for method in FAIR_CAPACITATED:
             eps = 1.2 if method.startswith("hier") else 1.01
             params = Params(k=3, epsilon=eps, seed=2)
-            res = pipeline(method, data, params)
-            assert res.record.balance >= 0.5
-            assert max(res.record.sizes) <= res.record.q
-            assert sum(res.record.sizes) == data.n
+            _, record, _ = pipeline(method, data, params)
+            assert record.balance >= 0.5
+            assert max(record.sizes) <= record.q
+            assert sum(record.sizes) == data.n
 
     def test_fairlet_kcenter_is_fair_but_not_capacitated(self):
         data = make_blobs(n=60, balance=1.0, clusters=2, seed=8)
         for method in ("vanilla_fairlet_kcenter", "mcf_fairlet_kcenter"):
-            res = pipeline(method, data, Params(k=2, seed=4))
-            assert res.record.balance >= 0.5
-            assert sum(res.record.sizes) == data.n
+            _, record, _ = pipeline(method, data, Params(k=2, seed=4))
+            assert record.balance >= 0.5
+            assert sum(record.sizes) == data.n
 
     def test_all_methods_produce_total_assignments(self):
         data = make_blobs(n=50, balance=1.0, clusters=2, seed=11)
         for method in METHODS:
-            res = pipeline(method, data, Params(k=2, seed=6))
-            assert res.clustering.assignment.shape == (data.n,)
-            assert sum(res.record.sizes) == data.n
+            clustering, record, _ = pipeline(method, data, Params(k=2, seed=6))
+            assert clustering.assignment.shape == (data.n,)
+            assert sum(record.sizes) == data.n
+
+    def test_returns_the_stage_assignment_composed_and_evaluated(self):
+        # every stage returns a StageResult (assignment, trace); pipeline
+        # lifts the assignment to the rows, evaluates it and passes the
+        # trace on, which PAM and k-center leave empty
+        data = make_blobs(n=60, balance=0.8, clusters=3, seed=4)
+        for method, (flavor, stage) in METHODS.items():
+            params = Params(k=3, epsilon=1.2 if stage == "hier" else 1.01, seed=5)
+            decomp = decompose(flavor, data, params.t, params.seed)
+            args = (data.features[decomp.centers], decomp.weights, params.k)
+            q = capacity_threshold(data.n, params.k, params.epsilon)
+            if stage == "pam":
+                result = kmedoids_vanilla(*args, params.seed)
+            elif stage == "kcenter":
+                result = kcenter_greedy(*args, params.seed)
+            elif stage == "hier":
+                result = hierarchical_fair_capacitated(*args, q)
+            else:
+                result = kmedoids_fair_capacitated(*args, q, params.lam, params.seed)
+            assert isinstance(result, StageResult), method
+            assert (result.trace == ()) == (stage in ("pam", "kcenter")), method
+            clustering = compose_assignment(result.assignment, decomp, data)
+            got = pipeline(method, data, params)
+            assert type(got) is tuple and len(got) == 3, method
+            got_clustering, record, trace = got
+            assert got_clustering.assignment.tolist() == clustering.assignment.tolist(), method
+            assert got_clustering.representatives.tolist() == clustering.representatives.tolist()
+            assert record == evaluate(clustering, data, params, method=method), method
+            assert trace == result.trace, method
 
     def test_same_seed_same_record(self):
         data = make_blobs(n=60, balance=1.0, clusters=2, seed=1)
         for method in METHODS:
             eps = 1.2 if method.startswith("hier") else 1.01
-            a = pipeline(method, data, Params(k=3, epsilon=eps, seed=9)).record
-            b = pipeline(method, data, Params(k=3, epsilon=eps, seed=9)).record
+            _, a, _ = pipeline(method, data, Params(k=3, epsilon=eps, seed=9))
+            _, b, _ = pipeline(method, data, Params(k=3, epsilon=eps, seed=9))
             assert a == b
 
     def test_precomputed_decomposition_matches_internal(self):
         data = make_blobs(n=40, balance=1.0, clusters=2, seed=2)
         params = Params(k=2, seed=3)
         decomp = mcf_decompose(data, params.t, params.seed)
-        a = pipeline("kmed_fair_cap_mcf", data, params).record
-        b = pipeline("kmed_fair_cap_mcf", data, params, decomposition=decomp).record
+        _, a, _ = pipeline("kmed_fair_cap_mcf", data, params)
+        _, b, _ = pipeline("kmed_fair_cap_mcf", data, params, decomposition=decomp)
         assert a == b
 
     def test_rejects_a_decomposition_that_does_not_fit_the_data(self):
@@ -509,5 +542,5 @@ class TestPipeline:
             pipeline("vanilla_kmedoids", data, Params(k=2), decomposition=decomp)
         # the rows flavour's singletons are never balanced, and need not be
         rows = baselines.decompose("rows", data, Fraction(1), 3)
-        res = pipeline("vanilla_kmedoids", data, Params(k=2, t=1), decomposition=rows)
-        assert sum(res.record.sizes) == data.n
+        _, record, _ = pipeline("vanilla_kmedoids", data, Params(k=2, t=1), decomposition=rows)
+        assert sum(record.sizes) == data.n

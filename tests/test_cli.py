@@ -5,8 +5,8 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
+from student_like import write_student_like
 
 from faircap import baselines, capclust, errors, fairlets, ingest
 from faircap.cli import (
@@ -34,25 +34,6 @@ def write_config(tmp_path, body, data_flags=SMALL_DATA, name="sweep.ini"):
     path = tmp_path / name
     path.write_text(body.replace("{data}", str(data)), encoding="utf-8")
     return path
-
-
-def write_student_like(path, seed=0):
-    """Write a seeded 395-row CSV shaped like UCI student-mat: a binary
-    ``sex`` column, 14 categorical columns of 2-5 levels and 3 small-integer
-    columns. Its one-hot rows tie many distances exactly, as the paper's
-    mostly categorical data does."""
-    rng = np.random.default_rng(seed)
-    n = 395
-    columns = {"sex": rng.choice(["F", "M"], n, p=[0.53, 0.47])}
-    for c, levels in enumerate(rng.integers(2, 6, 14)):
-        weights = rng.dirichlet(np.ones(levels))
-        columns[f"cat{c}"] = rng.choice([f"v{v}" for v in range(levels)], n, p=weights)
-    columns["age"] = rng.integers(15, 23, n)
-    columns["failures"] = rng.choice(4, n, p=[0.79, 0.12, 0.05, 0.04])
-    columns["studytime"] = rng.integers(1, 5, n)
-    lines = [",".join(columns)]
-    lines += [",".join(str(col[i]) for col in columns.values()) for i in range(n)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 SMALL_SWEEP = """

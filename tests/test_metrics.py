@@ -13,35 +13,35 @@ from faircap.synth import make_blobs
 class TestEvaluate:
     def test_singleton_clusters(self):
         data = make_blobs(n=12, balance=1.0, clusters=2, seed=0)
-        res = pipeline("vanilla_kmedoids", data, Params(k=12, seed=0))
-        assert res.record.cost == 0.0
-        assert res.record.sizes == tuple([1] * 12)
+        _, record, _ = pipeline("vanilla_kmedoids", data, Params(k=12, seed=0))
+        assert record.cost == 0.0
+        assert record.sizes == tuple([1] * 12)
 
     def test_sizes_sorted_descending_and_sum_to_n(self):
         data = make_blobs(n=50, balance=1.0, clusters=3, seed=4)
-        res = pipeline("hier_fair_cap_mcf", data, Params(k=3, epsilon=1.2, seed=1))
-        sizes = res.record.sizes
+        _, record, _ = pipeline("hier_fair_cap_mcf", data, Params(k=3, epsilon=1.2, seed=1))
+        sizes = record.sizes
         assert list(sizes) == sorted(sizes, reverse=True)
         assert sum(sizes) == 50
 
     def test_balance_matches_counting_oracle(self):
         data = make_blobs(n=40, balance=0.6, clusters=2, seed=7)
-        res = pipeline("vanilla_kmedoids", data, Params(k=4, seed=2))
-        labels = res.clustering.assignment
+        clustering, record, _ = pipeline("vanilla_kmedoids", data, Params(k=4, seed=2))
+        labels = clustering.assignment
         worst = 1.0
-        for cid in range(res.clustering.k):
+        for cid in range(clustering.k):
             grp = data.protected[labels == cid]
             ones = int(grp.sum())
             zeros = len(grp) - ones
             worst = min(
                 worst, 0.0 if 0 in (zeros, ones) else min(zeros / ones, ones / zeros)
             )
-        assert res.record.balance == pytest.approx(worst)
+        assert record.balance == pytest.approx(worst)
 
     def test_fair_capacitated_record_respects_q(self):
         data = make_blobs(n=60, balance=1.0, clusters=3, seed=9)
-        res = pipeline("kmed_fair_cap_vanilla", data, Params(k=3, epsilon=1.01, seed=3))
-        assert max(res.record.sizes) <= res.record.q
+        _, record, _ = pipeline("kmed_fair_cap_vanilla", data, Params(k=3, epsilon=1.01, seed=3))
+        assert max(record.sizes) <= record.q
 
     def test_rejects_clustering_of_another_k(self):
         # a 2-cluster clustering under Params(k=3) was once recorded as k=2
@@ -53,8 +53,8 @@ class TestEvaluate:
 
     def test_purity(self):
         data = make_blobs(n=30, balance=1.0, clusters=2, seed=5)
-        a = pipeline("vanilla_fairlet_kcenter", data, Params(k=2, seed=8)).record
-        b = pipeline("vanilla_fairlet_kcenter", data, Params(k=2, seed=8)).record
+        _, a, _ = pipeline("vanilla_fairlet_kcenter", data, Params(k=2, seed=8))
+        _, b, _ = pipeline("vanilla_fairlet_kcenter", data, Params(k=2, seed=8))
         assert a == b
 
 
