@@ -25,7 +25,6 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from math import isfinite
 from pathlib import Path
@@ -230,7 +229,7 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
                     method, data, params, decomposition=decomposition_for(flavor),
                     merges=merges,
                 )
-                rows.append({"type": "run", "status": "ok", **asdict(record)})
+                rows.append({"type": "run", "status": "ok", **record._asdict()})
                 for event in trace:
                     traces.append({"method": method, "k": k, **event})
             except FaircapError as exc:

@@ -110,8 +110,10 @@ class Dataset:
     """An immutable table of feature rows plus one binary protected label per row.
 
     ``features`` is an (n, d) float matrix of finite values and ``protected``
-    a length-n vector over {0, 1}. Rows are named by their index, which is
-    the CSV row order for loaded data.
+    a length-n vector over {0, 1}. The squared column ranges must sum to
+    less than the float maximum, and so must n times the largest |value|,
+    so that distances and centroid sums stay finite. Rows are named by their
+    index, which is the CSV row order for loaded data.
     """
 
     features: np.ndarray
@@ -126,6 +128,18 @@ class Dataset:
             )
         if not np.all(np.isfinite(feats)):
             raise ContractViolationError("features contain non-finite values")
+        # distances add squared column differences and hier's centroids sum
+        # up to n rows; both must stay finite
+        with np.errstate(over="ignore"):
+            spread = float(np.square(np.ptp(feats, axis=0)).sum())
+            mass = feats.shape[0] * float(np.abs(feats).max())
+        if not (isfinite(spread) and isfinite(mass)):
+            raise ContractViolationError(
+                f"features too large: the squared column ranges sum to {spread!r} and n "
+                f"times the largest |value| is {mass!r}, and both must stay below the "
+                f"float maximum {float(np.finfo(np.float64).max)!r}; rescale them, for "
+                "example with scale = minmax"
+            )
         if prot.shape != (feats.shape[0],):
             raise ContractViolationError(
                 f"protected must have length {feats.shape[0]}, got shape {prot.shape}"
@@ -164,11 +178,9 @@ def balance_of(count_a: int, count_b: int) -> Fraction:
 
 
 class Fairlet(NamedTuple):
-    """Read-only view of one fairlet: its sorted member rows, center row and size.
-    Nothing in the package reads it; it is kept for ``perfbench/tracer.py``."""
+    """The size of one fairlet. Nothing in the package reads it; it is kept
+    for ``perfbench/tracer.py``."""
 
-    members: tuple[int, ...]
-    center: int
     weight: int
 
 
@@ -203,12 +215,8 @@ class FairletDecomposition:
 
     @property
     def fairlets(self) -> tuple[Fairlet, ...]:
-        """One :class:`Fairlet` view per fairlet, in fairlet order."""
-        by_fairlet = np.argsort(self.row_to_fairlet, kind="stable")
-        groups = np.split(by_fairlet, np.cumsum(self.weights)[:-1])
-        return tuple(
-            Fairlet(tuple(g.tolist()), int(c), len(g)) for g, c in zip(groups, self.centers)
-        )
+        """One :class:`Fairlet` per fairlet, in fairlet order."""
+        return tuple(map(Fairlet, self.weights.tolist()))
 
     def __len__(self) -> int:
         return self.centers.size

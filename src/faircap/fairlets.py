@@ -16,12 +16,13 @@ a uniformly sampled member, drawn from the seeded stream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    _LOCKSTEP_CELLS,
     Dataset,
     FairletDecomposition,
     balance_of,
@@ -102,12 +103,22 @@ def vanilla_decompose(data: Dataset, t: Fraction, seed: int) -> FairletDecomposi
 
 
 def _least_moves(cost: np.ndarray, members: np.ndarray, load: np.ndarray, anchors) -> np.ndarray:
-    """Row j: the least cost[i, k] - cost[i, a] over the first load[j]
-    members i of anchor a = anchors[j], for every anchor k (inf if none)."""
-    gain = cost[members]
-    gain -= cost[members, np.asarray(anchors)[:, None]][:, :, None]
-    gain[np.arange(members.shape[1]) >= load[:, None]] = np.inf
-    return gain.min(1)
+    """Row j: the least cost[i, k] - cost[i, a] over the first load[a]
+    members i of anchor a = anchors[j], for every anchor k (inf if none).
+    It gathers the members up to the largest load of ``anchors``, in blocks
+    of anchors of at most ``_LOCKSTEP_CELLS`` cells."""
+    anchors = np.asarray(anchors)
+    width = max(1, int(load[anchors].max()))
+    out = np.empty((len(anchors), cost.shape[1]))
+    step = max(1, _LOCKSTEP_CELLS // (width * cost.shape[1]))
+    for r in range(0, len(anchors), step):
+        block = anchors[r : r + step]
+        mem = members[block, :width]
+        gain = cost[mem]
+        gain -= cost[mem, block[:, None]][:, :, None]
+        gain[np.arange(width) >= load[block, None]] = np.inf
+        gain.min(1, out=out[r : r + step])
+    return out
 
 
 def _least_cost_grouping(cost: np.ndarray, m: int) -> np.ndarray:
@@ -135,8 +146,12 @@ def _least_cost_grouping(cost: np.ndarray, m: int) -> np.ndarray:
     least label together. When no unit is left unplaced, the potentials are
     a feasible dual solution that meets complementary slackness with the
     grouping, and by LP duality the grouping is optimal.
+
+    No anchor can hold more than rho points, so the solver works with
+    min(m, rho): every m above rho gives the grouping of m = rho.
     """
     rho, beta = cost.shape
+    m = min(m, rho)
     inf = np.inf
     points = np.arange(rho)
     nearest = cost.argmin(1)
@@ -230,7 +245,7 @@ def _least_cost_grouping(cost: np.ndarray, m: int) -> np.ndarray:
                 changed.append(cur)
             cur = p
         has_room[target] = load[target] + dummies[target] < m  # no other count changed
-        moves[changed, :beta] = _least_moves(cost, members[changed], load[changed], changed)
+        moves[changed, :beta] = _least_moves(cost, members, load, changed)
     return anchor
 
 
@@ -256,8 +271,7 @@ def fairlet_cost(decomp: FairletDecomposition, data: Dataset) -> float:
     return float(np.linalg.norm(data.features - centers, axis=1).sum())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of auditing a decomposition; ``violations`` is empty when valid."""
 
     violations: tuple[str, ...]
@@ -282,8 +296,10 @@ def validate(
     ones = np.bincount(decomp.row_to_fairlet[data.protected == 1], minlength=len(decomp))
     zeros = sizes - ones
     oversized = sizes > f + m
-    # balance min(zeros, ones) / max(zeros, ones) < f/m, in integers
-    unbalanced = m * np.minimum(zeros, ones) < f * np.maximum(zeros, ones)
+    # balance min(zeros, ones) / max(zeros, ones) < f/m, in Python integers,
+    # because m times a count can pass the int64 range
+    low, high = np.minimum(zeros, ones).astype(object), np.maximum(zeros, ones).astype(object)
+    unbalanced = (m * low < f * high).astype(bool)
     violations: list[str] = []
     for j in np.flatnonzero(oversized | unbalanced).tolist():
         if oversized[j]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,8 +11,7 @@ from .core import Clustering, Dataset, Params, clustering_balance, clustering_co
 from .errors import ContractViolationError
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One evaluated run of one method at one k.
 
     ``sizes`` is sorted descending.

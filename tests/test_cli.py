@@ -18,6 +18,7 @@ from faircap.cli import (
     SweepConfig,
     main,
 )
+from faircap.metrics import RunRecord
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -110,7 +111,8 @@ class TestSidecarReference:
         block = re.search(r"```json\n(.*?)```", text, re.S).group(1)
         decomp = fairlets.decomposition_from_json(block)
         assert fairlets.decomposition_to_json(decomp) == block.strip()
-        assert [fl.members for fl in decomp.fairlets] == [(0, 1), (2, 4), (3, 5)]
+        assert decomp.row_to_fairlet.tolist() == [0, 0, 1, 2, 1, 2]
+        assert decomp.centers.tolist() == [1, 2, 5]
 
 
 class TestGenerate:
@@ -148,6 +150,32 @@ class TestRun:
         assert rows[0]["type"] == "provenance"
         runs = [r for r in rows if r["type"] == "run"]
         assert len(runs) == 7 * 2
+
+    def test_ok_line_keys_are_the_record_fields(self, sweep_dir):
+        lines = (sweep_dir / "runs.jsonl").read_text().splitlines()
+        ok = [json.loads(line) for line in lines[1:]]
+        ok = [r for r in ok if r["status"] == "ok"]
+        assert ok
+        for row in ok:
+            assert set(row) == {"type", "status", *RunRecord._fields}
+
+    def test_unscaled_features_past_the_float_range_write_nothing(self, tmp_path, capsys):
+        # squared differences of 2e200 overflow: the run once exited 0 with
+        # "cost": Infinity, which is not standard JSON, in all 7 records
+        data = tmp_path / "big.csv"
+        data.write_text("x,group\n1e200,a\n-1e200,b\n1,a\n2,b\n", encoding="utf-8")
+        config = tmp_path / "big.ini"
+        config.write_text(
+            f"[dataset]\npath = {data}\nprotected_column = group\nscale = none\n\n"
+            "[sweep]\nk = 2\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--output", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: features too large: ") and err.count("\n") == 1
+        assert "float maximum 1.7976931348623157e+308" in err
+        assert not out.exists()
 
     def test_provenance_carries_defaults(self, sweep_dir):
         provenance = json.loads((sweep_dir / "runs.jsonl").read_text().splitlines()[0])

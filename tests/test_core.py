@@ -293,11 +293,9 @@ class TestFairletDecomposition:
         assert decomp.n == 6
         assert len(decomp) == 3
         assert decomp.weights.tolist() == [3, 2, 1]
-        assert [tuple(fl) for fl in decomp.fairlets] == [
-            ((0, 2, 5), 2, 3),
-            ((1, 4), 4, 2),
-            ((3,), 3, 1),
-        ]
+        assert decomp.row_to_fairlet.tolist() == [0, 1, 0, 2, 1, 0]
+        assert decomp.centers.tolist() == [2, 4, 3]
+        assert [fl.weight for fl in decomp.fairlets] == [3, 2, 1]
 
     def test_arrays_are_frozen_int64(self):
         decomp = FairletDecomposition(
@@ -423,6 +421,23 @@ class TestValidation:
         for protected in (np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int)):
             with pytest.raises(ContractViolationError, match=r"protected must have length 3, got shape"):
                 Dataset(features=np.zeros((3, 2)), protected=protected)
+
+    def test_dataset_rejects_features_whose_sums_overflow(self):
+        # a spread of 1e155 squares past the float maximum, and 40 rows of
+        # 1e308 sum past it in a centroid: the first once gave costs of inf,
+        # the second a false infeasible from hier
+        for features in ([[1e155], [-1e155]], np.full((40, 1), 1e308)):
+            protected = np.arange(len(features)) % 2
+            with pytest.raises(ContractViolationError) as err:
+                _dataset(features, protected)
+            assert str(err.value).startswith("features too large: ")
+            assert "below the float maximum 1.7976931348623157e+308" in str(err.value)
+            assert str(err.value).endswith("for example with scale = minmax")
+        # two columns that each span 1e150 square to 2e300 together
+        data = _dataset([[1e150, 0.0], [0.0, 1e150], [0.0, 0.0]], [0, 1, 0])
+        assert np.isfinite(clustering_cost(
+            Clustering(assignment=np.zeros(3, dtype=int), representatives=(2,)), data
+        ))
 
     def test_dataset_rejects_nonbinary_protected(self):
         with pytest.raises(ContractViolationError):

@@ -259,6 +259,30 @@ class TestMcfDecompose:
             tracemalloc.stop()
         assert peak < 13 * 2**20
 
+    def test_any_threshold_groups_as_at_rho(self):
+        # no anchor holds more than rho points, so every m above rho groups
+        # as m = rho; t = 1/10**20 once asked numpy for a (beta, m) table
+        data = make_blobs(n=60, balance=0.5, clusters=3, seed=5)
+        rho = max(data.group_counts())
+        tiny = Fraction(1, 10**20)
+        decomp = mcf_decompose(data, tiny, seed=5)
+        assert _same(decomp, mcf_decompose(data, Fraction(1, rho), seed=5))
+        assert _same(decomp, mcf_decompose(data, Fraction(1, rho + 1), seed=5))
+        assert validate(decomp, data, tiny).violations == ()
+
+    def test_peak_memory_at_t_one_thousandth(self):
+        # 200 anchors and 400 points: the member gain blocks once spanned
+        # m = 1000 columns per anchor and peaked at 311 MiB; now they span
+        # the largest load, in blocks of at most _LOCKSTEP_CELLS cells
+        data = make_blobs(n=600, balance=0.5, clusters=4, seed=7)
+        tracemalloc.start()
+        try:
+            mcf_decompose(data, Fraction(1, 1000), seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_cost_dominates_vanilla_on_random_instances(self):
         rng = np.random.default_rng(31)
         for i in range(50):
@@ -319,12 +343,19 @@ class TestLeastCostGrouping:
     def test_cost_matches_slot_matching_on_random_instances(self):
         # m from 1 to 4, rho from beta to beta*m with both ends forced in
         # turn, 1 to 4 features; a third of the instances on a 0.1 grid and
-        # every 11th with all points coincident
+        # every 11th with all points coincident. The last 200 take m above
+        # rho - beta + 1, which no anchor can reach, up to rho + 3, where the
+        # solver works with m = rho
         rng = np.random.default_rng(53)
-        for trial in range(1100):
-            m = int(rng.integers(1, 5))
-            beta = int(rng.integers(1, 9))
-            rho = (beta, beta * m, int(rng.integers(beta, beta * m + 1)))[min(trial % 4, 2)]
+        for trial in range(1300):
+            if trial < 1100:
+                m = int(rng.integers(1, 5))
+                beta = int(rng.integers(1, 9))
+                rho = (beta, beta * m, int(rng.integers(beta, beta * m + 1)))[min(trial % 4, 2)]
+            else:
+                beta = int(rng.integers(1, 9))
+                rho = int(rng.integers(beta, 3 * beta + 1))
+                m = int(rng.integers(rho - beta + 2, rho + 4))
             points = rng.uniform(0, 1, size=(beta + rho, int(rng.integers(1, 5))))
             if trial % 3 == 0:
                 points = points.round(1)
@@ -421,10 +452,9 @@ class TestFairletCost:
         data = _random_feasible(rng)
         decomp = mcf_decompose(data, T_HALF, seed=11)
         expected = 0.0
-        for fl in decomp.fairlets:
-            for m in fl.members:
-                diff = data.features[m] - data.features[fl.center]
-                expected += float(np.sqrt((diff**2).sum()))
+        for row, fairlet in enumerate(decomp.row_to_fairlet.tolist()):
+            diff = data.features[row] - data.features[decomp.centers[fairlet]]
+            expected += float(np.sqrt((diff**2).sum()))
         assert fairlet_cost(decomp, data) == pytest.approx(expected, rel=1e-12)
 
 
