@@ -37,7 +37,6 @@ import numpy as np
 
 from .core import (
     _LOCKSTEP_CELLS,
-    _distance_block,
     check_epsilon,
     check_integer,
     check_lambda,
@@ -206,10 +205,8 @@ def hierarchical_fair_capacitated(
     w = weights.astype(np.float64)
     weighted = positions * w[:, None]
     # Singletons go through the same expression as merged centroids below,
-    # so every centroid is rounded the same way. They are stored
-    # feature-major, the layout a merged cluster's distance row reads.
-    cols = np.ascontiguousarray((weighted / w[:, None]).T)
-    cents = cols.T
+    # so every centroid is rounded the same way.
+    cents = weighted / w[:, None]
     # the replayed merges: each point's cluster id, found by following
     # merged-into links (ids only fall) to a live id, and each live merged
     # cluster's weight and centroid
@@ -233,8 +230,6 @@ def hierarchical_fair_capacitated(
         dist = pairwise_distances(cents)
         np.fill_diagonal(dist, np.inf)
         dist[(q - room)[:, None] > room] = np.inf
-        block, sq = np.empty((1, l)), np.empty((1, l))
-        row = block[0]
         while len(log.pairs) < l - k:
             i, j = divmod(int(dist.argmin()), l)
             if not np.isfinite(dist[i, j]):
@@ -249,7 +244,7 @@ def hierarchical_fair_capacitated(
             label[label == j] = i
             cents[i] = weighted[label == i].sum(axis=0) / merged
             room[i], room[j] = q - merged, -1
-            _distance_block(cents[i : i + 1], cols, block, sq)
+            row = pairwise_distances(cents[i : i + 1], cents)[0]
             row[room < merged] = np.inf  # j and every other id merged away included
             row[i] = np.inf
             dist[i] = dist[:, i] = row

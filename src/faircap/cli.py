@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from math import isfinite
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from . import __version__, baselines, capclust, fairlets, ingest, report, synth
 from .core import Params
@@ -52,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_k_values(text: str) -> tuple[int, ...]:
+def _parse_k_values(text: str) -> Sequence[int]:
+    """The k values of ``text`` ascending, each once: ``a:b[:step]`` as a
+    range, which holds no list of them, or ``a,b,...`` as a tuple."""
     text = text.strip()
     try:
         if ":" in text:
@@ -66,16 +68,17 @@ def _parse_k_values(text: str) -> tuple[int, ...]:
                 raise ValueError
             if step < 1:
                 raise ConfigError(f"sweep.k: step must be positive, got {text!r}")
-            values = tuple(range(start, stop + 1, step))
+            values = range(start, stop + 1, step)
         else:
-            values = tuple(int(p) for p in text.split(",") if p.strip())
+            # canonical record order is (method, k)
+            values = tuple(sorted({int(p) for p in text.split(",") if p.strip()}))
     except ValueError as exc:
         raise ConfigError(f"sweep.k: cannot parse {text!r} (use '2:14:2' or '2,4,6')") from exc
     if not values:
         raise ConfigError(f"sweep.k: {text!r} names no k value")
-    if min(values) < 1:
+    if values[0] < 1:
         raise ConfigError(f"sweep.k: needs positive values, got {text!r}")
-    return tuple(sorted(set(values)))  # canonical record order is (method, k)
+    return values
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -180,6 +183,11 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
     """Execute the sweep and write artifacts; returns the process exit code."""
     spec = cfg.dataset_spec
     data = ingest.load_csv(spec)
+    if cfg.k_values[-1] > data.n:
+        raise ConfigError(
+            f"sweep.k: k = {cfg.k_values[-1]} exceeds the dataset's n = {data.n} rows, "
+            "and no method forms more clusters than rows"
+        )
     balance = ingest.dataset_balance(data)
     out_dir.mkdir(parents=True, exist_ok=True)
 

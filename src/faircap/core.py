@@ -293,8 +293,7 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
     in column order, then takes the square root: the IEEE operations of a
     sequential loop over the features, so an entry has the same bits whichever
     other rows are computed with it, and ``pairwise_distances(x)`` is exactly
-    symmetric. It runs :func:`_distance_block`, hier's one kernel for a merged
-    cluster's row too, on row blocks of at most ``_LOCKSTEP_CELLS`` cells.
+    symmetric. It runs on row blocks of at most ``_LOCKSTEP_CELLS`` cells.
     Zero columns give zeros.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -304,34 +303,25 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
             "distances need two 2-d arrays with equal column counts, "
             f"got shapes {a.shape} and {b.shape}"
         )
-    out = np.empty((len(a), len(b)))
-    if not out.size:
+    out = np.zeros((len(a), len(b)))
+    if not out.size or not a.shape[1]:
         return out
     cols = np.ascontiguousarray(b.T)
     step = max(1, _LOCKSTEP_CELLS // len(b))
     scratch = np.empty((min(step, len(a)), len(b)))
     for r in range(0, len(a), step):
-        block = out[r : r + step]
-        _distance_block(a[r : r + step], cols, block, scratch[: len(block)])
+        # the first feature's squares go straight into the block, each
+        # later one's through the scratch
+        rows, block = a[r : r + step], out[r : r + step]
+        sq = scratch[: len(block)]
+        np.subtract(rows[:, :1], cols[0], out=block)
+        block *= block
+        for j in range(1, len(cols)):
+            np.subtract(rows[:, j : j + 1], cols[j], out=sq)
+            sq *= sq
+            block += sq
+        np.sqrt(block, out=block)
     return out
-
-
-def _distance_block(rows: np.ndarray, cols: np.ndarray, out: np.ndarray, sq: np.ndarray) -> None:
-    """Write the distances between ``rows`` (r, d) and the points whose
-    features ``cols`` holds feature-major (d, m) into ``out`` (r, m), with
-    ``sq`` as scratch of ``out``'s shape: the first feature's squares go
-    straight into ``out``, each later one's through ``sq``. Zero columns
-    give zeros."""
-    if not len(cols):
-        out.fill(0.0)
-        return
-    np.subtract(rows[:, :1], cols[0], out=out)
-    out *= out
-    for j in range(1, len(cols)):
-        np.subtract(rows[:, j : j + 1], cols[j], out=sq)
-        sq *= sq
-        out += sq
-    np.sqrt(out, out=out)
 
 
 def medoid_index(features: np.ndarray, members: Sequence[int]) -> int:

@@ -135,6 +135,7 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     protected = np.array([1 if v == positive else 0 for v in protected_values])
 
     feature_cols: list[np.ndarray] = []
+    feature_names: list[str] = []  # each feature column's CSV column
     forced_numeric = set(spec.numeric_columns)
     for j, name in enumerate(header):
         if j in dropped:
@@ -165,14 +166,29 @@ def load_csv(spec: DatasetSpec) -> Dataset:
                     )
                 col = (col - lo) / (hi - lo) if hi > lo else np.zeros_like(col)
             feature_cols.append(col)
+            feature_names.append(name)
         else:
             for level in sorted(set(raw)):
                 feature_cols.append(
                     np.array([1.0 if c == level else 0.0 for c in raw])
                 )
+                feature_names.append(name)
 
     features = np.column_stack(feature_cols)
-    return Dataset(features=features, protected=protected)
+    try:
+        return Dataset(features=features, protected=protected)
+    except ContractViolationError as exc:
+        # Every other refusal of Dataset is checked above, so this is its
+        # range check: name the column with the widest range when the
+        # squared ranges overflow, else the one with the largest |value|.
+        with np.errstate(over="ignore"):
+            spread = np.ptp(features, axis=0)
+            wide = not np.isfinite(np.square(spread).sum())
+        j = int(np.argmax(spread if wide else np.abs(features).max(axis=0)))
+        lo, hi = float(features[:, j].min()), float(features[:, j].max())
+        raise IngestError(
+            f"{path}: column {feature_names[j]!r} spans {lo!r} to {hi!r}; {exc}"
+        ) from exc
 
 
 def dataset_balance(data: Dataset) -> Fraction:

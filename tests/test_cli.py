@@ -2,6 +2,7 @@ import configparser
 import json
 import re
 import shlex
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,7 +98,7 @@ class TestConfigReference:
         config.write_text(re.sub(r"(?m)^path = .*$", f"path = {data}", block), encoding="utf-8")
         cfg = SweepConfig(config)
         assert cfg.dataset_spec.drop_columns == ("G1", "G2")
-        assert cfg.k_values == (2, 4, 6, 8, 10, 12, 14)
+        assert list(cfg.k_values) == [2, 4, 6, 8, 10, 12, 14]
         assert (cfg.t, cfg.lam, cfg.seed) == (Fraction(1, 2), 0.3, 0)
         rows = ingest.load_csv(cfg.dataset_spec)
         # age plus the two one-hot school levels; sex is the protected column
@@ -173,7 +174,8 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(config), "--output", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("error: features too large: ") and err.count("\n") == 1
+        assert err.startswith(f"data error: {data}: column 'x' spans -1e+200 to 1e+200; ")
+        assert "features too large: " in err and err.count("\n") == 1
         assert "float maximum 1.7976931348623157e+308" in err
         assert not out.exists()
 
@@ -349,6 +351,37 @@ seed = 3
             assert "sweep.k" in err, value
             assert not out.exists()
         assert err == "config error: sweep.k: '10:2' names no k value\n"
+
+    def test_k_above_the_row_count_is_config_error(self, tmp_path, capsys):
+        # k = 2:49 on 48 rows once ran the whole sweep and wrote every k
+        # above 48 as a failed record
+        config = write_config(tmp_path, SMALL_SWEEP.replace("k = 2,3", "k = 2:49"))
+        out = tmp_path / "o"
+        assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: sweep.k: k = 49 exceeds the dataset's n = 48 rows, "
+            "and no method forms more clusters than rows\n"
+        )
+        assert not out.exists()
+
+    def test_k_range_is_not_built(self, tmp_path, capsys):
+        # every value of 2:100000000 was once built as a tuple, then a set,
+        # before any row was read: gigabytes, or a MemoryError; a stop past
+        # the C size range ended in an OverflowError traceback
+        for stop in (10**8, 10**20):
+            config = write_config(tmp_path, SMALL_SWEEP.replace("k = 2,3", f"k = 2:{stop}"))
+            tracemalloc.start()
+            try:
+                cfg = SweepConfig(config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, stop
+            assert (cfg.k_values[0], cfg.k_values[-1]) == (2, stop)
+            out = tmp_path / "o"
+            assert main(["run", str(config), "--output", str(out)]) == EXIT_USAGE
+            assert f"k = {stop} exceeds the dataset's n = 48 rows" in capsys.readouterr().err
+            assert not (out / "runs.jsonl").exists()
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a typo once ran silently with the default lambda, and a generator

@@ -111,23 +111,6 @@ class TestDistance:
         assert pairwise_distances(np.zeros((3, 0)), np.zeros((2, 0))).tolist() == [[0.0] * 2] * 3
         assert pairwise_distances(np.zeros((1, 0)), np.zeros((2, 0))).tolist() == [[0.0] * 2]
 
-    def test_row_in_place_has_the_matrix_row_bits(self):
-        # hier's merged-cluster row, written into preallocated buffers from
-        # feature-major centroids: zero columns, coincident rows, scales
-        # far apart
-        rng = np.random.default_rng(11)
-        for trial in range(80):
-            d, l = trial % 5, int(rng.integers(1, 30))
-            x = rng.normal(size=(l, d)) * 10.0 ** rng.uniform(-3, 3)
-            if trial % 4 == 0:
-                x = x.round(1)
-            cols = np.ascontiguousarray(x.T)
-            out, sq = np.full((1, l), np.nan), np.full((1, l), np.nan)
-            for i in range(l):
-                core._distance_block(cols.T[i : i + 1], cols, out, sq)
-                expected = pairwise_distances(x[i : i + 1], x)
-                assert [v.hex() for v in out[0].tolist()] == [v.hex() for v in expected[0].tolist()]
-
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(7)
         for _ in range(100):

@@ -167,9 +167,13 @@ class TestLoadCsvDiagnostics:
             f"{path}: column 'x' spans -1e+308 to 1e+308, a range above the float "
             "maximum 1.7976931348623157e+308; rescale it"
         )
-        # unscaled, the same range squares past the float maximum
-        with pytest.raises(ContractViolationError, match="features too large: "):
+        # unscaled, the same range squares past the float maximum; the
+        # refusal once named neither the file nor the column
+        with pytest.raises(IngestError) as err:
             load_csv(DatasetSpec(path=path, protected_column="sex", scale="none"))
+        assert str(err.value).startswith(
+            f"{path}: column 'x' spans -1e+308 to 1e+308; features too large: "
+        )
 
     def test_repeated_header_name(self, tmp_path):
         # drop_columns once dropped the first age and kept the second
