@@ -16,7 +16,6 @@ from .capclust import (
     capacity_threshold,
     hierarchical_fair_capacitated,
     kmedoids_fair_capacitated,
-    knapsack_select,
 )
 from .core import (
     Clustering,
@@ -54,7 +53,6 @@ __all__ = [
     "kcenter_greedy",
     "kmedoids_fair_capacitated",
     "kmedoids_vanilla",
-    "knapsack_select",
     "load_csv",
     "make_blobs",
     "mcf_decompose",

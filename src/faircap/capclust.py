@@ -60,31 +60,6 @@ def capacity_threshold(n: int, k: int, epsilon: float) -> int:
     return int(ceil(Fraction(n) * Fraction(str(epsilon)) / k))
 
 
-def knapsack_select(values: np.ndarray, weights: np.ndarray, capacity: int) -> np.ndarray:
-    """Indices of a maximum-value selection of items (real values, positive
-    integer weights) with total weight <= capacity.
-
-    When every item fits and every value is positive, all are taken (none
-    of an empty instance): a rule of the definition, not a shortcut, since
-    the DP can drop an item whose value vanishes in a float sum (1e-20 beside
-    1.0). Otherwise :func:`_knapsack_rows` decides, on one row.
-    """
-    values, weights = np.asarray(values, dtype=np.float64), np.asarray(weights)
-    if values.shape != weights.shape or values.ndim != 1:
-        raise ContractViolationError("values and weights must be equal-length vectors")
-    if values.size and (not np.all(np.isfinite(values)) or values.min() < 0):
-        raise ContractViolationError("values must be finite and nonnegative")
-    if values.size and (not np.issubdtype(weights.dtype, np.integer) or weights.min() < 1):
-        raise ContractViolationError("weights must be positive integers")
-    if check_integer("capacity", capacity) < 0:
-        raise ContractViolationError("capacity must be nonnegative")
-    total_w = int(weights.sum())
-    if total_w <= capacity and (values > 0).all():
-        return np.arange(values.size, dtype=np.int64)
-    free, cap = np.ones((1, values.size), dtype=bool), np.array([min(capacity, total_w)])
-    return np.flatnonzero(_knapsack_rows(values[None], free, weights.astype(np.int64), cap))
-
-
 def _knapsack_rows(
     values: np.ndarray, free: np.ndarray, weights: np.ndarray, cap: np.ndarray
 ) -> np.ndarray:
@@ -301,6 +276,14 @@ def _check_capacity_inputs(
             f"a single point of weight {heaviest} exceeds capacity {q}; "
             "rerun with a larger epsilon"
         )
+    # with one weight w a cluster holds at most q // w points, so this bound
+    # is exact: no packing exists past it, and one exists within it
+    l, w = len(weights), int(weights.min())
+    if w == heaviest and l > k * (q // w):
+        raise InfeasibilityError(
+            f"{l} points of weight {w} fit no {k} clusters of capacity {q}, "
+            f"which hold {q // w} each; rerun with a larger epsilon"
+        )
     return positions, weights, min(q, total)
 
 
@@ -497,7 +480,9 @@ def _assign_lockstep(
         s, cap = cands[:, j], np.minimum(room[:, j], free_w)
         live = cap > 0
         fit = np.flatnonzero(live & (free_w <= cap))
-        # every free point fits: take them all, unless one is worth 0
+        # every free point fits: take them all, unless one is worth 0. This
+        # rule belongs to the definition: the DP alone can drop a point whose
+        # value vanishes in a float sum (1e-20 beside 1.0) for its weight.
         fit = fit[~((taken[fit] == -1) & (decay[s[fit]] == 0)).any(axis=1)]
         taken[fit] = np.where(taken[fit] == -1, j, taken[fit])
         room[fit, j] -= free_w[fit]

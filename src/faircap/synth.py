@@ -44,6 +44,8 @@ def make_blobs(
     minority = minority_count(n, balance)  # checks n >= 2 before the blobs are sized
     if clusters < 1:
         raise ContractViolationError("clusters must be positive")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ContractViolationError(f"noise must be finite and nonnegative, got {noise}")
 
     rng = rng_stream(seed, "synth.blobs")
     angles = 2 * math.pi * np.arange(clusters) / clusters

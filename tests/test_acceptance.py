@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import faircap
-from faircap import cli
+from faircap import capclust, cli
 from faircap.errors import InfeasibilityError
 
 T_HALF = Fraction(1, 2)
@@ -149,7 +149,11 @@ def test_criterion_04_knapsack_oracle():
         values = np.round(rng.uniform(0, 9, size=n), 4)
         weights = rng.integers(1, 9, size=n)
         capacity = int(rng.integers(0, int(weights.sum()) + 3))
-        chosen = faircap.knapsack_select(values, weights, capacity)
+        # one row of the DP that kmed's assignment step runs, at the working
+        # capacity it passes: at most the total weight
+        cap = np.array([min(capacity, int(weights.sum()))])
+        free = np.ones((1, n), dtype=bool)
+        chosen = np.flatnonzero(capclust._knapsack_rows(values[None], free, weights, cap))
         assert int(weights[chosen].sum()) <= capacity
         bits = (np.arange(1 << n, dtype=np.uint32)[:, None] >> np.arange(n)) & 1
         feasible = bits @ weights <= capacity

@@ -14,7 +14,6 @@ from faircap.capclust import (
     capacity_threshold,
     hierarchical_fair_capacitated,
     kmedoids_fair_capacitated,
-    knapsack_select,
 )
 from faircap.baselines import kcenter_greedy, kmedoids_vanilla
 from faircap.core import Params, pairwise_distances, rng_stream
@@ -36,6 +35,15 @@ def brute_force_knapsack(values, weights, capacity):
 
 
 def reference_knapsack(values, weights, capacity):
+    """A medoid's claim, as the definition: every point when all fit and
+    each is worth more than 0, else :func:`reference_dp`."""
+    values, weights = np.asarray(values, dtype=np.float64), np.asarray(weights)
+    if values.size and int(weights.sum()) <= capacity and values.min() > 0:
+        return np.arange(values.size, dtype=np.int64)
+    return reference_dp(values, weights, capacity)
+
+
+def reference_dp(values, weights, capacity):
     """The knapsack DP with its tie rules, as the definition: maximum value
     under the right-fold float sums, then minimum weight, then the
     lexicographically smallest index set."""
@@ -44,10 +52,7 @@ def reference_knapsack(values, weights, capacity):
     n = values.size
     if n == 0 or capacity == 0:
         return np.empty(0, dtype=np.int64)
-    total_w = int(weights.sum())
-    cap = min(capacity, total_w)
-    if total_w <= capacity and values.min() > 0:
-        return np.arange(n, dtype=np.int64)
+    cap = min(capacity, int(weights.sum()))
     best_v = [None] * (n + 1)
     best_w = [None] * (n + 1)
     best_v[n] = np.zeros(cap + 1)
@@ -77,6 +82,15 @@ def reference_knapsack(values, weights, capacity):
     return np.array(selected, dtype=np.int64)
 
 
+def dp_select(values, weights, capacity):
+    """The selection of one :func:`capclust._knapsack_rows` row whose points
+    are all free, at the working capacity min(capacity, total weight) that
+    the assignment step passes it."""
+    values, weights = np.asarray(values, dtype=np.float64), np.asarray(weights, dtype=np.int64)
+    free, cap = np.ones((1, values.size), dtype=bool), np.array([min(capacity, int(weights.sum()))])
+    return np.flatnonzero(capclust._knapsack_rows(values[None], free, weights, cap))
+
+
 def certify_one_row(values, weights, capacity):
     """The lockstep's two-class certificate on one row whose points are all
     free: the sorted selection, or None when the row is left to the DP."""
@@ -87,6 +101,18 @@ def certify_one_row(values, weights, capacity):
         np.ones((1, values.size), dtype=bool), cap, np.zeros(1, dtype=np.int64), ranks
     )
     return np.sort(points) if ok[0] else None
+
+
+def one_class_bound(weights, k, q):
+    """The error both capacitated stages raise before any work when all l
+    weights equal one w and l > k * (q // w), else None."""
+    l, w = len(weights), int(weights[0])
+    if (weights == w).all() and l > k * (q // w):
+        return (
+            f"{l} points of weight {w} fit no {k} clusters of capacity {q}, "
+            f"which hold {q // w} each; rerun with a larger epsilon"
+        )
+    return None
 
 
 def unit_points(coords):
@@ -243,17 +269,21 @@ class TestWeightedPointChecks:
 
 
 class TestKnapsackSelect:
+    """The knapsack a medoid claims in the assignment step: the all-fit rule
+    of :func:`capclust._assign_lockstep`, else the DP of
+    :func:`capclust._knapsack_rows`, here on one row."""
+
     def test_zero_capacity_selects_nothing(self):
-        assert knapsack_select([1.0, 2.0], [1, 1], 0).size == 0
-        # no items: the all-fit rule takes the empty set, at any capacity
+        assert dp_select([1.0, 2.0], [1, 1], 0).size == 0
+        # no points: nothing to select, at any capacity
         for capacity in (0, 3):
-            chosen = knapsack_select([], [], capacity)
+            chosen = dp_select([], [], capacity)
             assert chosen.dtype == np.int64 and chosen.shape == (0,)
 
     def test_small_instance_against_subset_enumeration(self):
         # brute force over all 8 subsets: {0,2} carries weight 6 and value 8
         values, weights = np.array([3.0, 4.0, 5.0]), np.array([2, 3, 4])
-        chosen = knapsack_select(values, weights, 6)
+        chosen = dp_select(values, weights, 6)
         assert chosen.tolist() == [0, 2]
         assert values[chosen].sum() == pytest.approx(brute_force_knapsack(values, weights, 6))
 
@@ -264,34 +294,38 @@ class TestKnapsackSelect:
             values = np.round(rng.uniform(0, 5, size=n), 3)
             weights = rng.integers(1, 8, size=n)
             capacity = int(rng.integers(0, int(weights.sum()) + 2))
-            chosen = knapsack_select(values, weights, capacity)
+            chosen = dp_select(values, weights, capacity)
             assert int(weights[chosen].sum()) <= capacity
             expected = brute_force_knapsack(values, weights, capacity)
             assert values[chosen].sum() == pytest.approx(expected, abs=1e-9)
 
     def test_tie_prefers_smaller_weight(self):
         # both {0} and {1} reach value 2; item 1 weighs less
-        assert knapsack_select([2.0, 2.0], [3, 2], 3).tolist() == [1]
+        assert dp_select([2.0, 2.0], [3, 2], 3).tolist() == [1]
 
     def test_tie_prefers_lexicographically_smallest(self):
-        assert knapsack_select([1.0, 1.0], [1, 1], 1).tolist() == [0]
+        assert dp_select([1.0, 1.0], [1, 1], 1).tolist() == [0]
 
     def test_all_fit_shortcut_keeps_everything(self):
-        assert knapsack_select([0.5, 0.7], [2, 3], 10).tolist() == [0, 1]
+        # medoids 0 and 3 of weight 1; medoid 0 claims first, values points
+        # 1 and 2 at `values` and has room for both, so it takes both
+        for values, weights, q in (([0.5, 0.7], [2, 3], 7), ([1e-20, 1.0], [1, 1], 3)):
+            w = np.array([1, *weights, 1])
+            decay = np.ones((4, 4))
+            decay[0, 1:3] = values
+            taken, _, error = capclust._assign_lockstep(
+                np.array([[0, 3]]), q, decay, np.zeros((4, 4)), w, _rank_classes(decay, w)
+            )
+            assert error is None
+            assert taken[0].tolist() == [0, 0, 0, 1], values
         # the rule is part of the definition: 1.0 + 1e-20 == 1.0, so the DP
-        # alone would tie both selections and drop item 0 for its weight
-        assert knapsack_select([1e-20, 1.0], [1, 1], 2).tolist() == [0, 1]
-
-    def test_capacity_beyond_int64_is_total_weight(self):
-        # a zero value skips the all-fit return, so the DP must size its
-        # table by the total weight: 2**70 overflows int64
-        for values, weights in (([1.0, 0.0], [2, 3]), ([1.0, 0.0, 0.5], [2, 3, 4])):
-            huge = knapsack_select(values, weights, 2**70)
-            assert huge.tolist() == knapsack_select(values, weights, 9).tolist()
+        # alone would tie both selections and drop point 1 for its weight,
+        # leaving it to medoid 3
+        assert dp_select([1e-20, 1.0], [1, 1], 2).tolist() == [1]
 
     def test_zero_value_item_dropped_when_equal_value(self):
         # value optimum 1.0 either way; smaller total weight excludes item 1
-        assert knapsack_select([1.0, 0.0], [1, 1], 2).tolist() == [0]
+        assert dp_select([1.0, 0.0], [1, 1], 2).tolist() == [0]
 
     def test_matches_dp_reference_on_tie_heavy_instances(self):
         # 1-3 weight classes; values exact, rounded to 1 or 0 decimals (ties
@@ -314,8 +348,8 @@ class TestKnapsackSelect:
             elif kind == 4:
                 values = np.full(n, values[0])
             capacity = int(rng.integers(0, int(weights.sum()) + 3))
-            chosen = knapsack_select(values, weights, capacity)
-            expected = reference_knapsack(values, weights, capacity)
+            chosen = dp_select(values, weights, capacity)
+            expected = reference_dp(values, weights, capacity)
             assert chosen.tolist() == expected.tolist(), (values, weights, capacity)
             classes_seen.add(len(set(weights.tolist())))
             if len(set(weights.tolist())) <= 2 and capacity:
@@ -333,12 +367,12 @@ class TestKnapsackSelect:
         values, weights = rng.uniform(0, 1, 2000), rng.choice([2, 3, 4], 2000)
         tracemalloc.start()
         try:
-            chosen = knapsack_select(values, weights, 1000)
+            chosen = dp_select(values, weights, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert chosen.tolist() == reference_knapsack(values, weights, 1000).tolist()
+        assert chosen.tolist() == reference_dp(values, weights, 1000).tolist()
 
     def test_batched_rows_match_reference_over_their_free_points(self, monkeypatch):
         # Pinned: point 0 is free in the second row only. Were it kept out of
@@ -349,7 +383,7 @@ class TestKnapsackSelect:
         free = np.array([[False, True, True, True], [True] * 4])
         chosen = capclust._knapsack_rows(values, free, weights, np.array([5, 5]))
         assert np.flatnonzero(chosen[0]).tolist() == [1, 2]
-        assert np.flatnonzero(chosen[1]).tolist() == reference_knapsack(row, weights, 5).tolist()
+        assert np.flatnonzero(chosen[1]).tolist() == reference_dp(row, weights, 5).tolist()
         # 1-4 weight classes; values exact, rounded to 1 decimal, decayed from
         # far distances (underflowed zeros) or all equal; partial free masks;
         # caps 0 to the free weight; _LOCKSTEP_CELLS = 1 puts one row per block
@@ -374,9 +408,7 @@ class TestKnapsackSelect:
             chosen = capclust._knapsack_rows(values, free, weights, cap)
             for i in range(m):
                 cand = np.flatnonzero(free[i])
-                if cap[i] == free_w[i] and (values[i, cand] > 0).all():
-                    continue  # every free point fits: the caller takes them all
-                expected = cand[reference_knapsack(values[i, cand], weights[cand], int(cap[i]))]
+                expected = cand[reference_dp(values[i, cand], weights[cand], int(cap[i]))]
                 assert np.flatnonzero(chosen[i]).tolist() == expected.tolist(), (trial, i)
                 seen["full caps"] += bool(cap[i]) and cap[i] == free_w[i]
             seen["classes"].add(len(classes))
@@ -399,23 +431,6 @@ class TestKnapsackSelect:
         assert certify_one_row(np.array([1.0, 0.0]), np.array([2, 3]), 5) is None
         # and three weight classes, which are never ranked for the certificate
         assert _rank_classes(np.ones((1, 3)), np.array([1, 2, 3])) is None
-
-    def test_rejects_fractional_weights_and_capacity(self):
-        with pytest.raises(ContractViolationError, match="weights must be positive integers"):
-            knapsack_select([1.0, 1.0], [2.9, 1], 3)
-        with pytest.raises(ContractViolationError, match="equal-length vectors"):
-            knapsack_select([1.0, 1.0], [2], 3)
-        for values in ([1.0, np.nan], [1.0, -0.5]):
-            with pytest.raises(ContractViolationError, match="finite and nonnegative"):
-                knapsack_select(values, [2, 1], 3)
-        with pytest.raises(ContractViolationError, match="capacity must be nonnegative"):
-            knapsack_select([1.0, 1.0], [2, 1], -1)
-        for capacity in (2.7, 2.0, True):
-            with pytest.raises(ContractViolationError, match="capacity must be an integer"):
-                knapsack_select([1.0, 1.0], [2, 1], capacity)
-        # NumPy integers are integers; a zero value sends the call to the DP
-        weights = np.array([2, 1], np.int32)
-        assert knapsack_select([1.0, 0.0], weights, np.int64(3)).tolist() == [0]
 
 
 def reference_hierarchical(positions, weights, k, q):
@@ -746,7 +761,7 @@ class TestKMedoidsFairCapacitated:
             except InfeasibilityError as exc:
                 with pytest.raises(InfeasibilityError) as err:
                     kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
-                assert str(err.value) == str(exc)
+                assert str(err.value) == (one_class_bound(weights, k, q) or str(exc))
                 outcomes.add("infeasible")
                 continue
             result = kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
@@ -823,6 +838,37 @@ class TestKMedoidsFairCapacitated:
             with pytest.raises(InfeasibilityError, match="weight 5 exceeds capacity 4"):
                 entry()
 
+    def test_one_weight_class_past_the_packing_bound_raises_at_once(self, monkeypatch):
+        # a cluster of capacity q holds q // w points of weight w, so l such
+        # points pack into k clusters exactly when l <= k * (q // w). Past
+        # the bound both stages raise before computing a distance: 300
+        # weight-2 points at k = 8, q = 75 pass the k*q check (600) and once
+        # took kmed 3.3 s to raise, while hier stalled at 11 clusters.
+        positions = np.random.default_rng(3).uniform(size=(300, 2))
+        weights = np.full(300, 2)
+        entries = (
+            lambda l, k, q: hierarchical_fair_capacitated(positions[:l], weights[:l], k, q),
+            lambda l, k, q: kmedoids_fair_capacitated(
+                positions[:l], weights[:l], k, q, lam=0.3, seed=0
+            ),
+        )
+
+        def no_distances(*args):
+            raise AssertionError("a distance was computed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(capclust, "pairwise_distances", no_distances)
+            for entry in entries:
+                with pytest.raises(InfeasibilityError) as err:
+                    entry(300, 8, 75)
+                assert str(err.value) == (
+                    "300 points of weight 2 fit no 8 clusters of capacity 75, "
+                    "which hold 37 each; rerun with a larger epsilon"
+                )
+        # at the bound a packing exists: 6 points in 2 clusters of 3
+        for entry in entries:
+            assert np.bincount(entry(6, 2, 6).assignment).tolist() == [3, 3]
+
     def test_capacity_above_total_weight_is_total_weight(self):
         # q = 2**70 overflows int64; any q >= total weight never binds
         rng = np.random.default_rng(44)
@@ -881,11 +927,13 @@ class TestKMedoidsFairCapacitated:
             assert result.trace[0]["event"] == first, seed
 
     def test_stranded_point_that_fits_no_cluster_raises(self):
-        # any two of the weight-2 points exceed q = 3, although the total
-        # weight 6 passes the k*q check
-        positions, weights = unit_points([0.0, 1.0, 2.0])
-        with pytest.raises(InfeasibilityError, match="fits no cluster"):
-            kmedoids_fair_capacitated(positions, 2 * weights, k=2, q=3, lam=0.3, seed=0)
+        # any two of the weight-3 points exceed q = 5, although the total
+        # weight 10 passes the k*q check; two weight classes pass the
+        # one-class packing bound too, so the stranding is found by search
+        positions, _ = unit_points([0.0, 1.0, 2.0, 3.0])
+        weights = np.array([3, 3, 3, 1])
+        with pytest.raises(InfeasibilityError, match="fits no cluster even after single"):
+            kmedoids_fair_capacitated(positions, weights, k=2, q=5, lam=0.3, seed=0)
 
 
 def scalar_kmedoids(positions, weights, k, q, lam, seed):
@@ -1049,7 +1097,11 @@ class TestLockstepAssignment:
                 chunks.clear()
                 with pytest.raises(InfeasibilityError) as err:
                     kmedoids_fair_capacitated(positions, weights, k, q, lam, seed=trial)
-                assert str(err.value) == str(exc)
+                bound = one_class_bound(weights, k, q)
+                assert str(err.value) == (bound or str(exc))
+                if bound:  # raised before any assignment
+                    assert chunks == [], trial
+                    continue
                 # the sample, then one round that found no finite cost
                 assert chunks[0] == sample_chunk, trial
                 assert sum(rows for rows, _ in chunks[1:]) == k * (l - k), trial

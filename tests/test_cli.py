@@ -143,6 +143,14 @@ class TestGenerate:
             assert capsys.readouterr().err == "error: need at least 2 rows\n", n
             assert not out.exists(), n
 
+    def test_noise_not_finite_and_nonnegative_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "toy.csv"
+        for noise in ("-1", "nan", "inf"):
+            assert main(["generate", "--out", str(out), "--noise", noise]) == EXIT_DATA, noise
+            err = capsys.readouterr().err
+            assert err == f"error: noise must be finite and nonnegative, got {float(noise)}\n"
+            assert not out.exists(), noise
+
 
 class TestRun:
     def test_record_count_is_methods_times_k(self, sweep_dir):

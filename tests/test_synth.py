@@ -65,6 +65,14 @@ class TestMakeBlobs:
                 make_blobs(seed=1, **kwargs)
         assert make_blobs(n=np.int64(20), clusters=np.int64(2), seed=1).n == 20
 
+    def test_rejects_noise_not_finite_and_nonnegative(self):
+        # a negative noise once wrote mirrored blobs without complaint, and
+        # nan or inf failed only at the Dataset's feature check
+        for noise in (-1.0, -1e-9, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ContractViolationError, match="noise must be finite and nonnegative"):
+                make_blobs(n=20, noise=noise, seed=1)
+        assert make_blobs(n=20, noise=0, seed=1).n == 20
+
     def test_deterministic(self):
         a = make_blobs(n=40, balance=0.8, seed=5)
         b = make_blobs(n=40, balance=0.8, seed=5)
