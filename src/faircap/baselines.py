@@ -244,44 +244,36 @@ def decompose(
 
 
 def pipeline(
-    method: str,
-    data: Dataset,
-    params: Params,
-    decomposition: FairletDecomposition | None = None,
-    merges: capclust.MergeLog | None = None,
+    method: str, data: Dataset, params: Params
 ) -> tuple[Clustering, RunRecord, tuple[dict, ...]]:
     """Run one method end to end and return ``(clustering, record, trace)``:
     the row-level clustering, its evaluation and the stage's events (empty
     for PAM and k-center).
 
-    ``decomposition`` lets a sweep reuse one decomposition across k values.
-    It must cover ``data``'s rows, and pass :func:`~faircap.fairlets.validate`
-    at ``params.t`` (mcf, vanilla) or hold one fairlet per row (rows), or a
-    ContractViolationError is raised. ``merges`` lets a hier method's
-    sweep share merges across k values (see :class:`~faircap.capclust.MergeLog`);
-    other stages ignore it.
+    The method's decomposition is built from ``data`` at ``params.t`` and
+    ``params.seed``. To share one decomposition across k values, decompose
+    once and call the stage, :func:`~faircap.core.compose_assignment` and
+    :func:`~faircap.metrics.evaluate` directly.
     """
     if method not in METHODS:
         raise ContractViolationError(
             f"unknown method {method!r}; expected one of {tuple(METHODS)}"
         )
-    flavor, stage = METHODS[method]
-    if decomposition is None:
-        decomposition = decompose(flavor, data, params.t, params.seed)
-    elif decomposition.n != data.n:
-        raise ContractViolationError(
-            f"decomposition covers {decomposition.n} rows, dataset has {data.n}"
-        )
-    elif flavor == "rows" and len(decomposition) < data.n:
-        raise ContractViolationError(
-            f"{method} clusters single rows, got {len(decomposition)} fairlets for {data.n} rows"
-        )
-    elif flavor != "rows":
-        violations = fairlets.validate(decomposition, data, params.t).violations
-        if violations:
-            raise ContractViolationError(
-                f"decomposition fails t = {params.t}: {violations[0]}"
-            )
+    decomposition = decompose(METHODS[method][0], data, params.t, params.seed)
+    return _run(method, data, params, decomposition)
+
+
+def _run(
+    method: str,
+    data: Dataset,
+    params: Params,
+    decomposition: FairletDecomposition,
+    merges: capclust.MergeLog | None = None,
+) -> tuple[Clustering, RunRecord, tuple[dict, ...]]:
+    """:func:`pipeline` on ``decomposition``, which must be the method's
+    ``decompose(flavor, data, params.t, params.seed)``; a hier method shares
+    merges through ``merges`` (see :class:`~faircap.capclust.MergeLog`)."""
+    stage = METHODS[method][1]
     positions = data.features[decomposition.centers]
     weights = decomposition.weights
     if stage == "pam":

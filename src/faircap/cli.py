@@ -233,9 +233,8 @@ def run_sweep(cfg: SweepConfig, out_dir: Path) -> int:
         for k in cfg.k_values:
             params = Params(k=k, t=cfg.t, epsilon=epsilon, lam=cfg.lam, seed=cfg.seed)
             try:
-                _, record, trace = baselines.pipeline(
-                    method, data, params, decomposition=decomposition_for(flavor),
-                    merges=merges,
+                _, record, trace = baselines._run(
+                    method, data, params, decomposition_for(flavor), merges
                 )
                 rows.append({"type": "run", "status": "ok", **record._asdict()})
                 for event in trace:

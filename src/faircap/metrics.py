@@ -27,12 +27,7 @@ class RunRecord(NamedTuple):
     seed: int
 
 
-def evaluate(
-    clustering: Clustering,
-    data: Dataset,
-    params: Params,
-    method: str = "unknown",
-) -> RunRecord:
+def evaluate(clustering: Clustering, data: Dataset, params: Params, method: str) -> RunRecord:
     """Compute the record for a clustering of ``params.k`` clusters; pure given its inputs."""
     if clustering.k != params.k:
         raise ContractViolationError(f"clustering has k={clustering.k}, params k={params.k}")

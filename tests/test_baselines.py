@@ -514,33 +514,3 @@ class TestPipeline:
             _, a, _ = pipeline(method, data, Params(k=3, epsilon=eps, seed=9))
             _, b, _ = pipeline(method, data, Params(k=3, epsilon=eps, seed=9))
             assert a == b
-
-    def test_precomputed_decomposition_matches_internal(self):
-        data = make_blobs(n=40, balance=1.0, clusters=2, seed=2)
-        params = Params(k=2, seed=3)
-        decomp = mcf_decompose(data, params.t, params.seed)
-        _, a, _ = pipeline("kmed_fair_cap_mcf", data, params)
-        _, b, _ = pipeline("kmed_fair_cap_mcf", data, params, decomposition=decomp)
-        assert a == b
-
-    def test_rejects_a_decomposition_that_does_not_fit_the_data(self):
-        data = make_blobs(n=60, balance=0.8, clusters=2, seed=2)
-        decomp = mcf_decompose(data, Fraction(1, 2), 3)
-        short = Dataset(features=data.features[:40], protected=data.protected[:40])
-        for method in ("kmed_fair_cap_mcf", "vanilla_kmedoids"):
-            with pytest.raises(ContractViolationError, match="covers 60 rows, dataset has 40"):
-                pipeline(method, short, Params(k=2), decomposition=decomp)
-        # a t = 1/2 grouping does not meet t = 1, whose every ok record has balance 1
-        for method in ("hier_fair_cap_mcf", "kmed_fair_cap_vanilla"):
-            with pytest.raises(ContractViolationError, match=r"fails t = 1: fairlet \d+: "):
-                pipeline(method, data, Params(k=2, t=1, epsilon=1.5), decomposition=decomp)
-        # PAM clusters single rows; on fairlets it once clustered their centres
-        with pytest.raises(
-            ContractViolationError,
-            match=f"vanilla_kmedoids clusters single rows, got {len(decomp)} fairlets for 60 rows",
-        ):
-            pipeline("vanilla_kmedoids", data, Params(k=2), decomposition=decomp)
-        # the rows flavour's singletons are never balanced, and need not be
-        rows = baselines.decompose("rows", data, Fraction(1), 3)
-        _, record, _ = pipeline("vanilla_kmedoids", data, Params(k=2, t=1), decomposition=rows)
-        assert sum(record.sizes) == data.n

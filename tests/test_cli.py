@@ -19,6 +19,7 @@ from faircap.cli import (
     SweepConfig,
     main,
 )
+from faircap.core import Params
 from faircap.metrics import RunRecord
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -321,7 +322,7 @@ seed = 3
             def fail_cell(*args, cls=cls, **kwargs):
                 raise cls("boom")
 
-            monkeypatch.setattr(baselines, "pipeline", fail_cell)
+            monkeypatch.setattr(baselines, "_run", fail_cell)
             out = tmp_path / cls.__name__
             main(["run", str(config), "--output", str(out)])
             rows = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()[1:]]
@@ -513,14 +514,14 @@ seed = 1
         # a broken precondition in one cell is an `error` record carrying its
         # message and a blank summary row; the sweep exits 2 and the report
         # lists the record and leaves the cell's box out of sizes.svg
-        pipeline = baselines.pipeline
+        run = baselines._run
 
-        def failing(method, data, params, **kwargs):
+        def failing(method, data, params, *args):
             if method == "mcf_fairlet_kcenter" and params.k < 4:
                 raise errors.ContractViolationError(f"stage broke at k={params.k}")
-            return pipeline(method, data, params, **kwargs)
+            return run(method, data, params, *args)
 
-        monkeypatch.setattr(baselines, "pipeline", failing)
+        monkeypatch.setattr(baselines, "_run", failing)
         body = SMALL_SWEEP.replace("k = 2,3", "k = 2,3,4").replace(
             "methods = all", "methods = mcf_fairlet_kcenter,vanilla_fairlet_kcenter"
         )
@@ -611,6 +612,39 @@ seed = 1
 
         assert runs == sorted((line for r, _ in one_k for line in r), key=key)
         assert trace == sorted((line for _, t in one_k for line in t), key=key)
+
+    def test_sweep_records_equal_single_k_pipeline_calls(self, tmp_path):
+        # the sweep shares one decomposition per flavor and one merge log per
+        # hier method; neither may change a record, a trace or an error text
+        readme_data = ("--n", "150", "--balance", "0.8", "--clusters", "3", "--seed", "7")
+        config = write_config(tmp_path, SMALL_SWEEP.replace("k = 2,3", "k = 2:10:4"), readme_data)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--output", str(out)]) == EXIT_OK
+        cfg = SweepConfig(config)
+        data = ingest.load_csv(cfg.dataset_spec)
+        runs, traces = [], []
+        for method, (_, stage) in sorted(baselines.METHODS.items()):
+            epsilon = cfg.eps_hier if stage == "hier" else cfg.eps_part
+            for k in cfg.k_values:
+                params = Params(k=k, t=cfg.t, epsilon=epsilon, lam=cfg.lam, seed=cfg.seed)
+                try:
+                    _, record, trace = baselines.pipeline(method, data, params)
+                except errors.FaircapError as exc:
+                    runs.append({
+                        "type": "run", "status": exc.status, "method": method, "k": k,
+                        "error": str(exc),
+                    })
+                    continue
+                runs.append({"type": "run", "status": "ok", **record._asdict()})
+                traces += [{"method": method, "k": k, **event} for event in trace]
+        assert {r["status"] for r in runs} == {"ok", "infeasible"}
+        assert len(runs) == 7 * 3
+
+        def lines(name):
+            return [json.loads(line) for line in (out / name).read_text().splitlines()]
+
+        assert lines("runs.jsonl")[1:] == json.loads(json.dumps(runs))
+        assert lines("trace.jsonl") == json.loads(json.dumps(traces))
 
     def test_capacitated_sweep_runs_at_any_epsilon(self, tmp_path):
         # at epsilon 1e30 q has 32 digits; it never binds, and hier once

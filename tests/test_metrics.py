@@ -49,7 +49,7 @@ class TestEvaluate:
         data = make_blobs(n=12, balance=1.0, clusters=2, seed=0)
         clustering = Clustering(assignment=np.repeat([0, 1], 6), representatives=(0, 6))
         with pytest.raises(ContractViolationError, match="clustering has k=2, params k=3"):
-            evaluate(clustering, data, Params(k=3))
+            evaluate(clustering, data, Params(k=3), method="vanilla_kmedoids")
 
     def test_purity(self):
         data = make_blobs(n=30, balance=1.0, clusters=2, seed=5)

@@ -4,6 +4,10 @@
   of two scales every distance, centroid and cost exactly and leaves each
   knapsack value exp(-d / lambda) unchanged, so every method must return
   the same clustering, and costs exactly that power times the originals.
+* A zero column: appending or prepending an all-zero feature column adds
+  an exact 0 to every squared distance and leaves every centroid's other
+  coordinates as they were, so every method must return the same
+  clustering, with bitwise equal costs.
 * Properties, drawn with hypothesis on small tables with ties and
   duplicate rows: every decomposition passes ``validate``, and every
   clustering meets the bounds its method guarantees, recomputed from its
@@ -16,6 +20,7 @@ from math import ceil
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from student_like import write_student_like
 
 import faircap
 from faircap.baselines import decompose
@@ -68,6 +73,37 @@ def test_scaling_features_and_lambda_by_a_power_of_two():
     assert outcomes == {False, True}  # both finished and infeasible runs compared
 
 
+def _exact(outcome):
+    """``outcome`` with its cost and trace costs as ``float.hex``, so that
+    comparing it is bitwise."""
+    if isinstance(outcome, str):
+        return outcome
+    *rest, cost, costs = outcome
+    return (*rest, cost.hex(), [c.hex() for c in costs])
+
+
+def test_an_all_zero_feature_column_changes_nothing(tmp_path):
+    write_student_like(tmp_path / "student.csv")
+    student = faircap.load_csv(faircap.DatasetSpec(tmp_path / "student.csv", "sex"))
+    rows = np.sort(np.random.default_rng(0).choice(student.n, size=90, replace=False))
+    subset = faircap.Dataset(features=student.features[rows], protected=student.protected[rows])
+    outcomes = set()
+    for data, ks in [(table, (2, 4, 7)) for table in _scale_tables()] + [(subset, (2, 5))]:
+        zero = np.zeros((data.n, 1))
+        widened = {
+            side: faircap.Dataset(features=np.hstack(parts), protected=data.protected)
+            for side, parts in (("after", (data.features, zero)), ("before", (zero, data.features)))
+        }
+        for method in faircap.METHODS:
+            for k in ks:
+                params = faircap.Params(k=k, lam=0.3, seed=7)
+                base = _exact(_run(method, data, params))
+                outcomes.add(isinstance(base, str))
+                for side, wide in widened.items():
+                    assert _exact(_run(method, wide, params)) == base, (method, k, side)
+    assert outcomes == {False, True}  # both finished and infeasible runs compared
+
+
 @st.composite
 def small_tables(draw):
     """(data, t): up to 24 rows on a 4 x 4 grid of features, so distances
@@ -110,7 +146,7 @@ def test_every_run_meets_its_bounds_from_its_row_labels(table, method, k, epsilo
         assert faircap.validate(decomposition, data, t).violations == ()
     params = faircap.Params(k=k, t=t, epsilon=epsilon, lam=0.3, seed=seed)
     try:
-        clustering, record, _ = faircap.pipeline(method, data, params, decomposition)
+        clustering, record, _ = faircap.pipeline(method, data, params)
     except InfeasibilityError:
         return
     labels = clustering.assignment
